@@ -25,6 +25,7 @@ from .functor import (
     fold,
     valid_term,
     validate_payload,
+    validator,
 )
 from .subobject import (
     ContainsPath,
@@ -35,6 +36,7 @@ from .subobject import (
     apply,
     coerce,
     downcast,
+    lifter,
     path_target,
     upcast,
 )
@@ -53,11 +55,16 @@ from .lang import (
     enat,
     index,
     is_value,
+    lift_array,
+    lift_nat,
+    lift_option,
+    lift_sum,
     nat_value,
     nil,
     none,
     plus,
     some,
+    view,
 )
 from .semantics import (
     ComposedStep,

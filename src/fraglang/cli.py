@@ -22,10 +22,16 @@ USER_ERROR = 1
 INTERNAL_ERROR = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to the user-error exit status."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(USER_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fraglang", description="modular language workbench"
-    )
+    parser = _ArgumentParser(prog="fraglang", description="modular language workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="infer a type and its derivation")
@@ -175,7 +181,17 @@ _COMMANDS = {
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except Exception as exc:
+        # The exit-status contract holds for every input: an exception that
+        # escapes a command is an internal error, reported on one line.
+        shown = sys.argv[1:] if argv is None else argv
+        print(
+            f"internal error: {type(exc).__name__}: {exc} (argv {shown!r})",
+            file=sys.stderr,
+        )
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

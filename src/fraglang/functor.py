@@ -129,6 +129,55 @@ def _atom_ok(base: BaseSet, value: Any) -> bool:
     return value == UNIT
 
 
+Validator = Callable[[Any], bool]
+
+
+def _compile(f: Any, check_slot: Callable[[Any], bool] | None) -> Validator:
+    # One closure per descriptor node; the payload walk below it does no
+    # descriptor matching.  A value that is no descriptor accepts nothing.
+    match f:
+        case Rec():
+            if check_slot is None:
+                return lambda p: isinstance(p, Slot) and isinstance(p.term, Term)
+            return lambda p: isinstance(p, Slot) and check_slot(p.term)
+        case Atom(base) if base is BaseSet.NAT:
+            return lambda p: isinstance(p, AtomVal) and p.set is base and is_natural(p.value)
+        case Atom(base):
+            return lambda p: isinstance(p, AtomVal) and p.set is base and p.value == UNIT
+        case Sum(left, right):
+            left_ok, right_ok = _compile(left, check_slot), _compile(right, check_slot)
+
+            def check_sum(p: Any) -> bool:
+                if isinstance(p, InL):
+                    return left_ok(p.payload)
+                if isinstance(p, InR):
+                    return right_ok(p.payload)
+                return False
+
+            return check_sum
+        case Prod(left, right):
+            left_ok, right_ok = _compile(left, check_slot), _compile(right, check_slot)
+            return lambda p: isinstance(p, Pair) and left_ok(p.fst) and right_ok(p.snd)
+    return lambda p: False
+
+
+_VALIDATORS: dict[FunctorDesc, Validator] = {}
+
+
+def validator(f: FunctorDesc) -> Validator:
+    """``f``'s shape check as a closure, compiled once per descriptor.
+
+    ``validator(f)(p) == validate_payload(f, p)`` for every payload.
+    """
+    try:
+        return _VALIDATORS[f]
+    except KeyError:
+        check = _VALIDATORS[f] = _compile(f, None)
+        return check
+    except TypeError:  # an unhashable non-descriptor: nothing to share
+        return _compile(f, None)
+
+
 def validate_payload(
     f: FunctorDesc,
     p: Payload,
@@ -141,28 +190,18 @@ def validate_payload(
     default accepts any Term one layer deep.
     """
     if check_slot is None:
-        check_slot = lambda t: isinstance(t, Term)
-    match (f, p):
-        case (Rec(), Slot(t)):
-            return check_slot(t)
-        case (Atom(base), AtomVal(got, value)):
-            return got is base and _atom_ok(base, value)
-        case (Sum(left, _), InL(q)):
-            return validate_payload(left, q, check_slot)
-        case (Sum(_, right), InR(q)):
-            return validate_payload(right, q, check_slot)
-        case (Prod(left, right), Pair(a, b)):
-            return validate_payload(left, a, check_slot) and validate_payload(
-                right, b, check_slot
-            )
-    return False
+        return validator(f)(p)
+    return _compile(f, check_slot)(p)
 
 
 def valid_term(f: FunctorDesc, t: Any) -> bool:
     """Deep validity: every layer of ``t`` inhabits ``f``."""
-    return isinstance(t, Term) and validate_payload(
-        f, t.node, lambda sub: valid_term(f, sub)
-    )
+
+    def deep(sub: Any) -> bool:
+        return isinstance(sub, Term) and check(sub.node)
+
+    check = _compile(f, deep)
+    return deep(t)
 
 
 def fmap(f: FunctorDesc, fn: Callable[[Any], Any], p: Payload) -> Payload:

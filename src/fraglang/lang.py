@@ -24,9 +24,14 @@ from .functor import (
     Sum,
     Term,
     UNIT,
-    validate_payload,
+    validator,
 )
-from .subobject import ContainsPath, Direction, downcast, upcast
+from .subobject import ContainsPath, Direction, lifter, path_target
+
+
+class MalformedDerivationError(Exception):
+    """A derivation tree is not built from the step or typing constructors."""
+
 
 NAT = Atom(BaseSet.NAT)
 OPTION = Sum(Rec(), Atom(BaseSet.UNIT))
@@ -53,6 +58,59 @@ LIFT_PATHS = {
     "array": LIFT_ARRAY,
 }
 
+lift_nat = lifter(LIFT_NAT)
+lift_option = lifter(LIFT_OPTION)
+lift_sum = lifter(LIFT_SUM)
+lift_array = lifter(LIFT_ARRAY)
+
+
+def _spine_table(paths: dict[str, ContainsPath]) -> list:
+    """A trie over injection spines, outermost injection first.
+
+    An inner node is a [left, right] list indexed by the next injection;
+    each leaf is a fragment's (tag, compiled shape check of its summand).
+    """
+    side = {_L: 0, _R: 1}
+    table: list = [None, None]
+    for tag, path in paths.items():
+        node = table
+        *outer, last = reversed(path.steps)
+        for step in outer:
+            if node[side[step]] is None:
+                node[side[step]] = [None, None]
+            node = node[side[step]]
+        node[side[last]] = (tag, validator(path_target(path)))
+    return table
+
+
+_SPINE = _spine_table(LIFT_PATHS)
+
+View = tuple[str, Payload]
+
+
+def view(t: Term) -> Optional[View]:
+    """The fragment tag and payload under ``t``'s node, or None.
+
+    Reads the injection spine once and checks the payload's shape against
+    its fragment's summand, so ``view(t) == (tag, p)`` exactly when
+    ``downcast(LIFT_PATHS[tag], t) == p``.
+    """
+    node = t.node
+    entry = _SPINE
+    while isinstance(entry, list):
+        if isinstance(node, InL):
+            entry = entry[0]
+        elif isinstance(node, InR):
+            entry = entry[1]
+        else:
+            return None
+        if entry is None:
+            return None
+        node = node.payload
+    tag, check = entry
+    return (tag, node) if check(node) else None
+
+
 NONE_PAYLOAD = InR(AtomVal(BaseSet.UNIT, UNIT))
 NIL_PAYLOAD = InL(InR(AtomVal(BaseSet.UNIT, UNIT)))
 
@@ -63,60 +121,58 @@ def some_payload(e: Term) -> Payload:
 
 def enat(n: int) -> Term:
     """A natural-number literal."""
-    return upcast(LIFT_NAT, AtomVal(BaseSet.NAT, n))
+    return lift_nat(AtomVal(BaseSet.NAT, n))
 
 
 def plus(e1: Term, e2: Term) -> Term:
     """Addition of two expressions."""
-    return upcast(LIFT_SUM, Pair(Slot(e1), Slot(e2)))
+    return lift_sum(Pair(Slot(e1), Slot(e2)))
 
 
 def some(e: Term) -> Term:
     """A present optional value."""
-    return upcast(LIFT_OPTION, some_payload(e))
+    return lift_option(some_payload(e))
 
 
 def none() -> Term:
     """The absent optional value."""
-    return upcast(LIFT_OPTION, NONE_PAYLOAD)
+    return lift_option(NONE_PAYLOAD)
 
 
 def nil() -> Term:
     """The empty array."""
-    return upcast(LIFT_ARRAY, NIL_PAYLOAD)
+    return lift_array(NIL_PAYLOAD)
 
 
 def assign(a: Term, i: Term, e: Term) -> Term:
     """Array a extended with e written at index i."""
-    return upcast(LIFT_ARRAY, InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))))
+    return lift_array(InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))))
 
 
 def index(a: Term, i: Term) -> Term:
     """Array lookup of index i in a."""
-    return upcast(LIFT_ARRAY, InR(Pair(Slot(a), Slot(i))))
+    return lift_array(InR(Pair(Slot(a), Slot(i))))
 
 
 def nat_value(t: Term) -> Optional[int]:
     """The literal under a natural, or None."""
-    p = downcast(LIFT_NAT, t)
-    if isinstance(p, AtomVal):
-        return p.value
-    return None
+    v = view(t)
+    return v[1].value if v is not None and v[0] == "nat" else None
 
 
 def plus_parts(t: Term) -> Optional[tuple[Term, Term]]:
-    p = downcast(LIFT_SUM, t)
-    if isinstance(p, Pair):
-        return p.fst.term, p.snd.term
-    return None
+    v = view(t)
+    return (v[1].fst.term, v[1].snd.term) if v is not None and v[0] == "sum" else None
 
 
 def option_payload(t: Term) -> Optional[Payload]:
-    return downcast(LIFT_OPTION, t)
+    v = view(t)
+    return v[1] if v is not None and v[0] == "option" else None
 
 
 def array_payload(t: Term) -> Optional[Payload]:
-    return downcast(LIFT_ARRAY, t)
+    v = view(t)
+    return v[1] if v is not None and v[0] == "array" else None
 
 
 def is_value(t: Term) -> bool:
@@ -125,18 +181,20 @@ def is_value(t: Term) -> bool:
     Naturals; nil; assignment chains whose indices and elements are all
     literals; none; and some of a value.  Lookup nodes are never values.
     """
-    if nat_value(t) is not None:
+    v = view(t)
+    if v is None:
+        return False
+    tag, p = v
+    if tag == "nat":
         return True
-    op = option_payload(t)
-    if op is not None:
-        match op:
+    if tag == "option":
+        match p:
             case InR(AtomVal()):
                 return True
             case InL(Slot(e)):
                 return is_value(e)
-    ap = array_payload(t)
-    if ap is not None:
-        return _is_value_array(ap)
+    if tag == "array":
+        return _is_value_array(p)
     return False
 
 
@@ -152,6 +210,9 @@ def _is_value_array(p: Payload) -> bool:
     return False
 
 
+_array_ok = validator(ARRAY)
+
+
 def array_lookup(a: Payload, n: int) -> Payload:
     """Scan an assignment chain for index n; the outermost write wins.
 
@@ -160,7 +221,7 @@ def array_lookup(a: Payload, n: int) -> Payload:
     that is not an assignment or nil, and on any non-literal index, since
     no rule ever evaluates inside an assignment.
     """
-    if not validate_payload(ARRAY, a):
+    if not _array_ok(a):
         raise ShapeError(f"array_lookup expects an array payload, got {a!r}")
     while True:
         match a:

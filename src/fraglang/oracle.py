@@ -11,19 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .functor import InL, InR, Pair, ShapeError, Slot, Term
-from .lang import (
-    array_payload,
-    assign,
-    enat,
-    index,
-    nat_value,
-    nil,
-    none,
-    option_payload,
-    plus,
-    plus_parts,
-    some,
-)
+from .lang import assign, enat, index, nil, none, plus, some, view
 from .typecheck import LangType
 
 
@@ -71,28 +59,23 @@ MonoExpr = Union[Atom, ESome, ENone, Nil, Lookup, Ins, Plus]
 
 def embed(t: Term) -> MonoExpr:
     """Transliterate a composed term into the flat type."""
-    n = nat_value(t)
-    if n is not None:
-        return Atom(n)
-    op = option_payload(t)
-    if op is not None:
-        match op:
-            case InL(Slot(e)):
-                return ESome(embed(e))
-            case InR(_):
-                return ENone()
-    parts = plus_parts(t)
-    if parts is not None:
-        return Plus(embed(parts[0]), embed(parts[1]))
-    ap = array_payload(t)
-    if ap is not None:
-        match ap:
-            case InL(InR(_)):
-                return Nil()
-            case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
-                return Ins(embed(a), embed(i), embed(e))
-            case InR(Pair(Slot(a), Slot(i))):
-                return Lookup(embed(a), embed(i))
+    v = view(t)
+    if v is None:
+        raise ShapeError(f"not a term of the composed language: {t!r}")
+    tag, p = v
+    if tag == "nat":
+        return Atom(p.value)
+    if tag == "sum":
+        return Plus(embed(p.fst.term), embed(p.snd.term))
+    if tag == "option":
+        return ESome(embed(p.payload.term)) if isinstance(p, InL) else ENone()
+    match p:
+        case InL(InR(_)):
+            return Nil()
+        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
+            return Ins(embed(a), embed(i), embed(e))
+        case InR(Pair(Slot(a), Slot(i))):
+            return Lookup(embed(a), embed(i))
     raise ShapeError(f"not a term of the composed language: {t!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .functor import Payload
-from .lang import LIFT_ARRAY, array_lookup, enat
+from .lang import array_lookup, enat, lift_array
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -28,7 +28,6 @@ from .semantics import (
     ViaArray,
     ViaSum,
 )
-from .subobject import upcast
 from .typecheck import (
     ArrayTyping,
     ComposedTyping,
@@ -109,7 +108,7 @@ def preservation_array(
         case Lookup(chain, idx):
             if (
                 not isinstance(wt, OkLookup)
-                or wt.array != upcast(LIFT_ARRAY, chain)
+                or wt.array != lift_array(chain)
                 or wt.index != enat(idx)
             ):
                 raise SubjectMismatchError("lookup subject mismatch")

@@ -10,24 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InR, Pair, Payload, ShapeError, Slot, Term, is_natural, validate_payload
+from .functor import InR, Payload, ShapeError, Term, is_natural, validator
 from .lang import (
     ARRAY,
-    LIFT_ARRAY,
-    LIFT_OPTION,
+    MalformedDerivationError,
+    View,
     array_lookup,
-    array_payload,
     enat,
     index,
-    nat_value,
+    lift_array,
+    lift_option,
     plus,
-    plus_parts,
+    view,
 )
-from .subobject import upcast
-
-
-class MalformedDerivationError(Exception):
-    """A derivation tree is not built from the step constructors."""
 
 
 class FuelExhaustedError(Exception):
@@ -132,8 +127,8 @@ def _array_endpoints(s: ArrayStep) -> tuple[Term, Term]:
         case StepI(_, array, idx, idx_after):
             return index(array, idx), index(array, idx_after)
         case Lookup(chain, idx):
-            source = index(upcast(LIFT_ARRAY, chain), enat(idx))
-            return source, upcast(LIFT_OPTION, array_lookup(chain, idx))
+            source = index(lift_array(chain), enat(idx))
+            return source, lift_option(array_lookup(chain, idx))
     raise MalformedDerivationError(f"not an array step: {s!r}")
 
 
@@ -160,6 +155,9 @@ def validate_step(
     return _valid(d, allow_any_left)
 
 
+_array_ok = validator(ARRAY)
+
+
 def _valid(d: ComposedStep, relaxed: bool) -> bool:
     match d:
         case ViaSum(StepL(inner, left, left_after, _)):
@@ -177,7 +175,7 @@ def _valid(d: ComposedStep, relaxed: bool) -> bool:
         case ViaArray(StepI(inner, _, idx, idx_after)):
             return validate_step(inner, idx, idx_after, allow_any_left=relaxed)
         case ViaArray(Lookup(chain, idx)):
-            return is_natural(idx) and validate_payload(ARRAY, chain)
+            return is_natural(idx) and _array_ok(chain)
     return False
 
 
@@ -190,17 +188,25 @@ def drive_step(
     right, then the pair; lookup reduces its index to a literal, then
     resolves when the array operand is a lifted array payload.
     """
-    parts = plus_parts(t)
-    if parts is not None:
-        left, right = parts
-        n1 = nat_value(left)
-        if n1 is None:
-            inner = drive_step(left, allow_any_left=allow_any_left)
+    return _drive(view(t), allow_any_left)
+
+
+def _drive(v: Optional[View], relaxed: bool) -> Optional[tuple[Term, ComposedStep]]:
+    # Steps the term whose view is v; each operand is viewed once, and the
+    # view both tests for a literal and drives the operand's own step.
+    if v is None:
+        return None
+    tag, p = v
+    if tag == "sum":
+        left, right = p.fst.term, p.snd.term
+        left_v = view(left)
+        if left_v is None or left_v[0] != "nat":
+            inner = _drive(left_v, relaxed)
             if inner is not None:
                 left_after, d = inner
                 return plus(left_after, right), ViaSum(StepL(d, left, left_after, right))
-            if allow_any_left:
-                stuck_right = drive_step(right, allow_any_left=allow_any_left)
+            if relaxed:
+                stuck_right = _drive(view(right), relaxed)
                 if stuck_right is not None:
                     right_after, d = stuck_right
                     return (
@@ -208,38 +214,31 @@ def drive_step(
                         ViaSum(StepRAny(d, left, right, right_after)),
                     )
             return None
-        n2 = nat_value(right)
-        if n2 is None:
-            inner = drive_step(right, allow_any_left=allow_any_left)
+        n1 = left_v[1].value
+        right_v = view(right)
+        if right_v is None or right_v[0] != "nat":
+            inner = _drive(right_v, relaxed)
             if inner is None:
                 return None
             right_after, d = inner
             return plus(left, right_after), ViaSum(StepR(d, n1, right, right_after))
+        n2 = right_v[1].value
         return enat(n1 + n2), ViaSum(StepV(n1, n2))
-    ap = array_payload(t)
-    if ap is not None:
-        lookup_parts = _lookup_parts(ap)
-        if lookup_parts is not None:
-            array, idx = lookup_parts
-            n = nat_value(idx)
-            if n is None:
-                inner = drive_step(idx, allow_any_left=allow_any_left)
-                if inner is None:
-                    return None
-                idx_after, d = inner
-                return index(array, idx_after), ViaArray(StepI(d, array, idx, idx_after))
-            chain = array_payload(array)
-            if chain is None:
+    if tag == "array" and isinstance(p, InR):
+        array, idx = p.payload.fst.term, p.payload.snd.term
+        idx_v = view(idx)
+        if idx_v is None or idx_v[0] != "nat":
+            inner = _drive(idx_v, relaxed)
+            if inner is None:
                 return None
-            target = upcast(LIFT_OPTION, array_lookup(chain, n))
-            return target, ViaArray(Lookup(chain, n))
-    return None
-
-
-def _lookup_parts(array_pl: Payload) -> Optional[tuple[Term, Term]]:
-    match array_pl:
-        case InR(Pair(Slot(a), Slot(i))):
-            return a, i
+            idx_after, d = inner
+            return index(array, idx_after), ViaArray(StepI(d, array, idx, idx_after))
+        n = idx_v[1].value
+        array_v = view(array)
+        if array_v is None or array_v[0] != "array":
+            return None
+        chain = array_v[1]
+        return lift_option(array_lookup(chain, n)), ViaArray(Lookup(chain, n))
     return None
 
 

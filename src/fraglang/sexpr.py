@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .functor import InR, Pair, Slot, Term
-from .lang import LIFT_OPTION, array_payload, nat_value, option_payload, plus_parts
+from .lang import array_payload, lift_option, nat_value, option_payload, plus_parts
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -32,7 +32,6 @@ from .semantics import (
     ViaSum,
     step_endpoints,
 )
-from .subobject import upcast
 from .surface import parse, render
 from .typecheck import (
     ArrayTyping,
@@ -84,7 +83,7 @@ def render_derivation(d: Derivation) -> str:
         case LiftWtNat(n):
             return f"(lift-wt-nat {n})"
         case LiftWtOption(payload):
-            term_text = render(upcast(LIFT_OPTION, payload))
+            term_text = render(lift_option(payload))
             return f'(lift-wt-option "{term_text}")'
         case LiftWtSum(inner):
             return f"(lift-wt-sum {render_derivation(inner)})"
@@ -266,18 +265,11 @@ def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
             raise SexprError(f"step⁺ needs an addition source, got {render(source)!r}")
         return ViaSum(_elaborate_sum(skeleton.inner, *parts))
     if skeleton.name == "step[]":
-        lookup_source = _lookup_view(source)
-        if lookup_source is None or skeleton.inner is None:
-            raise SexprError(f"step[] needs a lookup source, got {render(source)!r}")
-        return ViaArray(_elaborate_array(skeleton.inner, *lookup_source))
+        match array_payload(source):
+            case InR(Pair(Slot(a), Slot(i))) if skeleton.inner is not None:
+                return ViaArray(_elaborate_array(skeleton.inner, a, i))
+        raise SexprError(f"step[] needs a lookup source, got {render(source)!r}")
     raise SexprError(f"{skeleton.name!r} is not a composed step")
-
-
-def _lookup_view(source: Term) -> Optional[tuple[Term, Term]]:
-    match array_payload(source):
-        case InR(Pair(Slot(a), Slot(i))):
-            return a, i
-    return None
 
 
 def _elaborate_sum(skeleton: StepSkeleton, left: Term, right: Term) -> SumStep:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .functor import (
     FunctorDesc,
@@ -26,7 +26,7 @@ from .functor import (
     ShapeError,
     Sum,
     Term,
-    validate_payload,
+    validator,
 )
 
 
@@ -78,16 +78,27 @@ def path_target(path: ContainsPath) -> FunctorDesc:
     return desc
 
 
+def lifter(path: ContainsPath) -> Callable[[Payload], Term]:
+    """``upcast`` along one path, with the target found and compiled once."""
+    check = validator(path_target(path))
+    wraps = tuple(InL if step is Direction.LEFT else InR for step in path.steps)
+
+    def lift(p: Payload) -> Term:
+        if not check(p):
+            raise ShapeError(
+                f"payload {p!r} does not inhabit the target of path {path.steps!r}"
+            )
+        node = p
+        for wrap in wraps:
+            node = wrap(node)
+        return Term(node)
+
+    return lift
+
+
 def upcast(path: ContainsPath, p: Payload) -> Term:
     """Lift a payload of the path's target into a term over the root."""
-    if not validate_payload(path_target(path), p):
-        raise ShapeError(
-            f"payload {p!r} does not inhabit the target of path {path.steps!r}"
-        )
-    node = p
-    for step in path.steps:
-        node = InL(node) if step is Direction.LEFT else InR(node)
-    return Term(node)
+    return lifter(path)(p)
 
 
 def downcast(path: ContainsPath, t: Term) -> Optional[Payload]:
@@ -105,7 +116,7 @@ def downcast(path: ContainsPath, t: Term) -> Optional[Payload]:
             node = node.payload
         else:
             return None
-    if not validate_payload(path_target(path), node):
+    if not validator(path_target(path))(node):
         return None
     return node
 

@@ -14,20 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .functor import InL, InR, Pair, Slot, Term
-from .lang import (
-    array_payload,
-    assign,
-    enat,
-    index,
-    nat_value,
-    nil,
-    none,
-    option_payload,
-    plus,
-    plus_parts,
-    some,
-)
+from .functor import InL, InR, Pair, ShapeError, Slot, Term
+from .lang import assign, enat, index, nil, none, plus, some, view
 
 
 class ParseError(Exception):
@@ -169,41 +157,36 @@ def parse(text: str) -> Term:
     return term
 
 
+# Binding levels, loosest first: a term renders bare at its own level or
+# any looser one, and in parentheses where a tighter level is required.
+_SUM, _POSTFIX, _PRIMARY = 0, 1, 2
+
+
 def render(t: Term) -> str:
-    """Surface syntax for a term, with minimal parentheses."""
-    return _render_sum(t)
+    """Surface syntax for a term, with minimal parentheses.
+
+    Raises ShapeError on a term outside the composed language.
+    """
+    return _render(t, _SUM)
 
 
-def _render_sum(t: Term) -> str:
-    parts = plus_parts(t)
-    if parts is not None:
-        return f"{_render_sum(parts[0])} + {_render_postfix(parts[1])}"
-    return _render_postfix(t)
-
-
-def _render_postfix(t: Term) -> str:
-    ap = array_payload(t)
-    if ap is not None:
-        match ap:
-            case InR(Pair(Slot(a), Slot(i))):
-                return f"{_render_postfix(a)} ! {_render_primary(i)}"
-            case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
-                return f"{_render_postfix(a)}[{_render_sum(i)}] := {_render_primary(e)}"
-    return _render_primary(t)
-
-
-def _render_primary(t: Term) -> str:
-    n = nat_value(t)
-    if n is not None:
-        return str(n)
-    op = option_payload(t)
-    if op is not None:
-        match op:
-            case InR(_):
-                return "none"
-            case InL(Slot(e)):
-                return f"some({_render_sum(e)})"
-    ap = array_payload(t)
-    if ap is not None and isinstance(ap, InL) and isinstance(ap.payload, InR):
-        return "nil"
-    return f"({_render_sum(t)})"
+def _render(t: Term, level: int) -> str:
+    v = view(t)
+    if v is None:
+        raise ShapeError(f"not a term of the composed language: {t!r}")
+    tag, p = v
+    if tag == "nat":
+        return str(p.value)
+    if tag == "option":
+        return f"some({_render(p.payload.term, _SUM)})" if isinstance(p, InL) else "none"
+    if tag == "sum":
+        text = f"{_render(p.fst.term, _SUM)} + {_render(p.snd.term, _POSTFIX)}"
+        return text if level == _SUM else f"({text})"
+    match p:
+        case InR(Pair(Slot(a), Slot(i))):
+            text = f"{_render(a, _POSTFIX)} ! {_render(i, _PRIMARY)}"
+        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
+            text = f"{_render(a, _POSTFIX)}[{_render(i, _SUM)}] := {_render(e, _PRIMARY)}"
+        case _:
+            return "nil"
+    return text if level <= _POSTFIX else f"({text})"

@@ -21,26 +21,19 @@ from .functor import (
     Slot,
     Term,
     is_natural,
-    validate_payload,
+    validator,
 )
 from .lang import (
     OPTION,
-    LIFT_OPTION,
-    array_payload,
+    MalformedDerivationError,
     assign,
     enat,
     index,
-    nat_value,
+    lift_option,
     nil,
-    option_payload,
     plus,
-    plus_parts,
+    view,
 )
-from .subobject import upcast
-
-
-class MalformedDerivationError(Exception):
-    """A derivation tree is not built from the typing constructors."""
 
 
 class LangType(Enum):
@@ -136,7 +129,7 @@ def typing_subject(d: ComposedTyping) -> tuple[Term, LangType]:
         case LiftWtNat(n):
             return enat(n), LangType.NAT
         case LiftWtOption(payload):
-            return upcast(LIFT_OPTION, payload), LangType.OPTION
+            return lift_option(payload), LangType.OPTION
         case LiftWtSum(inner):
             return sum_subject(inner)
         case LiftWtArray(inner):
@@ -155,13 +148,16 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     return _valid(d)
 
 
+_option_ok = validator(OPTION)
+
+
 def _valid(d: ComposedTyping) -> bool:
     match d:
         case LiftWtNat(n):
             return is_natural(n)
         case LiftWtOption(payload):
             # The payload's contents are deliberately unconstrained.
-            return validate_payload(OPTION, payload)
+            return _option_ok(payload)
         case LiftWtSum(OkSum(left_wt, right_wt, left, right)):
             return validate_typing(left_wt, left, LangType.NAT) and validate_typing(
                 right_wt, right, LangType.NAT
@@ -187,15 +183,16 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
     The rules are syntax-directed, so no search is needed: the injection
     spine of the term picks the rule.
     """
-    n = nat_value(t)
-    if n is not None:
-        return LangType.NAT, LiftWtNat(n)
-    op = option_payload(t)
-    if op is not None:
-        return LangType.OPTION, LiftWtOption(op)
-    parts = plus_parts(t)
-    if parts is not None:
-        left, right = parts
+    v = view(t)
+    if v is None:
+        return None
+    tag, p = v
+    if tag == "nat":
+        return LangType.NAT, LiftWtNat(p.value)
+    if tag == "option":
+        return LangType.OPTION, LiftWtOption(p)
+    if tag == "sum":
+        left, right = p.fst.term, p.snd.term
         left_result = infer(left)
         right_result = infer(right)
         if (
@@ -208,10 +205,7 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
         return LangType.NAT, LiftWtSum(
             OkSum(left_result[1], right_result[1], left, right)
         )
-    ap = array_payload(t)
-    if ap is not None:
-        return _infer_array(ap)
-    return None
+    return _infer_array(p)
 
 
 def _infer_array(p: Payload) -> Optional[tuple[LangType, ComposedTyping]]:

@@ -1,3 +1,6 @@
+import pytest
+
+from fraglang import cli
 from fraglang.cli import main
 from goldens import EVAL_EXP_SEXPR, EXP_TEXT, PRESERVED_SEXPR, WT_EXP_SEXPR
 
@@ -97,3 +100,27 @@ def test_depth_above_cap_is_user_error(capsys):
     code, _, err = run(capsys, "selftest", "--depth", "9")
     assert code == 1
     assert "cap" in err
+
+
+def test_usage_error_is_user_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_escaping_exception_is_internal_error(capsys, monkeypatch):
+    def boom(term):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "infer", boom)
+    code, _, err = run(capsys, "check", "1 + 2")
+    assert code == 2
+    assert err.splitlines() == ["internal error: RuntimeError: boom (argv ['check', '1 + 2'])"]
+
+
+def test_deep_input_exits_without_traceback(capsys):
+    code, _, err = run(capsys, "check", "(" * 3000 + "1" + ")" * 3000)
+    assert code in (1, 2)
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -217,3 +217,10 @@ def test_relaxed_right_rule_behind_switch():
     assert isinstance(derivation.step, StepRAny)
     assert validate_step(derivation, t, target, allow_any_left=True)
     assert not validate_step(derivation, t, target)
+
+
+def test_step_and_typing_share_one_malformed_derivation_error():
+    from fraglang.typecheck import typing_subject
+
+    with pytest.raises(MalformedDerivationError):
+        typing_subject(ViaSum(StepV(0, 0)))
