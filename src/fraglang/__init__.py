@@ -30,11 +30,7 @@ from .functor import (
 from .subobject import (
     ContainsPath,
     Direction,
-    Injection,
-    LazyCoercion,
     MalformedPathError,
-    apply,
-    coerce,
     downcast,
     lifter,
     path_target,
@@ -102,7 +98,6 @@ from .preservation import (
     preservation_array,
     preservation_sum,
     preserve,
-    typed_array_lookup,
 )
 from .surface import ParseError, parse, render
 from .sexpr import elaborate_step, parse_derivation, render_derivation

@@ -79,6 +79,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if not _non_negative("--fuel", args.fuel):
+        return USER_ERROR
     term = _parse_expr(args.expr)
     if term is None:
         return USER_ERROR
@@ -119,7 +121,16 @@ def _cmd_preserve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative(option: str, value: int) -> bool:
+    if value < 0:
+        print(f"{option} must be non-negative, got {value}", file=sys.stderr)
+        return False
+    return True
+
+
 def _depth_ok(depth: int) -> bool:
+    if not _non_negative("--depth", depth):
+        return False
     if depth > DEPTH_CAP:
         print(f"depth {depth} exceeds the cap of {DEPTH_CAP}", file=sys.stderr)
         return False

@@ -56,12 +56,6 @@ class PreservationHooks:
     induction: Callable[[ComposedStep, ComposedTyping], ComposedTyping]
 
 
-def typed_array_lookup(a: Payload, n: int) -> tuple[Payload, ComposedTyping]:
-    """Lookup that also returns the typing derivation for its result."""
-    result = array_lookup(a, n)
-    return result, LiftWtOption(result)
-
-
 def preservation_sum(
     hooks: PreservationHooks, step: SumStep, wt: SumTyping
 ) -> ComposedTyping:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InR, Payload, ShapeError, Term, is_natural, validator
+from .functor import InR, Payload, Term, is_natural, validator
 from .lang import (
     ARRAY,
     MalformedDerivationError,
@@ -20,6 +20,7 @@ from .lang import (
     index,
     lift_array,
     lift_option,
+    nat_value,
     plus,
     view,
 )
@@ -145,38 +146,93 @@ def step_endpoints(d: ComposedStep) -> tuple[Term, Term]:
 def validate_step(
     d: ComposedStep, source: Term, target: Term, *, allow_any_left: bool = False
 ) -> bool:
-    """True iff d is well-formed, recursively valid, and relates source to target."""
-    try:
-        got_source, got_target = step_endpoints(d)
-    except (MalformedDerivationError, ShapeError, TypeError):
+    """True iff d is well-formed, recursively valid, and relates source to target.
+
+    Each rule is checked against one ``view`` of the source and one of the
+    target: literals against the viewed literal values, stored terms against
+    the viewed slot terms, and a lookup's result against ``array_lookup`` on
+    the source's own array payload.  Premises are checked against those slot
+    terms, so no claimed endpoint is rebuilt.
+    """
+    sv = view(source) if isinstance(source, Term) else None
+    tv = view(target) if isinstance(target, Term) else None
+    if sv is None or tv is None:
         return False
-    if got_source != source or got_target != target:
+    if isinstance(d, ViaSum):
+        return sv[0] == "sum" and _valid_sum(d.step, sv[1], tv, allow_any_left)
+    if isinstance(d, ViaArray):
+        return sv[0] == "array" and _valid_array(d.step, sv[1], tv, allow_any_left)
+    return False
+
+
+def _valid_sum(s: SumStep, p: Payload, tv: View, relaxed: bool) -> bool:
+    left, right = p.fst.term, p.snd.term
+    if isinstance(s, StepV):
+        return (
+            is_natural(s.n)
+            and is_natural(s.m)
+            and nat_value(left) == s.n
+            and nat_value(right) == s.m
+            and tv[0] == "nat"
+            and tv[1].value == s.n + s.m
+        )
+    if tv[0] != "sum":
         return False
-    return _valid(d, allow_any_left)
+    left_after, right_after = tv[1].fst.term, tv[1].snd.term
+    if isinstance(s, StepL):
+        return (
+            s.left == left
+            and s.left_after == left_after
+            and s.right == right
+            and s.right == right_after
+            and validate_step(s.inner, left, left_after, allow_any_left=relaxed)
+        )
+    if isinstance(s, StepR):
+        n = s.left_nat
+        ok_left = is_natural(n) and nat_value(left) == n and nat_value(left_after) == n
+    elif isinstance(s, StepRAny):
+        ok_left = relaxed and s.left == left and s.left == left_after
+    else:
+        return False
+    return (
+        ok_left
+        and s.right == right
+        and s.right_after == right_after
+        and validate_step(s.inner, right, right_after, allow_any_left=relaxed)
+    )
+
+
+def _valid_array(s: ArrayStep, p: Payload, tv: View, relaxed: bool) -> bool:
+    if not isinstance(p, InR):
+        return False
+    array, idx = p.payload.fst.term, p.payload.snd.term
+    if isinstance(s, StepI):
+        if tv[0] != "array" or not isinstance(tv[1], InR):
+            return False
+        array_after, idx_after = tv[1].payload.fst.term, tv[1].payload.snd.term
+        return (
+            s.array == array
+            and s.array == array_after
+            and s.idx == idx
+            and s.idx_after == idx_after
+            and validate_step(s.inner, idx, idx_after, allow_any_left=relaxed)
+        )
+    if isinstance(s, Lookup):
+        array_v = view(array)
+        return (
+            is_natural(s.idx)
+            and _array_ok(s.chain)
+            and nat_value(idx) == s.idx
+            and array_v is not None
+            and array_v[0] == "array"
+            and s.chain == array_v[1]
+            and tv[0] == "option"
+            and tv[1] == array_lookup(array_v[1], s.idx)
+        )
+    return False
 
 
 _array_ok = validator(ARRAY)
-
-
-def _valid(d: ComposedStep, relaxed: bool) -> bool:
-    match d:
-        case ViaSum(StepL(inner, left, left_after, _)):
-            return validate_step(inner, left, left_after, allow_any_left=relaxed)
-        case ViaSum(StepR(inner, left_nat, right, right_after)):
-            return is_natural(left_nat) and validate_step(
-                inner, right, right_after, allow_any_left=relaxed
-            )
-        case ViaSum(StepRAny(inner, _, right, right_after)):
-            return relaxed and validate_step(
-                inner, right, right_after, allow_any_left=relaxed
-            )
-        case ViaSum(StepV(n, m)):
-            return is_natural(n) and is_natural(m)
-        case ViaArray(StepI(inner, _, idx, idx_after)):
-            return validate_step(inner, idx, idx_after, allow_any_left=relaxed)
-        case ViaArray(Lookup(chain, idx)):
-            return is_natural(idx) and _array_ok(chain)
-    return False
 
 
 def drive_step(

@@ -13,11 +13,22 @@ embedded as a double-quoted surface-syntax string.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .functor import InR, Pair, Slot, Term
-from .lang import array_payload, lift_option, nat_value, option_payload, plus_parts
+from .lang import (
+    array_lookup,
+    array_payload,
+    enat,
+    index,
+    lift_option,
+    nat_value,
+    option_payload,
+    plus,
+    plus_parts,
+)
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -30,7 +41,6 @@ from .semantics import (
     SumStep,
     ViaArray,
     ViaSum,
-    step_endpoints,
 )
 from .surface import parse, render
 from .typecheck import (
@@ -121,27 +131,18 @@ def _read_sexpr(text: str) -> _Sexpr:
     return tree
 
 
+# One token per match: a parenthesis, a quoted term, an atom, or a lone
+# quote (one with no closing partner).  Whitespace matches nothing.
+_TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"]+|"')
+
+
 def _lex_sexpr(text: str) -> list:
-    tokens: list = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
+    tokens: list = _TOKEN.findall(text)
+    for i, token in enumerate(tokens):
+        if token[0] == '"':
+            if len(token) == 1:
                 raise SexprError("unterminated quoted term")
-            tokens.append(_Quoted(text[i + 1 : end]))
-            i = end + 1
-        else:
-            start = i
-            while i < len(text) and not text[i].isspace() and text[i] not in '()"':
-                i += 1
-            tokens.append(text[start:i])
+            tokens[i] = _Quoted(token[1:-1])
     return tokens
 
 
@@ -259,50 +260,59 @@ def _decode_step(tree: _Sexpr) -> StepSkeleton:
 
 def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
     """Recover the full step derivation from its skeleton and source term."""
+    return _elaborate(skeleton, source)[0]
+
+
+def _elaborate(skeleton: StepSkeleton, source: Term) -> tuple[ComposedStep, Term]:
+    # The derivation and its target; a congruence rule stores its premise's
+    # target, so each target is built once, where its rule is elaborated.
     if skeleton.name == "step⁺":
         parts = plus_parts(source)
         if parts is None or skeleton.inner is None:
             raise SexprError(f"step⁺ needs an addition source, got {render(source)!r}")
-        return ViaSum(_elaborate_sum(skeleton.inner, *parts))
+        step, target = _elaborate_sum(skeleton.inner, *parts)
+        return ViaSum(step), target
     if skeleton.name == "step[]":
         match array_payload(source):
             case InR(Pair(Slot(a), Slot(i))) if skeleton.inner is not None:
-                return ViaArray(_elaborate_array(skeleton.inner, a, i))
+                step, target = _elaborate_array(skeleton.inner, a, i)
+                return ViaArray(step), target
         raise SexprError(f"step[] needs a lookup source, got {render(source)!r}")
     raise SexprError(f"{skeleton.name!r} is not a composed step")
 
 
-def _elaborate_sum(skeleton: StepSkeleton, left: Term, right: Term) -> SumStep:
+def _elaborate_sum(skeleton: StepSkeleton, left: Term, right: Term) -> tuple[SumStep, Term]:
     if skeleton.name in ("stepl", "stepr") and skeleton.inner is None:
         raise SexprError(f"{skeleton.name} needs a premise")
     if skeleton.name == "stepl":
-        inner = elaborate_step(skeleton.inner, left)
-        return StepL(inner, left, step_endpoints(inner)[1], right)
+        inner, left_after = _elaborate(skeleton.inner, left)
+        return StepL(inner, left, left_after, right), plus(left_after, right)
     if skeleton.name == "stepr":
-        inner = elaborate_step(skeleton.inner, right)
-        right_after = step_endpoints(inner)[1]
+        inner, right_after = _elaborate(skeleton.inner, right)
         n1 = nat_value(left)
         if n1 is None:
-            return StepRAny(inner, left, right, right_after)
-        return StepR(inner, n1, right, right_after)
+            step: SumStep = StepRAny(inner, left, right, right_after)
+        else:
+            step = StepR(inner, n1, right, right_after)
+        return step, plus(left, right_after)
     if skeleton.name == "stepv":
         n, m = nat_value(left), nat_value(right)
         if n is None or m is None:
             raise SexprError("stepv needs two literal operands")
-        return StepV(n, m)
+        return StepV(n, m), enat(n + m)
     raise SexprError(f"{skeleton.name!r} is not a sum step")
 
 
-def _elaborate_array(skeleton: StepSkeleton, array: Term, idx: Term) -> ArrayStep:
+def _elaborate_array(skeleton: StepSkeleton, array: Term, idx: Term) -> tuple[ArrayStep, Term]:
     if skeleton.name == "stepi":
         if skeleton.inner is None:
             raise SexprError("stepi needs a premise")
-        inner = elaborate_step(skeleton.inner, idx)
-        return StepI(inner, array, idx, step_endpoints(inner)[1])
+        inner, idx_after = _elaborate(skeleton.inner, idx)
+        return StepI(inner, array, idx, idx_after), index(array, idx_after)
     if skeleton.name == "lookup":
         chain = array_payload(array)
         n = nat_value(idx)
         if chain is None or n is None:
             raise SexprError("lookup needs a lifted array and a literal index")
-        return Lookup(chain, n)
+        return Lookup(chain, n), lift_option(array_lookup(chain, n))
     raise SexprError(f"{skeleton.name!r} is not an array step")

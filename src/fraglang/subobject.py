@@ -47,25 +47,6 @@ class ContainsPath:
     root: FunctorDesc
 
 
-@dataclass(frozen=True)
-class Injection:
-    """A path packaged as an arrow from summand payloads into root terms."""
-
-    path: ContainsPath
-
-
-@dataclass(frozen=True)
-class LazyCoercion:
-    """A delayed lift: the injection and its argument kept apart.
-
-    Keeping the payload uncoerced is what lets validators pattern-match on
-    the fragment value instead of re-parsing an injection spine.
-    """
-
-    injection: Injection
-    payload: Payload
-
-
 def path_target(path: ContainsPath) -> FunctorDesc:
     """The sub-descriptor a path selects; raises on a step into a non-sum."""
     desc = path.root
@@ -119,13 +100,3 @@ def downcast(path: ContainsPath, t: Term) -> Optional[Payload]:
     if not validator(path_target(path))(node):
         return None
     return node
-
-
-def apply(injection: Injection, p: Payload) -> Term:
-    """Run an injection arrow on a payload."""
-    return upcast(injection.path, p)
-
-
-def coerce(lazy: LazyCoercion) -> Term:
-    """Force a delayed lift."""
-    return apply(lazy.injection, lazy.payload)

@@ -17,7 +17,6 @@ from .functor import (
     InR,
     Pair,
     Payload,
-    ShapeError,
     Slot,
     Term,
     is_natural,
@@ -137,42 +136,73 @@ def typing_subject(d: ComposedTyping) -> tuple[Term, LangType]:
     raise MalformedDerivationError(f"not a composed typing: {d!r}")
 
 
-def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
-    """True iff d is recursively well-formed and claims exactly (t, ty)."""
-    try:
-        subject, subject_ty = typing_subject(d)
-    except (MalformedDerivationError, ShapeError, TypeError):
-        return False
-    if subject != t or subject_ty is not ty:
-        return False
-    return _valid(d)
-
-
 _option_ok = validator(OPTION)
 
 
-def _valid(d: ComposedTyping) -> bool:
-    match d:
-        case LiftWtNat(n):
-            return is_natural(n)
-        case LiftWtOption(payload):
-            # The payload's contents are deliberately unconstrained.
-            return _option_ok(payload)
-        case LiftWtSum(OkSum(left_wt, right_wt, left, right)):
-            return validate_typing(left_wt, left, LangType.NAT) and validate_typing(
-                right_wt, right, LangType.NAT
-            )
-        case LiftWtArray(OkNil()):
-            return True
-        case LiftWtArray(OkIns(array_wt, value_wt, index_wt, array, value, idx)):
+def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
+    """True iff d is recursively well-formed and claims exactly (t, ty).
+
+    Each rule is checked against one ``view`` of the term it is given:
+    literals and option payloads against the view's payload, stored terms
+    against the view's slot terms.  Premises are checked against those slot
+    terms, so no claimed term is rebuilt, and a term outside the language
+    (a bool literal, say) is rejected rather than compared equal.
+    """
+    v = view(t) if isinstance(t, Term) else None
+    if v is None:
+        return False
+    tag, p = v
+    if tag == "nat":
+        return (
+            isinstance(d, LiftWtNat)
+            and ty is LangType.NAT
+            and is_natural(d.n)
+            and d.n == p.value
+        )
+    if tag == "option":
+        # The payload's contents are deliberately unconstrained.
+        return (
+            isinstance(d, LiftWtOption)
+            and ty is LangType.OPTION
+            and _option_ok(d.payload)
+            and d.payload == p
+        )
+    if tag == "sum":
+        w = d.inner if isinstance(d, LiftWtSum) else None
+        left, right = p.fst.term, p.snd.term
+        return (
+            isinstance(w, OkSum)
+            and ty is LangType.NAT
+            and w.left == left
+            and w.right == right
+            and validate_typing(w.left_wt, left, LangType.NAT)
+            and validate_typing(w.right_wt, right, LangType.NAT)
+        )
+    if not isinstance(d, LiftWtArray):
+        return False
+    w = d.inner
+    match p:
+        case InL(InR(_)):
+            return isinstance(w, OkNil) and ty is LangType.ARRAY
+        case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
             return (
-                validate_typing(array_wt, array, LangType.ARRAY)
-                and validate_typing(value_wt, value, LangType.NAT)
-                and validate_typing(index_wt, idx, LangType.NAT)
+                isinstance(w, OkIns)
+                and ty is LangType.ARRAY
+                and w.array == array
+                and w.index == idx
+                and w.value == value
+                and validate_typing(w.array_wt, array, LangType.ARRAY)
+                and validate_typing(w.value_wt, value, LangType.NAT)
+                and validate_typing(w.index_wt, idx, LangType.NAT)
             )
-        case LiftWtArray(OkLookup(array_wt, index_wt, array, idx)):
-            return validate_typing(array_wt, array, LangType.ARRAY) and validate_typing(
-                index_wt, idx, LangType.NAT
+        case InR(Pair(Slot(array), Slot(idx))):
+            return (
+                isinstance(w, OkLookup)
+                and ty is LangType.OPTION
+                and w.array == array
+                and w.index == idx
+                and validate_typing(w.array_wt, array, LangType.ARRAY)
+                and validate_typing(w.index_wt, idx, LangType.NAT)
             )
     return False
 

@@ -124,3 +124,19 @@ def test_deep_input_exits_without_traceback(capsys):
     assert code in (1, 2)
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selftest", "--depth", "-1"),
+        ("oracle-diff", "--depth", "-3"),
+        ("eval", "1+2", "--fuel", "-1"),
+    ],
+)
+def test_negative_count_is_user_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "non-negative" in err

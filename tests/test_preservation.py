@@ -12,7 +12,6 @@ from fraglang.lang import (
     index,
     nil,
     plus,
-    some_payload,
 )
 from fraglang.preservation import (
     COMPOSED_HOOKS,
@@ -20,7 +19,6 @@ from fraglang.preservation import (
     preservation_array,
     preservation_sum,
     preserve,
-    typed_array_lookup,
 )
 from fraglang.semantics import (
     Lookup,
@@ -46,37 +44,6 @@ from fraglang.typecheck import (
     validate_typing,
 )
 from goldens import eval_exp_derivation, exp_after_one_step, preserved_wt_exp, wt_exp
-
-
-def test_typed_array_lookup_on_nil():
-    payload, derivation = typed_array_lookup(array_payload(nil()), 0)
-    assert payload == NONE_PAYLOAD
-    assert derivation == LiftWtOption(NONE_PAYLOAD)
-
-
-def test_typed_array_lookup_on_hit():
-    chain = array_payload(assign(nil(), enat(0), enat(1)))
-    payload, derivation = typed_array_lookup(chain, 0)
-    assert payload == some_payload(enat(1))
-    assert derivation == LiftWtOption(some_payload(enat(1)))
-
-
-def test_typed_array_lookup_derivations_validate():
-    from fraglang.subobject import upcast
-    from fraglang.lang import LIFT_OPTION
-    import itertools
-
-    writes = list(itertools.product(range(2), range(2)))
-    chains = [[]]
-    for k in range(1, 4):
-        chains += [list(c) for c in itertools.product(writes, repeat=k)]
-    for pairs in chains:
-        t = nil()
-        for i, e in pairs:
-            t = assign(t, enat(i), enat(e))
-        for n in range(3):
-            payload, derivation = typed_array_lookup(array_payload(t), n)
-            assert validate_typing(derivation, upcast(LIFT_OPTION, payload), LangType.OPTION)
 
 
 def test_preservation_sum_literal_clause():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from fraglang.generate import random_typed_term
+from fraglang import sexpr
+from fraglang.generate import enumerate_terms, random_typed_term
 from fraglang.lang import enat, nil, plus, some
-from fraglang.semantics import trace
+from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import (
     SexprError,
     StepSkeleton,
@@ -97,3 +98,34 @@ def test_step_round_trip_on_random_derivations():
             source = target
             seen += 1
     assert seen > 200
+
+
+def test_lexer_tokens():
+    q = sexpr._Quoted
+    assert sexpr._lex_sexpr('((x) "y z")  ( q\t"w"\n)') == [
+        "(", "(", "x", ")", q("y z"), ")", "(", "q", q("w"), ")",
+    ]
+    assert sexpr._lex_sexpr('a"b"c') == ["a", q("b"), "c"]
+    assert sexpr._lex_sexpr("") == []
+    assert sexpr._lex_sexpr(" \t\n\r\f\v ") == []
+
+
+def test_lexer_rejects_an_unterminated_quote():
+    for text in ('(a "b', '"'):
+        with pytest.raises(SexprError, match="unterminated"):
+            sexpr._lex_sexpr(text)
+
+
+def test_round_trip_on_the_depth_one_population():
+    seen = 0
+    for t in enumerate_terms(1):
+        typed = infer(t)
+        if typed is not None:
+            assert parse_derivation(render_derivation(typed[1])) == typed[1]
+            seen += 1
+        stepped = drive_step(t)
+        if stepped is not None:
+            skeleton = parse_derivation(render_derivation(stepped[1]))
+            assert elaborate_step(skeleton, t) == stepped[1]
+            seen += 1
+    assert seen > 0

@@ -22,10 +22,7 @@ from fraglang.lang import (
 from fraglang.subobject import (
     ContainsPath,
     Direction,
-    Injection,
-    LazyCoercion,
     MalformedPathError,
-    coerce,
     downcast,
     path_target,
     upcast,
@@ -138,19 +135,3 @@ def test_forgetful_lift_violates_round_trip():
     assert downcast(LIFT_SUM, forgetful(p)) != p  # and no round trip either
     # the honest lift keeps them apart
     assert upcast(LIFT_SUM, p) != upcast(LIFT_SUM, q)
-
-
-def test_coerce_is_delayed_upcast():
-    rng = random.Random(3)
-    for path in LIFTS:
-        for p in _payload_pool(path, rng, 10):
-            lazy = LazyCoercion(Injection(path), p)
-            assert coerce(lazy) == upcast(path, p)
-
-
-def test_lazy_coercion_equality_is_componentwise():
-    p = Pair(Slot(enat(1)), Slot(enat(2)))
-    a = LazyCoercion(Injection(LIFT_SUM), p)
-    b = LazyCoercion(Injection(LIFT_SUM), p)
-    assert a == b
-    assert a != LazyCoercion(Injection(LIFT_ARRAY), p)

@@ -4,12 +4,25 @@ import pytest
 
 from fraglang.functor import AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import enumerate_terms, random_payload
-from fraglang.lang import FEXPR, LIFT_PATHS, assign, enat, index, is_value, nil, none, plus, some, view
+from fraglang.lang import (
+    FEXPR,
+    LIFT_PATHS,
+    assign,
+    enat,
+    index,
+    is_value,
+    lift_sum,
+    nil,
+    none,
+    plus,
+    some,
+    view,
+)
 from fraglang.oracle import embed
-from fraglang.semantics import drive_step
+from fraglang.semantics import Lookup, StepV, ViaArray, ViaSum, drive_step, validate_step
 from fraglang.subobject import Direction, downcast, path_target
 from fraglang.surface import render
-from fraglang.typecheck import infer
+from fraglang.typecheck import LangType, LiftWtNat, infer, validate_typing
 
 # Foreign Terms that no constructor builds; each fails the shape check
 # somewhere on the node a destructor takes apart.
@@ -67,3 +80,24 @@ def test_malformed_foreign_terms_are_rejected(name):
         embed(t)
     with pytest.raises(ShapeError):
         render(t)
+
+
+def test_validators_reject_a_bool_literal_that_compares_equal():
+    # True == 1, so a claimed term rebuilt from the derivation compares equal
+    # to the bool literal; the validators read the literal through view.
+    bad = MALFORMED["bool literal"]
+    assert infer(bad) is None
+    assert validate_typing(LiftWtNat(1), bad, LangType.NAT) is False
+    source = lift_sum(Pair(Slot(bad), Slot(enat(0))))
+    assert validate_step(ViaSum(StepV(1, 0)), source, enat(1)) is False
+
+
+def test_lookup_is_checked_against_the_source_array():
+    # The derivation's chain holds the bool index True, which equals the
+    # source's index 1 under ==.  The result is computed from the source's
+    # own array, so the true target is accepted and a false one is not.
+    polluted = InL(InL(Pair(Slot(nil()), Pair(Slot(MALFORMED["bool literal"]), Slot(enat(0))))))
+    source = index(assign(nil(), enat(1), enat(0)), enat(1))
+    d = ViaArray(Lookup(polluted, 1))
+    assert validate_step(d, source, some(enat(0))) is True
+    assert validate_step(d, source, none()) is False
