@@ -15,7 +15,7 @@ from .preservation import preserve
 from .semantics import FuelExhaustedError, drive_step, trace
 from .sexpr import parse_derivation, render_derivation
 from .surface import ParseError, parse, render
-from .sweeps import driver_sweep, oracle_sweep, preservation_sweep, trace_sweep
+from .sweeps import SweepReport, driver_sweep, oracle_sweep, preservation_sweep, trace_sweep
 from .typecheck import infer, validate_typing
 
 USER_ERROR = 1
@@ -161,9 +161,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else INTERNAL_ERROR
 
 
-def _round_trip_sweep():
-    from .sweeps import SweepReport
-
+def _round_trip_sweep() -> SweepReport:
     report = SweepReport("round-trips")
     rng = random.Random(20240601)
     for _ in range(500):

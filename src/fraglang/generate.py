@@ -71,12 +71,10 @@ def _pooled(max_depth: int, literals: tuple[int, ...]) -> list[tuple[Term, int]]
     return pool
 
 
-def enumerate_terms(
-    depth: int, literals: Sequence[int] = DEFAULT_LITERALS, cap: int = DEPTH_CAP
-) -> Iterator[Term]:
+def enumerate_terms(depth: int, literals: Sequence[int] = DEFAULT_LITERALS) -> Iterator[Term]:
     """All terms of constructor depth <= depth, in a fixed order."""
-    if depth > cap:
-        raise ValueError(f"enumeration depth {depth} exceeds the cap of {cap}")
+    if depth > DEPTH_CAP:
+        raise ValueError(f"enumeration depth {depth} exceeds the cap of {DEPTH_CAP}")
     lits = tuple(literals)
     for d in range(depth + 1):
         yield from _stratum(d, lits)

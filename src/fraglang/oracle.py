@@ -16,7 +16,7 @@ from .typecheck import LangType
 
 
 @dataclass(frozen=True)
-class Atom:
+class ENat:
     n: int
 
 
@@ -36,7 +36,7 @@ class Nil:
 
 
 @dataclass(frozen=True)
-class Lookup:
+class ELookup:
     a: "MonoExpr"
     i: "MonoExpr"
 
@@ -54,7 +54,7 @@ class Plus:
     e2: "MonoExpr"
 
 
-MonoExpr = Union[Atom, ESome, ENone, Nil, Lookup, Ins, Plus]
+MonoExpr = Union[ENat, ESome, ENone, Nil, ELookup, Ins, Plus]
 
 
 def embed(t: Term) -> MonoExpr:
@@ -64,7 +64,7 @@ def embed(t: Term) -> MonoExpr:
         raise ShapeError(f"not a term of the composed language: {t!r}")
     tag, p = v
     if tag == "nat":
-        return Atom(p.value)
+        return ENat(p.value)
     if tag == "sum":
         return Plus(embed(p.fst.term), embed(p.snd.term))
     if tag == "option":
@@ -75,14 +75,14 @@ def embed(t: Term) -> MonoExpr:
         case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
             return Ins(embed(a), embed(i), embed(e))
         case InR(Pair(Slot(a), Slot(i))):
-            return Lookup(embed(a), embed(i))
+            return ELookup(embed(a), embed(i))
     raise ShapeError(f"not a term of the composed language: {t!r}")
 
 
 def project(m: MonoExpr) -> Term:
     """Inverse of embed."""
     match m:
-        case Atom(n):
+        case ENat(n):
             return enat(n)
         case ESome(e):
             return some(project(e))
@@ -90,7 +90,7 @@ def project(m: MonoExpr) -> Term:
             return none()
         case Nil():
             return nil()
-        case Lookup(a, i):
+        case ELookup(a, i):
             return index(project(a), project(i))
         case Ins(a, i, e):
             return assign(project(a), project(i), project(e))
@@ -101,7 +101,7 @@ def project(m: MonoExpr) -> Term:
 
 def mono_infer(m: MonoExpr) -> Optional[LangType]:
     match m:
-        case Atom(_):
+        case ENat(_):
             return LangType.NAT
         case ESome(_) | ENone():
             # Option contents are unconstrained, matching the modular rule.
@@ -120,7 +120,7 @@ def mono_infer(m: MonoExpr) -> Optional[LangType]:
             ):
                 return LangType.ARRAY
             return None
-        case Lookup(a, i):
+        case ELookup(a, i):
             if mono_infer(a) is LangType.ARRAY and mono_infer(i) is LangType.NAT:
                 return LangType.OPTION
             return None
@@ -133,7 +133,7 @@ def _chain_lookup(a: MonoExpr, n: int) -> MonoExpr:
         match a:
             case Nil():
                 return ENone()
-            case Ins(rest, Atom(stored), e):
+            case Ins(rest, ENat(stored), e):
                 if stored == n:
                     return ESome(e)
                 a = rest
@@ -144,19 +144,19 @@ def _chain_lookup(a: MonoExpr, n: int) -> MonoExpr:
 def mono_step(m: MonoExpr) -> Optional[MonoExpr]:
     """One deterministic step mirroring the modular driver's strategy."""
     match m:
-        case Plus(Atom(n1), Atom(n2)):
-            return Atom(n1 + n2)
-        case Plus(Atom(n1), e2):
+        case Plus(ENat(n1), ENat(n2)):
+            return ENat(n1 + n2)
+        case Plus(ENat(n1), e2):
             stepped = mono_step(e2)
-            return None if stepped is None else Plus(Atom(n1), stepped)
+            return None if stepped is None else Plus(ENat(n1), stepped)
         case Plus(e1, e2):
             stepped = mono_step(e1)
             return None if stepped is None else Plus(stepped, e2)
-        case Lookup(a, Atom(n)):
-            if isinstance(a, (Nil, Ins, Lookup)):
+        case ELookup(a, ENat(n)):
+            if isinstance(a, (Nil, Ins, ELookup)):
                 return _chain_lookup(a, n)
             return None
-        case Lookup(a, i):
+        case ELookup(a, i):
             stepped = mono_step(i)
-            return None if stepped is None else Lookup(a, stepped)
+            return None if stepped is None else ELookup(a, stepped)
     return None

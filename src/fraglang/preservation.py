@@ -22,7 +22,6 @@ from .semantics import (
     StepI,
     StepL,
     StepR,
-    StepRAny,
     StepV,
     SumStep,
     ViaArray,
@@ -75,11 +74,6 @@ def preservation_sum(
             return hooks.lift_sum_wt(
                 OkSum(wt.left_wt, rewritten, enat(left_nat), right_after)
             )
-        case StepRAny(inner, left, right, right_after):
-            if wt.left != left or wt.right != right:
-                raise SubjectMismatchError("right-congruence subject mismatch")
-            rewritten = hooks.induction(inner, wt.right_wt)
-            return hooks.lift_sum_wt(OkSum(wt.left_wt, rewritten, left, right_after))
         case StepV(n, m):
             if wt.left != enat(n) or wt.right != enat(m):
                 raise SubjectMismatchError("literal-reduction subject mismatch")

@@ -51,20 +51,6 @@ class StepR:
 
 
 @dataclass(frozen=True)
-class StepRAny:
-    """Right congruence without the literal guard on the left operand.
-
-    Experimental relaxation; only accepted when the driver/validator are
-    invoked with allow_any_left.
-    """
-
-    inner: "ComposedStep"
-    left: Term
-    right: Term
-    right_after: Term
-
-
-@dataclass(frozen=True)
 class StepV:
     """Reduction of two literals: n + m steps to their sum."""
 
@@ -72,7 +58,7 @@ class StepV:
     m: int
 
 
-SumStep = Union[StepL, StepR, StepRAny, StepV]
+SumStep = Union[StepL, StepR, StepV]
 
 
 @dataclass(frozen=True)
@@ -116,8 +102,6 @@ def _sum_endpoints(s: SumStep) -> tuple[Term, Term]:
         case StepR(_, left_nat, right, right_after):
             lit = enat(left_nat)
             return plus(lit, right), plus(lit, right_after)
-        case StepRAny(_, left, right, right_after):
-            return plus(left, right), plus(left, right_after)
         case StepV(n, m):
             return plus(enat(n), enat(m)), enat(n + m)
     raise MalformedDerivationError(f"not a sum step: {s!r}")
@@ -143,9 +127,7 @@ def step_endpoints(d: ComposedStep) -> tuple[Term, Term]:
     raise MalformedDerivationError(f"not a composed step: {d!r}")
 
 
-def validate_step(
-    d: ComposedStep, source: Term, target: Term, *, allow_any_left: bool = False
-) -> bool:
+def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
     """True iff d is well-formed, recursively valid, and relates source to target.
 
     Each rule is checked against one ``view`` of the source and one of the
@@ -159,13 +141,13 @@ def validate_step(
     if sv is None or tv is None:
         return False
     if isinstance(d, ViaSum):
-        return sv[0] == "sum" and _valid_sum(d.step, sv[1], tv, allow_any_left)
+        return sv[0] == "sum" and _valid_sum(d.step, sv[1], tv)
     if isinstance(d, ViaArray):
-        return sv[0] == "array" and _valid_array(d.step, sv[1], tv, allow_any_left)
+        return sv[0] == "array" and _valid_array(d.step, sv[1], tv)
     return False
 
 
-def _valid_sum(s: SumStep, p: Payload, tv: View, relaxed: bool) -> bool:
+def _valid_sum(s: SumStep, p: Payload, tv: View) -> bool:
     left, right = p.fst.term, p.snd.term
     if isinstance(s, StepV):
         return (
@@ -185,24 +167,22 @@ def _valid_sum(s: SumStep, p: Payload, tv: View, relaxed: bool) -> bool:
             and s.left_after == left_after
             and s.right == right
             and s.right == right_after
-            and validate_step(s.inner, left, left_after, allow_any_left=relaxed)
+            and validate_step(s.inner, left, left_after)
         )
-    if isinstance(s, StepR):
-        n = s.left_nat
-        ok_left = is_natural(n) and nat_value(left) == n and nat_value(left_after) == n
-    elif isinstance(s, StepRAny):
-        ok_left = relaxed and s.left == left and s.left == left_after
-    else:
+    if not isinstance(s, StepR):
         return False
+    n = s.left_nat
     return (
-        ok_left
+        is_natural(n)
+        and nat_value(left) == n
+        and nat_value(left_after) == n
         and s.right == right
         and s.right_after == right_after
-        and validate_step(s.inner, right, right_after, allow_any_left=relaxed)
+        and validate_step(s.inner, right, right_after)
     )
 
 
-def _valid_array(s: ArrayStep, p: Payload, tv: View, relaxed: bool) -> bool:
+def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
     if not isinstance(p, InR):
         return False
     array, idx = p.payload.fst.term, p.payload.snd.term
@@ -215,7 +195,7 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View, relaxed: bool) -> bool:
             and s.array == array_after
             and s.idx == idx
             and s.idx_after == idx_after
-            and validate_step(s.inner, idx, idx_after, allow_any_left=relaxed)
+            and validate_step(s.inner, idx, idx_after)
         )
     if isinstance(s, Lookup):
         array_v = view(array)
@@ -235,19 +215,17 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View, relaxed: bool) -> bool:
 _array_ok = validator(ARRAY)
 
 
-def drive_step(
-    t: Term, *, allow_any_left: bool = False
-) -> Optional[tuple[Term, ComposedStep]]:
+def drive_step(t: Term) -> Optional[tuple[Term, ComposedStep]]:
     """One deterministic step, or None on a normal form.
 
     Strategy: addition reduces its left operand to a literal, then its
     right, then the pair; lookup reduces its index to a literal, then
     resolves when the array operand is a lifted array payload.
     """
-    return _drive(view(t), allow_any_left)
+    return _drive(view(t))
 
 
-def _drive(v: Optional[View], relaxed: bool) -> Optional[tuple[Term, ComposedStep]]:
+def _drive(v: Optional[View]) -> Optional[tuple[Term, ComposedStep]]:
     # Steps the term whose view is v; each operand is viewed once, and the
     # view both tests for a literal and drives the operand's own step.
     if v is None:
@@ -257,23 +235,15 @@ def _drive(v: Optional[View], relaxed: bool) -> Optional[tuple[Term, ComposedSte
         left, right = p.fst.term, p.snd.term
         left_v = view(left)
         if left_v is None or left_v[0] != "nat":
-            inner = _drive(left_v, relaxed)
-            if inner is not None:
-                left_after, d = inner
-                return plus(left_after, right), ViaSum(StepL(d, left, left_after, right))
-            if relaxed:
-                stuck_right = _drive(view(right), relaxed)
-                if stuck_right is not None:
-                    right_after, d = stuck_right
-                    return (
-                        plus(left, right_after),
-                        ViaSum(StepRAny(d, left, right, right_after)),
-                    )
-            return None
+            inner = _drive(left_v)
+            if inner is None:
+                return None
+            left_after, d = inner
+            return plus(left_after, right), ViaSum(StepL(d, left, left_after, right))
         n1 = left_v[1].value
         right_v = view(right)
         if right_v is None or right_v[0] != "nat":
-            inner = _drive(right_v, relaxed)
+            inner = _drive(right_v)
             if inner is None:
                 return None
             right_after, d = inner
@@ -284,7 +254,7 @@ def _drive(v: Optional[View], relaxed: bool) -> Optional[tuple[Term, ComposedSte
         array, idx = p.payload.fst.term, p.payload.snd.term
         idx_v = view(idx)
         if idx_v is None or idx_v[0] != "nat":
-            inner = _drive(idx_v, relaxed)
+            inner = _drive(idx_v)
             if inner is None:
                 return None
             idx_after, d = inner
@@ -298,21 +268,22 @@ def _drive(v: Optional[View], relaxed: bool) -> Optional[tuple[Term, ComposedSte
     return None
 
 
-def trace(
-    t: Term, fuel: int, *, allow_any_left: bool = False
-) -> list[tuple[Term, ComposedStep]]:
+def trace(t: Term, fuel: int) -> list[tuple[Term, ComposedStep]]:
     """Iterate the driver at most ``fuel`` times, stopping at a normal form.
 
-    Raises FuelExhaustedError when the final term still steps.
+    Raises ValueError when ``fuel`` is negative, and FuelExhaustedError when
+    the final term still steps.
     """
+    if fuel < 0:
+        raise ValueError(f"fuel must be non-negative, got {fuel}")
     steps: list[tuple[Term, ComposedStep]] = []
     current = t
     for _ in range(fuel):
-        result = drive_step(current, allow_any_left=allow_any_left)
+        result = drive_step(current)
         if result is None:
             return steps
         current, derivation = result
         steps.append((current, derivation))
-    if drive_step(current, allow_any_left=allow_any_left) is not None:
+    if drive_step(current) is not None:
         raise FuelExhaustedError(f"term still steps after {fuel} steps")
     return steps

@@ -36,7 +36,6 @@ from .semantics import (
     StepI,
     StepL,
     StepR,
-    StepRAny,
     StepV,
     SumStep,
     ViaArray,
@@ -82,7 +81,7 @@ def render_derivation(d: Derivation) -> str:
             return f"(step[] {render_derivation(s)})"
         case StepL(inner, _, _, _):
             return f"(stepl {render_derivation(inner)})"
-        case StepR(inner, _, _, _) | StepRAny(inner, _, _, _):
+        case StepR(inner, _, _, _):
             return f"(stepr {render_derivation(inner)})"
         case StepV(_, _):
             return "stepv"
@@ -291,10 +290,8 @@ def _elaborate_sum(skeleton: StepSkeleton, left: Term, right: Term) -> tuple[Sum
         inner, right_after = _elaborate(skeleton.inner, right)
         n1 = nat_value(left)
         if n1 is None:
-            step: SumStep = StepRAny(inner, left, right, right_after)
-        else:
-            step = StepR(inner, n1, right, right_after)
-        return step, plus(left, right_after)
+            raise SexprError("stepr needs a literal left operand")
+        return StepR(inner, n1, right, right_after), plus(left, right_after)
     if skeleton.name == "stepv":
         n, m = nat_value(left), nat_value(right)
         if n is None or m is None:

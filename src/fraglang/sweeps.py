@@ -1,4 +1,6 @@
-"""Bulk property sweeps shared by the CLI and the acceptance tests.
+"""Bulk property sweeps behind the CLI's selftest and oracle-diff commands.
+
+The acceptance tests do not use them: they run their own fused pass.
 
 Each sweep walks a term population and returns a report: how many terms it
 looked at, how many exercised the property, and the first few offenders

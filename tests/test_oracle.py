@@ -6,11 +6,11 @@ from fraglang.functor import ShapeError, Term, Slot
 from fraglang.generate import enumerate_terms, random_term
 from fraglang.lang import enat, none, some
 from fraglang.oracle import (
-    Atom,
+    ELookup,
+    ENat,
     ENone,
     ESome,
     Ins,
-    Lookup,
     Nil,
     Plus,
     embed,
@@ -22,11 +22,11 @@ from fraglang.sweeps import oracle_sweep, trace_sweep
 from fraglang.typecheck import LangType
 from goldens import exp_term
 
-EXP_MONO = Lookup(Ins(Nil(), Atom(0), Atom(1)), Plus(Atom(0), Atom(1)))
+EXP_MONO = ELookup(Ins(Nil(), ENat(0), ENat(1)), Plus(ENat(0), ENat(1)))
 
 
 def test_embed_literal():
-    assert embed(enat(6)) == Atom(6)
+    assert embed(enat(6)) == ENat(6)
 
 
 def test_embed_worked_example():
@@ -35,7 +35,7 @@ def test_embed_worked_example():
 
 def test_embed_option_cases():
     assert embed(none()) == ENone()
-    assert embed(some(enat(1))) == ESome(Atom(1))
+    assert embed(some(enat(1))) == ESome(ENat(1))
 
 
 def test_project_inverts_embed_exhaustively():
@@ -56,24 +56,24 @@ def test_embed_rejects_malformed_terms():
 
 
 def test_mono_infer_examples():
-    assert mono_infer(Atom(6)) is LangType.NAT
+    assert mono_infer(ENat(6)) is LangType.NAT
     assert mono_infer(EXP_MONO) is LangType.OPTION
-    assert mono_infer(Plus(Nil(), Atom(1))) is None
+    assert mono_infer(Plus(Nil(), ENat(1))) is None
     assert mono_infer(ESome(Plus(Nil(), Nil()))) is LangType.OPTION
 
 
 def test_mono_step_examples():
-    assert mono_step(Plus(Atom(0), Atom(1))) == Atom(1)
-    assert mono_step(EXP_MONO) == Lookup(Ins(Nil(), Atom(0), Atom(1)), Atom(1))
-    assert mono_step(Atom(5)) is None
+    assert mono_step(Plus(ENat(0), ENat(1))) == ENat(1)
+    assert mono_step(EXP_MONO) == ELookup(Ins(Nil(), ENat(0), ENat(1)), ENat(1))
+    assert mono_step(ENat(5)) is None
 
 
 def test_mono_step_lookup_resolution():
-    hit = Lookup(Ins(Nil(), Atom(0), Atom(1)), Atom(0))
-    assert mono_step(hit) == ESome(Atom(1))
-    miss = Lookup(Ins(Nil(), Atom(0), Atom(1)), Atom(2))
+    hit = ELookup(Ins(Nil(), ENat(0), ENat(1)), ENat(0))
+    assert mono_step(hit) == ESome(ENat(1))
+    miss = ELookup(Ins(Nil(), ENat(0), ENat(1)), ENat(2))
     assert mono_step(miss) == ENone()
-    assert mono_step(Lookup(Atom(0), Atom(0))) is None
+    assert mono_step(ELookup(ENat(0), ENat(0))) is None
 
 
 def test_typing_and_step_equivalence_small_exhaustive():

@@ -23,7 +23,6 @@ from fraglang.semantics import (
     StepI,
     StepL,
     StepR,
-    StepRAny,
     StepV,
     ViaArray,
     ViaSum,
@@ -206,17 +205,21 @@ def _index_array(t):
     return None
 
 
-def test_relaxed_right_rule_behind_switch():
-    # stuck left operand, steppable right operand
+def test_stuck_left_operand_blocks_the_right_operand():
+    # stuck left operand, steppable right operand: no rule steps the right
     t = plus(nil(), plus(enat(1), enat(2)))
     assert drive_step(t) is None
-    result = drive_step(t, allow_any_left=True)
-    assert result is not None
-    target, derivation = result
-    assert target == plus(nil(), enat(3))
-    assert isinstance(derivation.step, StepRAny)
-    assert validate_step(derivation, t, target, allow_any_left=True)
-    assert not validate_step(derivation, t, target)
+    assert trace(t, 4) == []
+    right_step = ViaSum(StepV(1, 2))
+    for left_nat in (0, 1):
+        claimed = ViaSum(StepR(right_step, left_nat, plus(enat(1), enat(2)), enat(3)))
+        assert not validate_step(claimed, t, plus(nil(), enat(3)))
+
+
+def test_trace_rejects_negative_fuel():
+    for t in (enat(1), plus(enat(1), enat(2))):
+        with pytest.raises(ValueError):
+            trace(t, -1)
 
 
 def test_step_and_typing_share_one_malformed_derivation_error():

@@ -72,6 +72,10 @@ def test_elaboration_rejects_wrong_source():
         elaborate_step(skeleton, nil())
     with pytest.raises(SexprError):
         elaborate_step(skeleton, plus(nil(), enat(0)))
+    # the right congruence needs a literal left operand
+    skeleton = parse_derivation("(step⁺ (stepr (step⁺ stepv)))")
+    with pytest.raises(SexprError):
+        elaborate_step(skeleton, plus(nil(), plus(enat(1), enat(2))))
 
 
 def test_typing_round_trip_on_random_derivations():

@@ -40,7 +40,6 @@ from fraglang.semantics import (
     StepI,
     StepL,
     StepR,
-    StepRAny,
     StepV,
     ViaArray,
     ViaSum,
@@ -99,7 +98,7 @@ def reference_typing(d, t, ty):
     return False
 
 
-def reference_step(d, source, target, relaxed):
+def reference_step(d, source, target):
     try:
         got_source, got_target = step_endpoints(d)
     except _REBUILD_ERRORS:
@@ -108,15 +107,13 @@ def reference_step(d, source, target, relaxed):
         return False
     match d:
         case ViaSum(StepL(inner, left, left_after, _)):
-            return reference_step(inner, left, left_after, relaxed)
+            return reference_step(inner, left, left_after)
         case ViaSum(StepR(inner, left_nat, right, right_after)):
-            return is_natural(left_nat) and reference_step(inner, right, right_after, relaxed)
-        case ViaSum(StepRAny(inner, _, right, right_after)):
-            return relaxed and reference_step(inner, right, right_after, relaxed)
+            return is_natural(left_nat) and reference_step(inner, right, right_after)
         case ViaSum(StepV(n, m)):
             return is_natural(n) and is_natural(m)
         case ViaArray(StepI(inner, _, idx, idx_after)):
-            return reference_step(inner, idx, idx_after, relaxed)
+            return reference_step(inner, idx, idx_after)
         case ViaArray(Lookup(chain, idx)):
             return is_natural(idx) and _array_ok(chain)
     return False
@@ -159,8 +156,7 @@ _PAYLOADS = (InL, InR, Pair, Slot, AtomVal)
 
 def _mutants(d):
     """Derivations one edit away from ``d``: each literal off by one, made a
-    bool or made negative; each stored term replaced; premises swapped;
-    ``StepR`` turned into ``StepRAny`` and back."""
+    bool or made negative; each stored term replaced; premises swapped."""
     if not dataclasses.is_dataclass(d):
         return
     fields = dataclasses.fields(d)
@@ -178,10 +174,6 @@ def _mutants(d):
     premises = [f.name for f in fields if f.name == "inner" or f.name.endswith("_wt")]
     for a, b in itertools.combinations(premises, 2):
         yield dataclasses.replace(d, **{a: getattr(d, b), b: getattr(d, a)})
-    if isinstance(d, StepR):
-        yield StepRAny(d.inner, enat(d.left_nat), d.right, d.right_after)
-    if isinstance(d, StepRAny):
-        yield StepR(d.inner, 0, d.right, d.right_after)
 
 
 @pytest.fixture(scope="module")
@@ -189,11 +181,6 @@ def population():
     terms = _terms()
     typed = [(t, *r) for t in terms if (r := infer(t)) is not None]
     steps = [(t, *s) for t in terms if (s := drive_step(t)) is not None]
-    steps += [
-        (t, *s)
-        for t in terms
-        if drive_step(t) is None and (s := drive_step(t, allow_any_left=True)) is not None
-    ]
     return typed, steps
 
 
@@ -226,15 +213,14 @@ def _check_typing(d, t, ty, counts):
 
 def _check_step(d, source, target, counts):
     inside = valid_term(FEXPR, source) and valid_term(FEXPR, target)
-    for relaxed in (False, True):
-        got = validate_step(d, source, target, allow_any_left=relaxed)
-        want = reference_step(d, source, target, relaxed)
-        if inside:
-            assert got == want, (d, source, target, relaxed)
-            counts[got] += 1
-        else:
-            assert got <= want, (d, source, target, relaxed)
-            counts["rejected"] += want and not got
+    got = validate_step(d, source, target)
+    want = reference_step(d, source, target)
+    if inside:
+        assert got == want, (d, source, target)
+        counts[got] += 1
+    else:
+        assert got <= want, (d, source, target)
+        counts["rejected"] += want and not got
 
 
 def test_validate_typing_agrees_with_the_definitional_check(population):
