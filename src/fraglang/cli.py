@@ -7,6 +7,7 @@ Exit status: 0 on success, 1 on user error (syntax or an ill-typed term),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -30,7 +31,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state on the parser, and
+    # usage errors go to sys.stderr as it is when they are reported.
     parser = _ArgumentParser(prog="fraglang", description="modular language workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 

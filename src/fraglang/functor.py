@@ -25,7 +25,7 @@ class BaseSet(Enum):
     UNIT = "unit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit:
     """The single inhabitant of the unit set."""
 
@@ -36,19 +36,19 @@ class Unit:
 UNIT = Unit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rec:
     """Recursion slot: interpreted as the argument type itself."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """Constant layer holding a value of a base set."""
 
     set: BaseSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     """Disjoint sum of two layers (a tagged choice)."""
 
@@ -56,7 +56,7 @@ class Sum:
     right: "FunctorDesc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod:
     """Cartesian product of two layers (both present)."""
 
@@ -67,7 +67,7 @@ class Prod:
 FunctorDesc = Union[Rec, Atom, Sum, Prod]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """A filled recursion slot.
 
@@ -78,7 +78,7 @@ class Slot:
     term: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomVal:
     """An atom tagged with its base set: a natural or the unit value."""
 
@@ -86,21 +86,21 @@ class AtomVal:
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InL:
     """Left injection into a sum layer."""
 
     payload: "Payload"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InR:
     """Right injection into a sum layer."""
 
     payload: "Payload"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     """Both components of a product layer."""
 
@@ -111,7 +111,7 @@ class Pair:
 Payload = Union[Slot, AtomVal, InL, InR, Pair]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One unrolling of the fixed point: a payload whose slots hold terms."""
 

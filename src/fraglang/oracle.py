@@ -15,40 +15,40 @@ from .lang import assign, enat, index, nil, none, plus, some, view
 from .typecheck import LangType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ENat:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ESome:
     e: "MonoExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ENone:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nil:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ELookup:
     a: "MonoExpr"
     i: "MonoExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ins:
     a: "MonoExpr"
     i: "MonoExpr"
     e: "MonoExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plus:
     e1: "MonoExpr"
     e2: "MonoExpr"

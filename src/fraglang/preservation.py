@@ -44,7 +44,7 @@ class SubjectMismatchError(Exception):
     """A step and a typing derivation disagree about their subject term."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreservationHooks:
     """What a fragment transformer assumes about the composed language."""
 

@@ -30,7 +30,7 @@ class FuelExhaustedError(Exception):
     """A trace ran out of fuel while its term could still step."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepL:
     """Congruence on the left summand: e1 + e2 steps to e1' + e2."""
 
@@ -40,7 +40,7 @@ class StepL:
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepR:
     """Congruence on the right summand once the left is a literal."""
 
@@ -50,7 +50,7 @@ class StepR:
     right_after: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepV:
     """Reduction of two literals: n + m steps to their sum."""
 
@@ -61,7 +61,7 @@ class StepV:
 SumStep = Union[StepL, StepR, StepV]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepI:
     """Congruence on the index operand of a lookup."""
 
@@ -71,7 +71,7 @@ class StepI:
     idx_after: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lookup:
     """Resolution of a lookup on a lifted array payload and literal index."""
 
@@ -82,12 +82,12 @@ class Lookup:
 ArrayStep = Union[StepI, Lookup]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViaSum:
     step: SumStep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViaArray:
     step: ArrayStep
 

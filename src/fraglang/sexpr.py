@@ -64,7 +64,7 @@ class SexprError(Exception):
     """Malformed derivation text or an unknown constructor name."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepSkeleton:
     """A step derivation as printed: rule names only, terms erased."""
 
@@ -117,17 +117,33 @@ def render_derivation(d: Derivation) -> str:
 _Sexpr = Union[str, "_Quoted", list]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Quoted:
     text: str
 
 
 def _read_sexpr(text: str) -> _Sexpr:
+    # One pass over the tokens with an explicit stack of open lists, so
+    # nesting depth is bounded by memory, not by the recursion limit.
     tokens = _lex_sexpr(text)
-    tree, rest = _read_one(tokens, 0)
-    if rest != len(tokens):
-        raise SexprError("trailing input after derivation")
-    return tree
+    if not tokens:
+        raise SexprError("unexpected end of derivation text")
+    stack: list[list] = []
+    for pos, token in enumerate(tokens):
+        if token == "(":
+            stack.append([])
+            continue
+        if token == ")":
+            if not stack:
+                raise SexprError("unexpected ')'")
+            token = stack.pop()
+        if stack:
+            stack[-1].append(token)
+        elif pos + 1 != len(tokens):
+            raise SexprError("trailing input after derivation")
+        else:
+            return token
+    raise SexprError("missing ')'")
 
 
 # One token per match: a parenthesis, a quoted term, an atom, or a lone
@@ -143,24 +159,6 @@ def _lex_sexpr(text: str) -> list:
                 raise SexprError("unterminated quoted term")
             tokens[i] = _Quoted(token[1:-1])
     return tokens
-
-
-def _read_one(tokens: list, pos: int) -> tuple[_Sexpr, int]:
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of derivation text")
-    token = tokens[pos]
-    if token == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_one(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise SexprError("missing ')'")
-        return items, pos + 1
-    if token == ")":
-        raise SexprError("unexpected ')'")
-    return token, pos + 1
 
 
 _STEP_NAMES = {"step⁺", "step[]", "stepl", "stepr", "stepv", "stepi", "lookup"}

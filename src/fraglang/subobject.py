@@ -39,7 +39,7 @@ class Direction(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContainsPath:
     """A proof sketch that one descriptor is a (nested) summand of another."""
 

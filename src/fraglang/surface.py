@@ -26,7 +26,7 @@ class ParseError(Exception):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Token:
     kind: str
     text: str

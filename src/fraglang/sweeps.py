@@ -23,7 +23,7 @@ from .typecheck import infer, validate_typing
 _MAX_OFFENDERS = 10
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepReport:
     name: str
     checked: int = 0

@@ -41,7 +41,7 @@ class LangType(Enum):
     ARRAY = "TArray"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OkSum:
     """Addition of two naturals is a natural."""
 
@@ -51,12 +51,12 @@ class OkSum:
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OkNil:
     """The empty array is an array."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OkIns:
     """Assignment of a natural at a natural index preserves array-ness."""
 
@@ -68,7 +68,7 @@ class OkIns:
     index: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OkLookup:
     """Lookup of a natural index in an array yields an option."""
 
@@ -82,22 +82,22 @@ SumTyping = OkSum
 ArrayTyping = Union[OkNil, OkIns, OkLookup]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftWtNat:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftWtOption:
     payload: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftWtSum:
     inner: SumTyping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftWtArray:
     inner: ArrayTyping
 

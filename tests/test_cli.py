@@ -1,4 +1,14 @@
+import io
+import os
+import subprocess
+import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
+
+import fraglang
 
 from fraglang import cli
 from fraglang.cli import main
@@ -140,3 +150,63 @@ def test_negative_count_is_user_error(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "non-negative" in err
+
+
+def _run_caught(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _run_first(argv):
+    # The same call as the first one in a fresh interpreter.
+    src = str(Path(fraglang.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from fraglang.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    # Build the shared parser while other streams are installed, so the
+    # calls below show that it reports on the streams current at the call.
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(["check", "1"])
+    calls = [
+        ["bogus"],
+        ["check", "1 + 2"],
+        ["eval", "1+2", "--trace"],
+        ["eval", "1+2", "--fuel", "-1"],
+    ]
+    seen = [_run_caught(capsys, argv) for argv in calls]
+    assert "invalid choice" in seen[0][2]
+    assert seen == [_run_first(argv) for argv in calls]
+
+
+def test_shared_parser_parses_from_several_threads():
+    parser = cli._build_parser()
+    argvs = [["eval", str(i), "--fuel", str(i)] for i in range(200)]
+    results = [None] * 4
+
+    def work(k):
+        results[k] = [(ns.command, ns.expr, ns.fuel, ns.trace) for ns in map(parser.parse_args, argvs)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = [("eval", str(i), i, False) for i in range(200)]
+    assert results == [expected] * len(results)

@@ -133,3 +133,27 @@ def test_round_trip_on_the_depth_one_population():
             assert elaborate_step(skeleton, t) == stepped[1]
             seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of derivation text"),
+        (")", "unexpected '\\)'"),
+        ("(a", "missing '\\)'"),
+        ("(a))", "trailing input after derivation"),
+        ("a b", "trailing input after derivation"),
+    ],
+)
+def test_reader_errors(text, message):
+    with pytest.raises(SexprError, match=f"^{message}$"):
+        sexpr._read_sexpr(text)
+
+
+def test_reader_takes_deep_nesting():
+    depth = 5_000
+    tree = sexpr._read_sexpr("(x " * depth + ")" * depth)
+    for _ in range(depth - 1):
+        assert tree[0] == "x" and len(tree) == 2
+        tree = tree[1]
+    assert tree == ["x"]
