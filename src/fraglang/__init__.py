@@ -73,7 +73,6 @@ from .semantics import (
     ViaArray,
     ViaSum,
     drive_step,
-    step_endpoints,
     trace,
     validate_step,
 )
@@ -89,7 +88,6 @@ from .typecheck import (
     OkNil,
     OkSum,
     infer,
-    typing_subject,
     validate_typing,
 )
 from .preservation import (

@@ -178,20 +178,13 @@ def validator(f: FunctorDesc) -> Validator:
         return _compile(f, None)
 
 
-def validate_payload(
-    f: FunctorDesc,
-    p: Payload,
-    check_slot: Callable[[Any], bool] | None = None,
-) -> bool:
+def validate_payload(f: FunctorDesc, p: Payload) -> bool:
     """Decide whether ``p`` is a value of ``f``'s interpretation.
 
     Total: any (descriptor, payload) pair is accepted or rejected, never an
-    error.  ``check_slot`` judges what may sit in a recursion slot; the
-    default accepts any Term one layer deep.
+    error.  A recursion slot may hold any Term; it is checked one layer deep.
     """
-    if check_slot is None:
-        return validator(f)(p)
-    return _compile(f, check_slot)(p)
+    return validator(f)(p)
 
 
 def valid_term(f: FunctorDesc, t: Any) -> bool:

@@ -29,10 +29,6 @@ from .functor import (
 from .subobject import ContainsPath, Direction, lifter, path_target
 
 
-class MalformedDerivationError(Exception):
-    """A derivation tree is not built from the step or typing constructors."""
-
-
 NAT = Atom(BaseSet.NAT)
 OPTION = Sum(Rec(), Atom(BaseSet.UNIT))
 SUM = Prod(Rec(), Rec())

@@ -10,15 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InR, Payload, Term, is_natural, validator
+from .functor import InR, Payload, Term, is_natural
 from .lang import (
-    ARRAY,
-    MalformedDerivationError,
     View,
     array_lookup,
     enat,
     index,
-    lift_array,
     lift_option,
     nat_value,
     plus,
@@ -95,38 +92,6 @@ class ViaArray:
 ComposedStep = Union[ViaSum, ViaArray]
 
 
-def _sum_endpoints(s: SumStep) -> tuple[Term, Term]:
-    match s:
-        case StepL(_, left, left_after, right):
-            return plus(left, right), plus(left_after, right)
-        case StepR(_, left_nat, right, right_after):
-            lit = enat(left_nat)
-            return plus(lit, right), plus(lit, right_after)
-        case StepV(n, m):
-            return plus(enat(n), enat(m)), enat(n + m)
-    raise MalformedDerivationError(f"not a sum step: {s!r}")
-
-
-def _array_endpoints(s: ArrayStep) -> tuple[Term, Term]:
-    match s:
-        case StepI(_, array, idx, idx_after):
-            return index(array, idx), index(array, idx_after)
-        case Lookup(chain, idx):
-            source = index(lift_array(chain), enat(idx))
-            return source, lift_option(array_lookup(chain, idx))
-    raise MalformedDerivationError(f"not an array step: {s!r}")
-
-
-def step_endpoints(d: ComposedStep) -> tuple[Term, Term]:
-    """The (source, target) pair a derivation claims to relate."""
-    match d:
-        case ViaSum(s):
-            return _sum_endpoints(s)
-        case ViaArray(s):
-            return _array_endpoints(s)
-    raise MalformedDerivationError(f"not a composed step: {d!r}")
-
-
 def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
     """True iff d is well-formed, recursively valid, and relates source to target.
 
@@ -201,7 +166,6 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
         array_v = view(array)
         return (
             is_natural(s.idx)
-            and _array_ok(s.chain)
             and nat_value(idx) == s.idx
             and array_v is not None
             and array_v[0] == "array"
@@ -210,9 +174,6 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
             and tv[1] == array_lookup(array_v[1], s.idx)
         )
     return False
-
-
-_array_ok = validator(ARRAY)
 
 
 def drive_step(t: Term) -> Optional[tuple[Term, ComposedStep]]:

@@ -2,10 +2,11 @@
 
 Derivations print as s-expressions over the rule names, with the terms the
 rules mention left implicit, exactly as the proof trees are displayed.
-Typing derivations re-derive those terms from their premises, so they
-round-trip on their own; step derivations round-trip as a skeleton that
-elaborate_step completes against the source term, the same way implicit
-arguments are recovered from an expected type.
+Typing derivations decode bottom-up: each rule builds the term it types
+once, from the terms its premises returned, so they round-trip on their
+own.  Step derivations round-trip as a skeleton of rule names; a source
+term has at most one step derivation, so elaborate_step runs the driver on
+the source and accepts its derivation when the skeleton names its rules.
 
 Terms appear in one place only (the payload of lift-wt-option) and are
 embedded as a double-quoted surface-syntax string.
@@ -17,18 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InR, Pair, Slot, Term
-from .lang import (
-    array_lookup,
-    array_payload,
-    enat,
-    index,
-    lift_option,
-    nat_value,
-    option_payload,
-    plus,
-    plus_parts,
-)
+from .functor import Term
+from .lang import assign, enat, index, lift_option, nil, option_payload, plus
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -40,6 +31,7 @@ from .semantics import (
     SumStep,
     ViaArray,
     ViaSum,
+    drive_step,
 )
 from .surface import parse, render
 from .typecheck import (
@@ -54,7 +46,6 @@ from .typecheck import (
     OkNil,
     OkSum,
     SumTyping,
-    typing_subject,
 )
 
 Derivation = Union[ComposedStep, SumStep, ArrayStep, ComposedTyping, SumTyping, ArrayTyping]
@@ -161,18 +152,22 @@ def _lex_sexpr(text: str) -> list:
     return tokens
 
 
-_STEP_NAMES = {"step⁺", "step[]", "stepl", "stepr", "stepv", "stepi", "lookup"}
-_LEAF_STEPS = {"stepv", "lookup"}
-_TYPING_NAMES = {
-    "lift-wt-nat",
-    "lift-wt-option",
-    "lift-wt-sum",
-    "lift-wt-array",
-    "ok-sum",
-    "ok-nil",
-    "ok-ins",
-    "ok-lookup",
+_RULE_NAMES = {
+    ViaSum: "step⁺",
+    ViaArray: "step[]",
+    StepL: "stepl",
+    StepR: "stepr",
+    StepV: "stepv",
+    StepI: "stepi",
+    Lookup: "lookup",
 }
+_STEP_NAMES = set(_RULE_NAMES.values())
+_LEAF_STEPS = {"stepv", "lookup"}
+# The typing rules by the premise positions they may fill.
+_LIFTS = {"lift-wt-nat", "lift-wt-option", "lift-wt-sum", "lift-wt-array"}
+_SUM_RULES = {"ok-sum"}
+_ARRAY_RULES = {"ok-nil", "ok-ins", "ok-lookup"}
+_TYPING_NAMES = _LIFTS | _SUM_RULES | _ARRAY_RULES
 
 
 def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping, StepSkeleton]:
@@ -181,57 +176,51 @@ def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping,
     Typing derivations come back complete.  Step derivations come back as
     a StepSkeleton; apply elaborate_step with the source term to finish.
     """
-    return _decode(_read_sexpr(text))
-
-
-def _decode(tree: _Sexpr):
-    head, args = _split(tree)
-    if head in _STEP_NAMES:
+    tree = _read_sexpr(text)
+    if _split(tree)[0] in _STEP_NAMES:
         return _decode_step(tree)
+    return _decode(tree, _TYPING_NAMES)[0]
+
+
+def _decode(tree: _Sexpr, allowed: set) -> tuple[Union[ComposedTyping, SumTyping, ArrayTyping], Term]:
+    # Bottom-up: the typing derivation and the term it types, built once
+    # from the terms its premises returned.  ``allowed`` names the rules
+    # that may stand where ``tree`` stands.
+    head, args = _split(tree)
+    if head not in allowed:
+        if head in _TYPING_NAMES or head in _STEP_NAMES:
+            raise SexprError(f"expected {' or '.join(sorted(allowed))}, got {head}")
+        raise SexprError(f"unknown constructor name {head!r}")
     match head, args:
         case ("lift-wt-nat", [str(digits)]) if digits.isdigit():
-            return LiftWtNat(int(digits))
+            n = int(digits)
+            return LiftWtNat(n), enat(n)
         case ("lift-wt-option", [_Quoted(text)]):
-            payload = option_payload(parse(text))
+            t = parse(text)
+            payload = option_payload(t)
             if payload is None:
                 raise SexprError(f"not an option term: {text!r}")
-            return LiftWtOption(payload)
+            return LiftWtOption(payload), t
         case ("lift-wt-sum", [inner]):
-            wt = _decode(inner)
-            if not isinstance(wt, OkSum):
-                raise SexprError("lift-wt-sum expects a sum rule")
-            return LiftWtSum(wt)
+            w, t = _decode(inner, _SUM_RULES)
+            return LiftWtSum(w), t
         case ("lift-wt-array", [inner]):
-            wt = _decode(inner)
-            if not isinstance(wt, (OkNil, OkIns, OkLookup)):
-                raise SexprError("lift-wt-array expects an array rule")
-            return LiftWtArray(wt)
+            w, t = _decode(inner, _ARRAY_RULES)
+            return LiftWtArray(w), t
         case ("ok-sum", [left, right]):
-            left_wt, right_wt = _decode(left), _decode(right)
-            return OkSum(
-                left_wt,
-                right_wt,
-                typing_subject(left_wt)[0],
-                typing_subject(right_wt)[0],
-            )
+            (wl, l), (wr, r) = _decode(left, _LIFTS), _decode(right, _LIFTS)
+            return OkSum(wl, wr, l, r), plus(l, r)
         case ("ok-nil", []):
-            return OkNil()
+            return OkNil(), nil()
         case ("ok-ins", [array, value, idx]):
-            wa, we, wn = _decode(array), _decode(value), _decode(idx)
-            return OkIns(
-                wa,
-                we,
-                wn,
-                typing_subject(wa)[0],
-                typing_subject(we)[0],
-                typing_subject(wn)[0],
-            )
+            wa, a = _decode(array, _LIFTS)
+            we, e = _decode(value, _LIFTS)
+            wn, i = _decode(idx, _LIFTS)
+            return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
         case ("ok-lookup", [array, idx]):
-            wa, wn = _decode(array), _decode(idx)
-            return OkLookup(wa, wn, typing_subject(wa)[0], typing_subject(wn)[0])
-    if head in _TYPING_NAMES:
-        raise SexprError(f"malformed {head} form")
-    raise SexprError(f"unknown constructor name {head!r}")
+            (wa, a), (wn, i) = _decode(array, _LIFTS), _decode(idx, _LIFTS)
+            return OkLookup(wa, wn, a, i), index(a, i)
+    raise SexprError(f"malformed {head} form")
 
 
 def _split(tree: _Sexpr) -> tuple[str, list]:
@@ -256,58 +245,29 @@ def _decode_step(tree: _Sexpr) -> StepSkeleton:
 
 
 def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
-    """Recover the full step derivation from its skeleton and source term."""
-    return _elaborate(skeleton, source)[0]
+    """The step derivation from ``source`` whose rules ``skeleton`` names.
+
+    A source has at most one step derivation, the driver's, so elaboration
+    runs the driver and checks the skeleton against its rules.
+    """
+    result = drive_step(source)
+    if result is None:
+        raise SexprError(f"the source does not step, so no {skeleton.name} derivation elaborates")
+    derivation = result[1]
+    if not _names_rules_of(skeleton, derivation):
+        raise SexprError(
+            f"the source steps by {render_derivation(derivation)},"
+            f" not by the given {skeleton.name} skeleton"
+        )
+    return derivation
 
 
-def _elaborate(skeleton: StepSkeleton, source: Term) -> tuple[ComposedStep, Term]:
-    # The derivation and its target; a congruence rule stores its premise's
-    # target, so each target is built once, where its rule is elaborated.
-    if skeleton.name == "step⁺":
-        parts = plus_parts(source)
-        if parts is None or skeleton.inner is None:
-            raise SexprError(f"step⁺ needs an addition source, got {render(source)!r}")
-        step, target = _elaborate_sum(skeleton.inner, *parts)
-        return ViaSum(step), target
-    if skeleton.name == "step[]":
-        match array_payload(source):
-            case InR(Pair(Slot(a), Slot(i))) if skeleton.inner is not None:
-                step, target = _elaborate_array(skeleton.inner, a, i)
-                return ViaArray(step), target
-        raise SexprError(f"step[] needs a lookup source, got {render(source)!r}")
-    raise SexprError(f"{skeleton.name!r} is not a composed step")
-
-
-def _elaborate_sum(skeleton: StepSkeleton, left: Term, right: Term) -> tuple[SumStep, Term]:
-    if skeleton.name in ("stepl", "stepr") and skeleton.inner is None:
-        raise SexprError(f"{skeleton.name} needs a premise")
-    if skeleton.name == "stepl":
-        inner, left_after = _elaborate(skeleton.inner, left)
-        return StepL(inner, left, left_after, right), plus(left_after, right)
-    if skeleton.name == "stepr":
-        inner, right_after = _elaborate(skeleton.inner, right)
-        n1 = nat_value(left)
-        if n1 is None:
-            raise SexprError("stepr needs a literal left operand")
-        return StepR(inner, n1, right, right_after), plus(left, right_after)
-    if skeleton.name == "stepv":
-        n, m = nat_value(left), nat_value(right)
-        if n is None or m is None:
-            raise SexprError("stepv needs two literal operands")
-        return StepV(n, m), enat(n + m)
-    raise SexprError(f"{skeleton.name!r} is not a sum step")
-
-
-def _elaborate_array(skeleton: StepSkeleton, array: Term, idx: Term) -> tuple[ArrayStep, Term]:
-    if skeleton.name == "stepi":
-        if skeleton.inner is None:
-            raise SexprError("stepi needs a premise")
-        inner, idx_after = _elaborate(skeleton.inner, idx)
-        return StepI(inner, array, idx, idx_after), index(array, idx_after)
-    if skeleton.name == "lookup":
-        chain = array_payload(array)
-        n = nat_value(idx)
-        if chain is None or n is None:
-            raise SexprError("lookup needs a lifted array and a literal index")
-        return Lookup(chain, n), lift_option(array_lookup(chain, n))
-    raise SexprError(f"{skeleton.name!r} is not an array step")
+def _names_rules_of(skeleton: Optional[StepSkeleton], d) -> bool:
+    # Walks both trees together, one rule and its one premise at a time.
+    while d is not None:
+        if skeleton is None or skeleton.name != _RULE_NAMES[type(d)]:
+            return False
+        skeleton = skeleton.inner
+        # stepv and lookup have no premise
+        d = d.step if isinstance(d, (ViaSum, ViaArray)) else getattr(d, "inner", None)
+    return skeleton is None

@@ -22,17 +22,7 @@ from .functor import (
     is_natural,
     validator,
 )
-from .lang import (
-    OPTION,
-    MalformedDerivationError,
-    assign,
-    enat,
-    index,
-    lift_option,
-    nil,
-    plus,
-    view,
-)
+from .lang import OPTION, view
 
 
 class LangType(Enum):
@@ -103,37 +93,6 @@ class LiftWtArray:
 
 
 ComposedTyping = Union[LiftWtNat, LiftWtOption, LiftWtSum, LiftWtArray]
-
-
-def sum_subject(w: SumTyping) -> tuple[Term, LangType]:
-    if isinstance(w, OkSum):
-        return plus(w.left, w.right), LangType.NAT
-    raise MalformedDerivationError(f"not a sum typing: {w!r}")
-
-
-def array_subject(w: ArrayTyping) -> tuple[Term, LangType]:
-    match w:
-        case OkNil():
-            return nil(), LangType.ARRAY
-        case OkIns(_, _, _, array, value, idx):
-            return assign(array, idx, value), LangType.ARRAY
-        case OkLookup(_, _, array, idx):
-            return index(array, idx), LangType.OPTION
-    raise MalformedDerivationError(f"not an array typing: {w!r}")
-
-
-def typing_subject(d: ComposedTyping) -> tuple[Term, LangType]:
-    """The (term, type) pair a derivation claims."""
-    match d:
-        case LiftWtNat(n):
-            return enat(n), LangType.NAT
-        case LiftWtOption(payload):
-            return lift_option(payload), LangType.OPTION
-        case LiftWtSum(inner):
-            return sum_subject(inner)
-        case LiftWtArray(inner):
-            return array_subject(inner)
-    raise MalformedDerivationError(f"not a composed typing: {d!r}")
 
 
 _option_ok = validator(OPTION)

@@ -28,23 +28,22 @@ from goldens import exp_term
 
 NAT_ATOM = Atom(BaseSet.NAT)
 UNIT_ATOM = Atom(BaseSet.UNIT)
-ALWAYS = lambda t: True
 
 
 def test_validate_atom_matches_its_set():
-    assert validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, 6), ALWAYS)
-    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.UNIT, UNIT), ALWAYS)
-    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, UNIT), ALWAYS)
-    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, -1), ALWAYS)
-    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, True), ALWAYS)
+    assert validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, 6))
+    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.UNIT, UNIT))
+    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, UNIT))
+    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, -1))
+    assert not validate_payload(NAT_ATOM, AtomVal(BaseSet.NAT, True))
 
 
 def test_validate_option_none_branch():
-    assert validate_payload(Sum(Rec(), UNIT_ATOM), InR(AtomVal(BaseSet.UNIT, UNIT)), ALWAYS)
+    assert validate_payload(Sum(Rec(), UNIT_ATOM), InR(AtomVal(BaseSet.UNIT, UNIT)))
 
 
 def test_validate_rejects_injection_under_product():
-    assert not validate_payload(Prod(Rec(), Rec()), InL(Slot(enat(0))), ALWAYS)
+    assert not validate_payload(Prod(Rec(), Rec()), InL(Slot(enat(0))))
 
 
 def test_validate_default_slot_check_wants_terms():

@@ -28,7 +28,6 @@ from fraglang.semantics import (
     ViaArray,
     ViaSum,
     drive_step,
-    step_endpoints,
 )
 from fraglang.typecheck import (
     LangType,
@@ -53,7 +52,7 @@ def test_preservation_sum_literal_clause():
 
 def test_preservation_sum_left_congruence_clause():
     inner = ViaSum(StepV(1, 2))
-    src, tgt = step_endpoints(inner)
+    src, tgt = plus(enat(1), enat(2)), enat(3)
     step = StepL(inner, src, tgt, enat(9))
     wt_src = infer(src)[1].inner  # OkSum for 1 + 2
     wt = OkSum(LiftWtSum(wt_src), LiftWtNat(9), src, enat(9))
@@ -77,7 +76,7 @@ def test_preservation_array_lookup_clause():
 
 def test_preservation_array_index_congruence_clause():
     inner = ViaSum(StepV(0, 1))
-    src, tgt = step_endpoints(inner)
+    src, tgt = plus(enat(0), enat(1)), enat(1)
     step = StepI(inner, nil(), src, tgt)
     wt = OkLookup(LiftWtArray(OkNil()), LiftWtSum(infer(src)[1].inner), nil(), src)
     result = preservation_array(COMPOSED_HOOKS, step, wt)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from fraglang import sexpr
+from fraglang.functor import AtomVal, BaseSet, InL, Term
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import enat, nil, plus, some
+from fraglang.lang import enat, index, nil, plus, some
 from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import (
     SexprError,
@@ -76,6 +77,62 @@ def test_elaboration_rejects_wrong_source():
     skeleton = parse_derivation("(step⁺ (stepr (step⁺ stepv)))")
     with pytest.raises(SexprError):
         elaborate_step(skeleton, plus(nil(), plus(enat(1), enat(2))))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(ok-sum stepv stepv)",
+        "(lift-wt-sum (ok-sum ok-nil (lift-wt-nat 1)))",
+        "(ok-lookup (step⁺ stepv) (lift-wt-nat 0))",
+        "(ok-ins ok-nil (lift-wt-nat 1) (lift-wt-nat 0))",
+        "(lift-wt-array (ok-lookup (lift-wt-array ok-nil) (ok-sum (lift-wt-nat 0) (lift-wt-nat 0))))",
+    ],
+)
+def test_premise_that_is_no_lifted_typing_rejected(text):
+    with pytest.raises(SexprError):
+        parse_derivation(text)
+
+
+def test_elaboration_never_renders_a_foreign_source():
+    bad = Term(InL(InL(InL(AtomVal(BaseSet.NAT, True)))))  # a bool posing as 1
+    with pytest.raises(SexprError):
+        elaborate_step(parse_derivation("(step⁺ stepv)"), index(nil(), bad))
+
+
+def test_elaboration_rejects_a_premise_under_a_leaf_rule():
+    under_stepv = StepSkeleton("step⁺", StepSkeleton("stepv", StepSkeleton("stepv")))
+    with pytest.raises(SexprError):
+        elaborate_step(under_stepv, plus(enat(1), enat(2)))
+    under_lookup = StepSkeleton("step[]", StepSkeleton("lookup", StepSkeleton("lookup")))
+    with pytest.raises(SexprError):
+        elaborate_step(under_lookup, index(nil(), enat(0)))
+
+
+def _one_name_mutants(skeleton):
+    if skeleton is None:
+        return
+    for name in sorted(sexpr._STEP_NAMES - {skeleton.name}):
+        yield StepSkeleton(name, skeleton.inner)
+    for inner in _one_name_mutants(skeleton.inner):
+        yield StepSkeleton(skeleton.name, inner)
+
+
+def test_only_the_drivers_skeleton_elaborates():
+    rng = random.Random(79)
+    steps = mutants = 0
+    for _ in range(100):
+        source = random_typed_term(rng, rng.choice(list(LangType)), rng.randrange(2, 10))
+        for target, derivation in trace(source, 16):
+            skeleton = parse_derivation(render_derivation(derivation))
+            assert elaborate_step(skeleton, source) == derivation
+            for mutant in _one_name_mutants(skeleton):
+                with pytest.raises(SexprError):
+                    elaborate_step(mutant, source)
+                mutants += 1
+            source = target
+            steps += 1
+    assert steps > 50 and mutants > 6 * steps
 
 
 def test_typing_round_trip_on_random_derivations():

@@ -25,25 +25,10 @@ from fraglang.typecheck import (
     OkNil,
     OkSum,
     infer,
-    typing_subject,
     validate_typing,
 )
 from fraglang.functor import InL, InR, Pair, Slot
 from goldens import exp_term, wt_exp
-
-
-def test_subject_of_nat_rule():
-    assert typing_subject(LiftWtNat(6)) == (enat(6), LangType.NAT)
-
-
-def test_subject_of_option_rule():
-    from fraglang.lang import NONE_PAYLOAD
-
-    assert typing_subject(LiftWtOption(NONE_PAYLOAD)) == (none(), LangType.OPTION)
-
-
-def test_subject_of_worked_example():
-    assert typing_subject(wt_exp()) == (exp_term(), LangType.OPTION)
 
 
 def test_validate_worked_example():
@@ -56,8 +41,7 @@ def test_validate_rejects_wrong_type():
 
 def test_validate_rejects_non_nat_premise():
     bad = LiftWtSum(OkSum(LiftWtNat(0), LiftWtArray(OkNil()), enat(0), nil()))
-    subject, ty = typing_subject(bad)
-    assert not validate_typing(bad, subject, ty)
+    assert not validate_typing(bad, plus(enat(0), nil()), LangType.NAT)
 
 
 def test_infer_worked_example_matches_golden():

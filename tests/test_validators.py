@@ -3,6 +3,8 @@
 The reference below is the validators' specification: rebuild the term (or
 the pair of terms) a derivation claims with ``typing_subject`` or
 ``step_endpoints``, compare it with ``==``, and recurse into the premises.
+The rebuilders live here, as part of the reference; the package builds each
+derivation once and never rebuilds a claimed term.
 The validators must agree with it on every term of the language, and must
 reject terms outside it, which ``==`` can mistake for terms inside it
 (``True == 1``), wherever a rule reads them.  A typing rule reads every
@@ -34,7 +36,21 @@ from fraglang.functor import (
     validator,
 )
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import ARRAY, FEXPR, OPTION, SUM, MalformedDerivationError, enat, nil, view
+from fraglang.lang import (
+    ARRAY,
+    FEXPR,
+    OPTION,
+    SUM,
+    array_lookup,
+    assign,
+    enat,
+    index,
+    lift_array,
+    lift_option,
+    nil,
+    plus,
+    view,
+)
 from fraglang.semantics import (
     Lookup,
     StepI,
@@ -44,7 +60,6 @@ from fraglang.semantics import (
     ViaArray,
     ViaSum,
     drive_step,
-    step_endpoints,
     validate_step,
 )
 from fraglang.typecheck import (
@@ -58,13 +73,54 @@ from fraglang.typecheck import (
     OkNil,
     OkSum,
     infer,
-    typing_subject,
     validate_typing,
 )
 
 _option_ok = validator(OPTION)
 _array_ok = validator(ARRAY)
+
+
+class MalformedDerivationError(Exception):
+    """A derivation tree is not built from the step or typing constructors."""
+
+
 _REBUILD_ERRORS = (MalformedDerivationError, ShapeError, TypeError)
+
+
+def typing_subject(d):
+    """The (term, type) pair a typing derivation claims, rebuilt."""
+    match d:
+        case LiftWtNat(n):
+            return enat(n), LangType.NAT
+        case LiftWtOption(payload):
+            return lift_option(payload), LangType.OPTION
+        case LiftWtSum(OkSum(_, _, left, right)):
+            return plus(left, right), LangType.NAT
+        case LiftWtArray(OkNil()):
+            return nil(), LangType.ARRAY
+        case LiftWtArray(OkIns(_, _, _, array, value, idx)):
+            return assign(array, idx, value), LangType.ARRAY
+        case LiftWtArray(OkLookup(_, _, array, idx)):
+            return index(array, idx), LangType.OPTION
+    raise MalformedDerivationError(f"not a composed typing: {d!r}")
+
+
+def step_endpoints(d):
+    """The (source, target) pair a step derivation claims, rebuilt."""
+    match d:
+        case ViaSum(StepL(_, left, left_after, right)):
+            return plus(left, right), plus(left_after, right)
+        case ViaSum(StepR(_, left_nat, right, right_after)):
+            lit = enat(left_nat)
+            return plus(lit, right), plus(lit, right_after)
+        case ViaSum(StepV(n, m)):
+            return plus(enat(n), enat(m)), enat(n + m)
+        case ViaArray(StepI(_, array, idx, idx_after)):
+            return index(array, idx), index(array, idx_after)
+        case ViaArray(Lookup(chain, idx)):
+            source = index(lift_array(chain), enat(idx))
+            return source, lift_option(array_lookup(chain, idx))
+    raise MalformedDerivationError(f"not a composed step: {d!r}")
 
 
 def reference_typing(d, t, ty):
