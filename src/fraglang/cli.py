@@ -16,7 +16,7 @@ from .preservation import preserve
 from .semantics import FuelExhaustedError, drive_step, trace
 from .sexpr import parse_derivation, render_derivation
 from .surface import ParseError, parse, render
-from .sweeps import SweepReport, driver_sweep, oracle_sweep, preservation_sweep, trace_sweep
+from .sweeps import SweepReport, driver_sweep, oracle_sweep, preservation_sweep, sweep, trace_sweep
 from .typecheck import infer, validate_typing
 
 USER_ERROR = 1
@@ -145,42 +145,38 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     if not _depth_ok(args.depth):
         return USER_ERROR
     # stream: the depth-2 population runs to millions of terms
-    report = oracle_sweep(enumerate_terms(args.depth))
-    print(report.line())
-    return 0 if report.ok else INTERNAL_ERROR
+    return _print_reports(sweep(enumerate_terms(args.depth), {"oracle-equivalence": oracle_sweep}))
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     if not _depth_ok(args.depth):
         return USER_ERROR
-    reports = [
-        driver_sweep(enumerate_terms(args.depth)),
-        preservation_sweep(enumerate_terms(args.depth)),
-        oracle_sweep(enumerate_terms(args.depth)),
-        trace_sweep(enumerate_terms(args.depth)),
-        _round_trip_sweep(),
-    ]
+    checks = {
+        "driver": driver_sweep,
+        "preservation": preservation_sweep,
+        "oracle-equivalence": oracle_sweep,
+        "trace-equivalence": trace_sweep,
+    }
+    rng = random.Random(20240601)
+    draws = (random_term(rng, rng.randrange(8)) for _ in range(500))
+    reports = sweep(enumerate_terms(args.depth), checks)
+    reports += sweep(draws, {"round-trips": _round_trips})
+    return _print_reports(reports)
+
+
+def _round_trips(t: "Term", typed, stepped) -> list[str]:
+    """Surface text and typing derivations read back as what was printed."""
+    if parse(render(t)) != t:
+        return ["surface round trip failed"]
+    if typed is not None and parse_derivation(render_derivation(typed[1])) != typed[1]:
+        return ["typing derivation round trip failed"]
+    return []
+
+
+def _print_reports(reports: list[SweepReport]) -> int:
     for report in reports:
         print(report.line())
     return 0 if all(r.ok for r in reports) else INTERNAL_ERROR
-
-
-def _round_trip_sweep() -> SweepReport:
-    report = SweepReport("round-trips")
-    rng = random.Random(20240601)
-    for _ in range(500):
-        report.checked += 1
-        report.exercised += 1
-        t = random_term(rng, rng.randrange(8))
-        if parse(render(t)) != t:
-            report.blame(t, "surface round trip failed")
-            continue
-        typed = infer(t)
-        if typed is not None:
-            wt = typed[1]
-            if parse_derivation(render_derivation(wt)) != wt:
-                report.blame(t, "typing derivation round trip failed")
-    return report
 
 
 _COMMANDS = {

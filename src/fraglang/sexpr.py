@@ -33,7 +33,7 @@ from .semantics import (
     ViaSum,
     drive_step,
 )
-from .surface import parse, render
+from .surface import ParseError, parse, render
 from .typecheck import (
     ArrayTyping,
     ComposedTyping,
@@ -168,6 +168,8 @@ _LIFTS = {"lift-wt-nat", "lift-wt-option", "lift-wt-sum", "lift-wt-array"}
 _SUM_RULES = {"ok-sum"}
 _ARRAY_RULES = {"ok-nil", "ok-ins", "ok-lookup"}
 _TYPING_NAMES = _LIFTS | _SUM_RULES | _ARRAY_RULES
+# A literal as render_derivation prints it: ASCII digits, no leading zero.
+_NATURAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping, StepSkeleton]:
@@ -192,11 +194,14 @@ def _decode(tree: _Sexpr, allowed: set) -> tuple[Union[ComposedTyping, SumTyping
             raise SexprError(f"expected {' or '.join(sorted(allowed))}, got {head}")
         raise SexprError(f"unknown constructor name {head!r}")
     match head, args:
-        case ("lift-wt-nat", [str(digits)]) if digits.isdigit():
+        case ("lift-wt-nat", [str(digits)]) if _NATURAL.fullmatch(digits):
             n = int(digits)
             return LiftWtNat(n), enat(n)
         case ("lift-wt-option", [_Quoted(text)]):
-            t = parse(text)
+            try:
+                t = parse(text)
+            except ParseError as exc:
+                raise SexprError(f"not a term: {text!r} ({exc})") from None
             payload = option_payload(t)
             if payload is None:
                 raise SexprError(f"not an option term: {text!r}")

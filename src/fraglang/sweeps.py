@@ -1,26 +1,37 @@
-"""Bulk property sweeps behind the CLI's selftest and oracle-diff commands.
+"""One sweep engine and the property checks it runs.
 
-The acceptance tests do not use them: they run their own fused pass.
+``sweep`` makes one pass over a term population.  It runs ``infer`` and
+``drive_step`` once per term and hands both results to every check, so the
+CLI's selftest and oracle-diff commands and the acceptance gate's
+exhaustive criteria share a single pass per term.
 
-Each sweep walks a term population and returns a report: how many terms it
-looked at, how many exercised the property, and the first few offenders
-rendered in surface syntax (empty means the property held everywhere).
+A check is called as ``check(t, typed, stepped)``.  It returns None when
+it does not take the term up, and otherwise the notes of the failures it
+found on the term (none when the property held).  Each check gets a
+report: how many terms were swept, how many the check took up, and the
+first few offenders rendered in surface syntax (none means the property
+held everywhere).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Optional, Sequence
 
 from .functor import Term
 from .lang import is_value
 from .oracle import embed, mono_infer, mono_step, project
 from .preservation import preserve
-from .semantics import drive_step, trace, validate_step
+from .semantics import ComposedStep, drive_step, trace, validate_step
 from .surface import render
-from .typecheck import infer, validate_typing
+from .typecheck import ComposedTyping, LangType, infer, validate_typing
 
 _MAX_OFFENDERS = 10
+_TRACE_FUEL = 32
+
+Typed = Optional[tuple[LangType, ComposedTyping]]
+Stepped = Optional[tuple[Term, ComposedStep]]
+Check = Callable[[Term, Typed, Stepped], Optional[Sequence[str]]]
 
 
 @dataclass(slots=True)
@@ -34,10 +45,6 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.offenders
 
-    def blame(self, t: Term, note: str) -> None:
-        if len(self.offenders) < _MAX_OFFENDERS:
-            self.offenders.append(f"{render(t)}: {note}")
-
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         summary = f"{status} {self.name}: {self.exercised}/{self.checked} terms exercised"
@@ -46,87 +53,77 @@ class SweepReport:
         return summary
 
 
-def preservation_sweep(terms: Iterable[Term]) -> SweepReport:
+def sweep(terms: Iterable[Term], checks: dict[str, Check]) -> list[SweepReport]:
+    """One pass over ``terms`` running every check; one report per check, in order."""
+    runs = [(SweepReport(name), check) for name, check in checks.items()]
+    checked = 0
+    for t in terms:
+        checked += 1
+        typed, stepped = infer(t), drive_step(t)
+        for report, check in runs:
+            notes = check(t, typed, stepped)
+            if notes is None:
+                continue
+            report.exercised += 1
+            for note in notes:
+                if len(report.offenders) < _MAX_OFFENDERS:
+                    report.offenders.append(f"{render(t)}: {note}")
+    for report, _ in runs:
+        report.checked = checked
+    return [report for report, _ in runs]
+
+
+def preservation_sweep(t: Term, typed: Typed, stepped: Stepped) -> Optional[list[str]]:
     """Stepping a well-typed term preserves its type, with a valid derivation."""
-    report = SweepReport("preservation")
-    for t in terms:
-        report.checked += 1
-        typed = infer(t)
-        if typed is None:
-            continue
-        stepped = drive_step(t)
-        if stepped is None:
-            continue
-        report.exercised += 1
-        ty, wt = typed
-        target, step = stepped
-        try:
-            wt_after = preserve(step, wt)
-        except Exception as exc:  # report, don't abort the sweep
-            report.blame(t, f"preserve raised {exc!r}")
-            continue
-        if not validate_typing(wt_after, target, ty):
-            report.blame(t, "rewritten derivation does not validate")
-    return report
+    if typed is None or stepped is None:
+        return None
+    ty, wt = typed
+    target, step = stepped
+    try:
+        wt_after = preserve(step, wt)
+    except Exception as exc:  # report, don't abort the sweep
+        return [f"preserve raised {exc!r}"]
+    if not validate_typing(wt_after, target, ty):
+        return ["rewritten derivation does not validate"]
+    return []
 
 
-def driver_sweep(terms: Iterable[Term]) -> SweepReport:
+def driver_sweep(t: Term, typed: Typed, stepped: Stepped) -> Optional[list[str]]:
     """Driver soundness, determinism, and normality of values."""
-    report = SweepReport("driver")
-    for t in terms:
-        report.checked += 1
-        first = drive_step(t)
-        if first != drive_step(t):
-            report.blame(t, "two invocations disagree")
-            continue
-        if first is None:
-            continue
-        report.exercised += 1
-        target, step = first
-        if not validate_step(step, t, target):
-            report.blame(t, "driver produced an invalid derivation")
-        if is_value(t):
-            report.blame(t, "a value stepped")
-    return report
+    if drive_step(t) != stepped:
+        return ["two invocations disagree"]
+    if stepped is None:
+        return None
+    target, step = stepped
+    notes = []
+    if not validate_step(step, t, target):
+        notes.append("driver produced an invalid derivation")
+    if is_value(t):
+        notes.append("a value stepped")
+    return notes
 
 
-def oracle_sweep(terms: Iterable[Term]) -> SweepReport:
+def oracle_sweep(t: Term, typed: Typed, stepped: Stepped) -> list[str]:
     """Typing and single-step agreement with the monolithic twin."""
-    report = SweepReport("oracle-equivalence")
-    for t in terms:
-        report.checked += 1
-        report.exercised += 1
-        m = embed(t)
-        if project(m) != t:
-            report.blame(t, "embed/project round trip failed")
-            continue
-        modular_ty = infer(t)
-        mono_ty = mono_infer(m)
-        if (None if modular_ty is None else modular_ty[0]) is not mono_ty:
-            report.blame(t, f"typing disagrees: {modular_ty} vs {mono_ty}")
-            continue
-        stepped = drive_step(t)
-        mono_target = mono_step(m)
-        modular_target = None if stepped is None else embed(stepped[0])
-        if modular_target != mono_target:
-            report.blame(t, "single step disagrees")
-    return report
+    m = embed(t)
+    if project(m) != t:
+        return ["embed/project round trip failed"]
+    mono_ty = mono_infer(m)
+    if (None if typed is None else typed[0]) is not mono_ty:
+        return [f"typing disagrees: {typed} vs {mono_ty}"]
+    if (None if stepped is None else embed(stepped[0])) != mono_step(m):
+        return ["single step disagrees"]
+    return []
 
 
-def trace_sweep(terms: Iterable[Term], fuel: int = 32) -> SweepReport:
+def trace_sweep(t: Term, typed: Typed, stepped: Stepped) -> list[str]:
     """Full traces correspond pointwise under the embedding."""
-    report = SweepReport("trace-equivalence")
-    for t in terms:
-        report.checked += 1
-        report.exercised += 1
-        steps = trace(t, fuel)
-        m = embed(t)
-        for target, _ in steps:
-            m = mono_step(m)
-            if m is None or m != embed(target):
-                report.blame(t, "traces diverge")
-                break
-        else:
-            if mono_step(m) is not None:
-                report.blame(t, "monolithic trace keeps going")
-    return report
+    steps = trace(t, _TRACE_FUEL)
+    m = embed(t)
+    for target, _ in steps:
+        m = mono_step(m)
+        if m is None or m != embed(target):
+            return ["traces diverge"]
+    if mono_step(m) is not None:
+        return ["monolithic trace keeps going"]
+    return []

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 The preservation and oracle-equivalence criteria share a single exhaustive
-pass over roughly 1.1 million enumerated terms (all constructor shapes to
-nesting depth two, literal pool {0, 1}); the pass takes a few minutes and
-is cached module-wide.
+pass of the sweep engine over roughly 1.1 million enumerated terms (all
+constructor shapes to nesting depth two, literal pool {0, 1}); the pass
+takes a few minutes and is cached module-wide.
 """
 
 import random
@@ -36,7 +36,8 @@ from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import elaborate_step, parse_derivation, render_derivation
 from fraglang.subobject import downcast, upcast
 from fraglang.surface import parse, render
-from fraglang.typecheck import LangType, infer, validate_typing
+from fraglang.sweeps import preservation_sweep, sweep
+from fraglang.typecheck import LangType, infer
 from goldens import (
     EVAL_EXP_SEXPR,
     EXP_TEXT,
@@ -83,18 +84,6 @@ def test_criterion_1_worked_example_golden():
     assert ok
 
 
-def _check_preservation(t, typed, stepped, failures):
-    ty, wt = typed
-    target, step = stepped
-    try:
-        rewritten = preserve(step, wt)
-        good = validate_typing(rewritten, target, ty)
-    except Exception:  # collect, do not abort the sweep
-        good = False
-    if not good and len(failures) < 10:
-        failures.append(render(t))
-
-
 def _typed_steppable_terms(child_depth, literals):
     """Every well-typed steppable term whose operands have depth <= child_depth.
 
@@ -127,44 +116,32 @@ def _dedup(terms):
     return out
 
 
+def _agrees_with_oracle(t, typed, stepped):
+    """Criterion 3: typing and one step agree with the monolithic twin."""
+    m = embed(t)
+    notes = []
+    if (None if typed is None else typed[0]) is not mono_infer(m):
+        notes.append("typing disagrees")
+    if (None if stepped is None else embed(stepped[0])) != mono_step(m):
+        notes.append("step disagrees")
+    return notes
+
+
 @pytest.fixture(scope="module")
 def exhaustive_sweep():
-    preservation_failures = []
-    oracle_failures = []
-    population = 0
-    exercised = 0
-    for t in enumerate_terms(SWEEP_DEPTH, SWEEP_LITERALS):
-        population += 1
-        typed = infer(t)
-        stepped = drive_step(t)
-        if typed is not None and stepped is not None:
-            exercised += 1
-            _check_preservation(t, typed, stepped, preservation_failures)
-        m = embed(t)
-        modular_ty = None if typed is None else typed[0]
-        if modular_ty is not mono_infer(m):
-            if len(oracle_failures) < 10:
-                oracle_failures.append(f"{render(t)}: typing disagrees")
-        modular_target = None if stepped is None else embed(stepped[0])
-        if modular_target != mono_step(m):
-            if len(oracle_failures) < 10:
-                oracle_failures.append(f"{render(t)}: step disagrees")
-
+    checks = {"preservation": preservation_sweep, "oracle": _agrees_with_oracle}
+    enumerated, oracle = sweep(enumerate_terms(SWEEP_DEPTH, SWEEP_LITERALS), checks)
     # the complete well-typed steppable population one level deeper
-    for t in _typed_steppable_terms(2, SWEEP_LITERALS):
-        typed = infer(t)
-        stepped = drive_step(t)
-        if typed is None or stepped is None:
-            preservation_failures.append(f"{render(t)}: expected typed and steppable")
-            continue
-        exercised += 1
-        _check_preservation(t, typed, stepped, preservation_failures)
-
+    (deeper,) = sweep(_typed_steppable_terms(2, SWEEP_LITERALS), {"preservation": preservation_sweep})
+    preservation_failures = enumerated.offenders + deeper.offenders
+    if deeper.exercised != deeper.checked:
+        missed = deeper.checked - deeper.exercised
+        preservation_failures.append(f"{missed} deeper terms are not typed and steppable")
     return {
-        "population": population,
-        "exercised": exercised,
+        "population": enumerated.checked,
+        "exercised": enumerated.exercised + deeper.exercised,
         "preservation_failures": preservation_failures,
-        "oracle_failures": oracle_failures,
+        "oracle_failures": oracle.offenders,
     }
 
 
@@ -177,6 +154,9 @@ def test_criterion_2_desk_scale_preservation(exhaustive_sweep):
     report(2, not failures, detail)
     assert exhaustive_sweep["population"] > 10_000
     assert exhaustive_sweep["exercised"] > 5_000
+    # the exact counts, so a sweep that drops terms cannot pass
+    assert exhaustive_sweep["population"] == 1_146_604
+    assert exhaustive_sweep["exercised"] == 8_388
     assert not failures, failures
 
 

@@ -18,7 +18,7 @@ from fraglang.oracle import (
     mono_step,
     project,
 )
-from fraglang.sweeps import oracle_sweep, trace_sweep
+from fraglang.sweeps import oracle_sweep, sweep, trace_sweep
 from fraglang.typecheck import LangType
 from goldens import exp_term
 
@@ -77,13 +77,15 @@ def test_mono_step_lookup_resolution():
 
 
 def test_typing_and_step_equivalence_small_exhaustive():
-    report = oracle_sweep(enumerate_terms(1))
+    (report,) = sweep(enumerate_terms(1), {"oracle-equivalence": oracle_sweep})
     assert report.ok, report.offenders
+    assert report.exercised == report.checked == 185
 
 
 def test_trace_equivalence():
     terms = list(enumerate_terms(1))
     rng = random.Random(41)
     terms += [random_term(rng, 8) for _ in range(300)]
-    report = trace_sweep(terms, fuel=32)
+    (report,) = sweep(terms, {"trace-equivalence": trace_sweep})
     assert report.ok, report.offenders
+    assert report.exercised == report.checked == len(terms)

@@ -67,6 +67,23 @@ def test_malformed_text_rejected():
         parse_derivation("(stepv extra)")
 
 
+def test_option_text_that_is_no_term_rejected():
+    with pytest.raises(SexprError, match="not a term"):
+        parse_derivation('(lift-wt-option "1 +")')
+
+
+@pytest.mark.parametrize("digits", ["007", "00", "١", "²"])
+def test_non_canonical_natural_rejected(digits):
+    # render_derivation prints ASCII digits with no leading zero; nothing else reads back
+    with pytest.raises(SexprError):
+        parse_derivation(f"(lift-wt-nat {digits})")
+
+
+def test_canonical_naturals_round_trip():
+    for n in (0, 7, 10, 1007):
+        assert render_derivation(parse_derivation(f"(lift-wt-nat {n})")) == f"(lift-wt-nat {n})"
+
+
 def test_elaboration_rejects_wrong_source():
     skeleton = parse_derivation("(step⁺ stepv)")
     with pytest.raises(SexprError):
