@@ -97,7 +97,7 @@ from .preservation import (
     preservation_sum,
     preserve,
 )
-from .surface import ParseError, parse, render
+from .surface import LiteralLimitError, ParseError, parse, render
 from .sexpr import elaborate_step, parse_derivation, render_derivation
 from .generate import enumerate_terms, random_term, random_typed_term
 

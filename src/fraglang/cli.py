@@ -15,7 +15,7 @@ from .generate import DEPTH_CAP, enumerate_terms, random_term
 from .preservation import preserve
 from .semantics import FuelExhaustedError, drive_step, trace
 from .sexpr import parse_derivation, render_derivation
-from .surface import ParseError, parse, render
+from .surface import LiteralLimitError, ParseError, parse, render
 from .sweeps import SweepReport, driver_sweep, oracle_sweep, preservation_sweep, sweep, trace_sweep
 from .typecheck import infer, validate_typing
 
@@ -192,6 +192,10 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except LiteralLimitError as exc:
+        # A computed literal too long to print: the input asked for it.
+        print(f"error: {exc}", file=sys.stderr)
+        return USER_ERROR
     except Exception as exc:
         # The exit-status contract holds for every input: an exception that
         # escapes a command is an internal error, reported on one line.

@@ -111,11 +111,30 @@ class Pair:
 Payload = Union[Slot, AtomVal, InL, InR, Pair]
 
 
+class _ViewSlots:
+    """Room on every Term for ``lang.view``'s reading of its node.
+
+    Declared slots, not dataclass fields, so ``==``, ``hash``, ``repr`` and
+    ``dataclasses.fields`` never see them.  Unset means the node has not
+    been read yet; ``view_tag`` None records a node outside the language.
+    """
+
+    __slots__ = ("view_tag", "view_payload")
+
+
 @dataclass(frozen=True, slots=True)
-class Term:
+class Term(_ViewSlots):
     """One unrolling of the fixed point: a payload whose slots hold terms."""
 
     node: Payload
+
+
+# Slot writers.  A frozen dataclass refuses setattr; its slot descriptors do
+# not, and filling a new Term through them skips the generated __init__.
+new_term = Term.__new__
+set_node = Term.node.__set__
+set_view_tag = _ViewSlots.view_tag.__set__
+set_view_payload = _ViewSlots.view_payload.__set__
 
 
 def is_natural(value: Any) -> bool:

@@ -24,6 +24,8 @@ from .functor import (
     Sum,
     Term,
     UNIT,
+    set_view_payload,
+    set_view_tag,
     validator,
 )
 from .subobject import ContainsPath, Direction, lifter, path_target
@@ -54,10 +56,11 @@ LIFT_PATHS = {
     "array": LIFT_ARRAY,
 }
 
-lift_nat = lifter(LIFT_NAT)
-lift_option = lifter(LIFT_OPTION)
-lift_sum = lifter(LIFT_SUM)
-lift_array = lifter(LIFT_ARRAY)
+# Each lifter records its fragment's view on the terms it builds.
+lift_nat = lifter(LIFT_NAT, "nat")
+lift_option = lifter(LIFT_OPTION, "option")
+lift_sum = lifter(LIFT_SUM, "sum")
+lift_array = lifter(LIFT_ARRAY, "array")
 
 
 def _spine_table(paths: dict[str, ContainsPath]) -> list:
@@ -87,10 +90,25 @@ View = tuple[str, Payload]
 def view(t: Term) -> Optional[View]:
     """The fragment tag and payload under ``t``'s node, or None.
 
-    Reads the injection spine once and checks the payload's shape against
-    its fragment's summand, so ``view(t) == (tag, p)`` exactly when
-    ``downcast(LIFT_PATHS[tag], t) == p``.
+    ``view(t) == (tag, p)`` exactly when ``downcast(LIFT_PATHS[tag], t) ==
+    p``.  The answer is kept on the node: the lifters above record it when
+    they build a term, and any other term has its spine read on its first
+    view.  Racing first views write the same values, payload before tag, so
+    a reader that finds a tag finds its payload.
     """
+    try:
+        tag = t.view_tag
+    except AttributeError:
+        v = _read_spine(t)
+        if v is not None:
+            set_view_payload(t, v[1])
+        set_view_tag(t, None if v is None else v[0])
+        return v
+    return None if tag is None else (tag, t.view_payload)
+
+
+def _read_spine(t: Term) -> Optional[View]:
+    # One walk down the injection spine, then the summand's shape check.
     node = t.node
     entry = _SPINE
     while isinstance(entry, list):

@@ -15,6 +15,7 @@ embedded as a double-quoted surface-syntax string.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -33,7 +34,7 @@ from .semantics import (
     ViaSum,
     drive_step,
 )
-from .surface import ParseError, parse, render
+from .surface import ParseError, literal_text, parse, render
 from .typecheck import (
     ArrayTyping,
     ComposedTyping,
@@ -81,7 +82,7 @@ def render_derivation(d: Derivation) -> str:
         case Lookup(_, _):
             return "lookup"
         case LiftWtNat(n):
-            return f"(lift-wt-nat {n})"
+            return f"(lift-wt-nat {literal_text(n)})"
         case LiftWtOption(payload):
             term_text = render(lift_option(payload))
             return f'(lift-wt-option "{term_text}")'
@@ -195,7 +196,13 @@ def _decode(tree: _Sexpr, allowed: set) -> tuple[Union[ComposedTyping, SumTyping
         raise SexprError(f"unknown constructor name {head!r}")
     match head, args:
         case ("lift-wt-nat", [str(digits)]) if _NATURAL.fullmatch(digits):
-            n = int(digits)
+            try:
+                n = int(digits)
+            except ValueError:  # past the integer-string limit
+                raise SexprError(
+                    f"lift-wt-nat literal of {len(digits)} digits is past the"
+                    f" integer-string limit of {sys.get_int_max_str_digits()}"
+                ) from None
             return LiftWtNat(n), enat(n)
         case ("lift-wt-option", [_Quoted(text)]):
             try:

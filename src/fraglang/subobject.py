@@ -26,6 +26,10 @@ from .functor import (
     ShapeError,
     Sum,
     Term,
+    new_term,
+    set_node,
+    set_view_payload,
+    set_view_tag,
     validator,
 )
 
@@ -59,8 +63,12 @@ def path_target(path: ContainsPath) -> FunctorDesc:
     return desc
 
 
-def lifter(path: ContainsPath) -> Callable[[Payload], Term]:
-    """``upcast`` along one path, with the target found and compiled once."""
+def lifter(path: ContainsPath, tag: Optional[str] = None) -> Callable[[Payload], Term]:
+    """``upcast`` along one path, with the target found and compiled once.
+
+    Given a ``tag``, each new term records ``(tag, p)`` as its view (see
+    ``lang.view``): the shape check just passed and the spine is the path's.
+    """
     check = validator(path_target(path))
     wraps = tuple(InL if step is Direction.LEFT else InR for step in path.steps)
 
@@ -72,7 +80,12 @@ def lifter(path: ContainsPath) -> Callable[[Payload], Term]:
         node = p
         for wrap in wraps:
             node = wrap(node)
-        return Term(node)
+        t = new_term(Term)
+        set_node(t, node)
+        if tag is not None:
+            set_view_payload(t, p)
+            set_view_tag(t, tag)
+        return t
 
     return lift
 

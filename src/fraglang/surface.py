@@ -12,6 +12,7 @@ The renderer emits minimal parentheses; parse(render(t)) == t.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .functor import InL, InR, Pair, ShapeError, Slot, Term
@@ -24,6 +25,25 @@ class ParseError(Exception):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
+
+
+class LiteralLimitError(ValueError):
+    """A literal too long to write out as text.
+
+    CPython converts at most ``sys.get_int_max_str_digits()`` digits (4,300
+    by default) between int and str; a computed literal can outgrow that.
+    """
+
+
+def literal_text(n: int) -> str:
+    """The decimal text of a literal; LiteralLimitError past the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise LiteralLimitError(
+            "a literal has more digits than the integer-string limit"
+            f" of {sys.get_int_max_str_digits()}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +72,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             tokens.append(_Token("nat", text[start:i], start))
             continue
@@ -126,7 +146,15 @@ class _Parser:
         token = self.peek()
         if token.kind == "nat":
             self.take()
-            return enat(int(token.text))
+            try:
+                n = int(token.text)
+            except ValueError:  # a decimal run fails only past the limit
+                raise ParseError(
+                    f"literal of {len(token.text)} digits is past the"
+                    f" integer-string limit of {sys.get_int_max_str_digits()}",
+                    token.offset,
+                ) from None
+            return enat(n)
         if token.kind == "nil":
             self.take()
             return nil()
@@ -165,7 +193,8 @@ _SUM, _POSTFIX, _PRIMARY = 0, 1, 2
 def render(t: Term) -> str:
     """Surface syntax for a term, with minimal parentheses.
 
-    Raises ShapeError on a term outside the composed language.
+    Raises ShapeError on a term outside the composed language, and
+    LiteralLimitError on a literal too long to write out.
     """
     return _render(t, _SUM)
 
@@ -176,7 +205,7 @@ def _render(t: Term, level: int) -> str:
         raise ShapeError(f"not a term of the composed language: {t!r}")
     tag, p = v
     if tag == "nat":
-        return str(p.value)
+        return literal_text(p.value)
     if tag == "option":
         return f"some({_render(p.payload.term, _SUM)})" if isinstance(p, InL) else "none"
     if tag == "sum":

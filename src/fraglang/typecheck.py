@@ -170,7 +170,9 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
     """The unique type and derivation for t, or None.
 
     The rules are syntax-directed, so no search is needed: the injection
-    spine of the term picks the rule.
+    spine of the term picks the rule.  A rule's premises are inferred in
+    order, and the first one that fails ends it; infer is pure, so the
+    premises after it could not change the answer.
     """
     v = view(t)
     if v is None:
@@ -183,13 +185,10 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
     if tag == "sum":
         left, right = p.fst.term, p.snd.term
         left_result = infer(left)
+        if left_result is None or left_result[0] is not LangType.NAT:
+            return None
         right_result = infer(right)
-        if (
-            left_result is None
-            or right_result is None
-            or left_result[0] is not LangType.NAT
-            or right_result[0] is not LangType.NAT
-        ):
+        if right_result is None or right_result[0] is not LangType.NAT:
             return None
         return LangType.NAT, LiftWtSum(
             OkSum(left_result[1], right_result[1], left, right)
@@ -203,15 +202,21 @@ def _infer_array(p: Payload) -> Optional[tuple[LangType, ComposedTyping]]:
             return LangType.ARRAY, LiftWtArray(OkNil())
         case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
             wa = _infer_at(array, LangType.ARRAY)
+            if wa is None:
+                return None
             we = _infer_at(value, LangType.NAT)
+            if we is None:
+                return None
             wn = _infer_at(idx, LangType.NAT)
-            if wa is None or we is None or wn is None:
+            if wn is None:
                 return None
             return LangType.ARRAY, LiftWtArray(OkIns(wa, we, wn, array, value, idx))
         case InR(Pair(Slot(array), Slot(idx))):
             wa = _infer_at(array, LangType.ARRAY)
+            if wa is None:
+                return None
             wn = _infer_at(idx, LangType.NAT)
-            if wa is None or wn is None:
+            if wn is None:
                 return None
             return LangType.OPTION, LiftWtArray(OkLookup(wa, wn, array, idx))
     return None

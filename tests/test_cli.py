@@ -136,6 +136,35 @@ def test_deep_input_exits_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+# CPython's integer-string limit; 0 (or no such function) means none.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no integer-string limit")
+
+
+@needs_limit
+def test_literal_past_the_limit_is_a_syntax_error(capsys):
+    code, out, err = run(capsys, "check", "1" * (LIMIT + 700))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"syntax error: literal of {LIMIT + 700} digits is past the integer-string limit of {LIMIT} at offset 0"
+    ]
+
+
+@needs_limit
+@pytest.mark.parametrize("command", ["eval", "preserve"])
+def test_result_literal_past_the_limit_is_user_error(capsys, command):
+    # The input literal is at the limit; its successor is one digit past it.
+    code, _, err = run(capsys, command, "9" * LIMIT + " + 1")
+    assert code == 1
+    assert err.splitlines() == [f"error: a literal has more digits than the integer-string limit of {LIMIT}"]
+
+
+def test_non_decimal_digit_is_a_syntax_error(capsys):
+    code, _, err = run(capsys, "check", "1 + ²")
+    assert code == 1
+    assert err.splitlines() == ["syntax error: unexpected character '²' at offset 4"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,8 @@ from fraglang.sexpr import (
     parse_derivation,
     render_derivation,
 )
-from fraglang.typecheck import LangType, LiftWtOption, infer
+from fraglang.surface import LiteralLimitError
+from fraglang.typecheck import LangType, LiftWtNat, LiftWtOption, infer
 from goldens import (
     EVAL_EXP_SEXPR,
     PRESERVED_SEXPR,
@@ -24,6 +26,9 @@ from goldens import (
     preserved_wt_exp,
     wt_exp,
 )
+
+# CPython's integer-string limit; 0 (or no such function) means none.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_render_step_derivation_golden():
@@ -77,6 +82,14 @@ def test_non_canonical_natural_rejected(digits):
     # render_derivation prints ASCII digits with no leading zero; nothing else reads back
     with pytest.raises(SexprError):
         parse_derivation(f"(lift-wt-nat {digits})")
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="no integer-string limit")
+def test_literal_past_the_integer_string_limit():
+    with pytest.raises(SexprError, match="past the integer-string limit"):
+        parse_derivation(f"(lift-wt-nat {'1' * (LIMIT + 700)})")
+    with pytest.raises(LiteralLimitError):
+        render_derivation(LiftWtNat(10**LIMIT))
 
 
 def test_canonical_naturals_round_trip():

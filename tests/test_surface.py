@@ -1,12 +1,16 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fraglang.generate import random_term
 from fraglang.lang import assign, enat, index, nil, none, plus, some
-from fraglang.surface import ParseError, parse, render
+from fraglang.surface import LiteralLimitError, ParseError, parse, render
 from goldens import EXP_TEXT, exp_term
+
+# CPython's integer-string limit; 0 (or no such function) means none.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_parse_worked_example():
@@ -27,6 +31,23 @@ def test_parse_error_on_unknown_word():
     with pytest.raises(ParseError) as err:
         parse("nix")
     assert err.value.offset == 0
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="no integer-string limit")
+def test_literals_at_and_past_the_integer_string_limit():
+    assert render(parse("9" * LIMIT)) == "9" * LIMIT
+    with pytest.raises(ParseError) as err:
+        parse("1 + " + "1" * (LIMIT + 1))
+    assert err.value.offset == 4
+    with pytest.raises(LiteralLimitError):
+        render(enat(10**LIMIT))
+
+
+def test_only_decimal_digits_make_literals():
+    assert parse("١") == enat(1)  # an Arabic-Indic digit is a decimal digit
+    with pytest.raises(ParseError) as err:
+        parse("2²")
+    assert err.value.offset == 1
 
 
 def test_parse_error_on_trailing_tokens():

@@ -1,6 +1,8 @@
+import itertools
 import random
 
-from fraglang.generate import enumerate_terms, random_term
+from fraglang import typecheck
+from fraglang.generate import enumerate_terms, random_term, random_typed_term
 from fraglang.lang import (
     array_payload,
     assign,
@@ -13,6 +15,7 @@ from fraglang.lang import (
     plus,
     plus_parts,
     some,
+    view,
 )
 from fraglang.typecheck import (
     LangType,
@@ -140,3 +143,69 @@ def test_derivations_store_their_terms():
     derivation = infer(plus(enat(1), enat(2)))[1]
     mangled = LiftWtSum(OkSum(derivation.inner.left_wt, derivation.inner.right_wt, enat(1), enat(3)))
     assert not validate_typing(mangled, plus(enat(1), enat(2)), LangType.NAT)
+
+
+def _eager_infer(t):
+    # Reference: every premise of a rule is inferred before any is checked.
+    v = view(t)
+    if v is None:
+        return None
+    tag, p = v
+    if tag == "nat":
+        return LangType.NAT, LiftWtNat(p.value)
+    if tag == "option":
+        return LangType.OPTION, LiftWtOption(p)
+    match p:
+        case Pair(Slot(left), Slot(right)):
+            wants = [(left, LangType.NAT), (right, LangType.NAT)]
+            result, build = LangType.NAT, lambda wl, wr: LiftWtSum(OkSum(wl, wr, left, right))
+        case InL(InR(_)):
+            return LangType.ARRAY, LiftWtArray(OkNil())
+        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
+            wants = [(a, LangType.ARRAY), (e, LangType.NAT), (i, LangType.NAT)]
+            result, build = LangType.ARRAY, lambda wa, we, wi: LiftWtArray(OkIns(wa, we, wi, a, e, i))
+        case InR(Pair(Slot(a), Slot(i))):
+            wants = [(a, LangType.ARRAY), (i, LangType.NAT)]
+            result, build = LangType.OPTION, lambda wa, wi: LiftWtArray(OkLookup(wa, wi, a, i))
+    premises = [_eager_infer(x) for x, _ in wants]
+    if any(r is None or r[0] is not want for r, (_, want) in zip(premises, wants)):
+        return None
+    return result, build(*(r[1] for r in premises))
+
+
+def test_short_circuit_agrees_with_eager_premises():
+    rng = random.Random(13)
+    kinds = (LangType.NAT, LangType.OPTION, LangType.ARRAY)
+    terms = list(itertools.islice(enumerate_terms(2, (0, 1)), 4_000))
+    terms += [random_typed_term(rng, kinds[i % 3], 1 + i % 20) for i in range(200)]
+    results = [infer(t) for t in terms]
+    assert results == [_eager_infer(t) for t in terms]
+    assert sum(r is not None for r in results) >= 350
+
+
+def test_infer_stops_at_the_first_ill_typed_premise(monkeypatch):
+    visited = []
+    inner = typecheck.infer
+
+    def counting(t):
+        visited.append(t)
+        return inner(t)
+
+    monkeypatch.setattr(typecheck, "infer", counting)
+    operand = plus(enat(1), enat(2))
+    for t, first_failure in [
+        (plus(nil(), operand), 1),
+        (index(enat(0), operand), 1),
+        (assign(nil(), operand, nil()), 2),  # the array, then the element
+    ]:
+        visited.clear()
+        assert typecheck.infer(t) is None
+        assert len(visited) == 1 + first_failure
+        assert not any(x is operand for x in visited)
+
+
+def test_ill_typed_left_operand_hides_a_deep_right_operand():
+    chain = enat(1)
+    for _ in range(3_000):
+        chain = plus(chain, enat(1))
+    assert infer(plus(nil(), chain)) is None

@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from fraglang.functor import AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, Term
-from fraglang.generate import enumerate_terms, random_payload
+from fraglang.generate import enumerate_terms, random_payload, random_typed_term
 from fraglang.lang import (
     FEXPR,
     LIFT_PATHS,
@@ -72,14 +76,99 @@ def test_view_agrees_with_downcast():
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_foreign_terms_are_rejected(name):
     t = MALFORMED[name]
-    assert view(t) is None or name == "malformed operand"
-    assert infer(t) is None
-    assert drive_step(t) is None
-    assert is_value(t) is False
-    with pytest.raises(ShapeError):
-        embed(t)
-    with pytest.raises(ShapeError):
-        render(t)
+    for _ in range(2):  # the second pass reads what the first one cached
+        assert view(t) is None or name == "malformed operand"
+        assert infer(t) is None
+        assert drive_step(t) is None
+        assert is_value(t) is False
+        with pytest.raises(ShapeError):
+            embed(t)
+        with pytest.raises(ShapeError):
+            render(t)
+
+
+def _nodes(t):
+    # Every Term under t, found by walking payloads, not by view.
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        yield x
+        parts = [x.node]
+        while parts:
+            p = parts.pop()
+            if isinstance(p, (InL, InR)):
+                parts.append(p.payload)
+            elif isinstance(p, Pair):
+                parts += [p.fst, p.snd]
+            elif isinstance(p, Slot) and isinstance(p.term, Term):
+                stack.append(p.term)
+
+
+def _typed_draws(count=200):
+    rng = random.Random(8)
+    kinds = (LangType.NAT, LangType.OPTION, LangType.ARRAY)
+    return [random_typed_term(rng, kinds[i % 3], 1 + i % 20) for i in range(count)]
+
+
+def test_cached_view_equals_a_spine_read():
+    terms = list(itertools.islice(enumerate_terms(2, (0, 1)), 20_000))
+    terms += [n for t in _typed_draws() for n in _nodes(t)]
+    for t in terms:
+        v = view(t)
+        assert v == _downcast_view(t) == view(Term(t.node))
+        # The lifter recorded the very payload it wrapped.
+        assert v[1] is _downcast_view(t)[1]
+        assert (t.view_tag, t.view_payload) == v
+
+
+def test_lifters_record_the_view_and_foreign_terms_fill_it_once():
+    built = plus(enat(1), nil())
+    assert (built.view_tag, built.view_payload) == view(built)
+    foreign = Term(built.node)
+    assert not hasattr(foreign, "view_tag")
+    assert view(foreign) == view(built)
+    assert foreign.view_payload is built.view_payload
+    bad = Term(InR(InR(Slot(3))))
+    assert view(bad) is None
+    assert bad.view_tag is None and not hasattr(bad, "view_payload")
+
+
+def test_view_cache_is_outside_equality_hash_and_repr():
+    assert [f.name for f in dataclasses.fields(Term)] == ["node"]
+    filled = assign(nil(), enat(0), some(enat(1)))
+    empty = Term(filled.node)
+    assert not hasattr(empty, "view_tag")
+    assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+    assert "view" not in repr(filled)
+    view(empty)
+    assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+
+
+def test_threads_viewing_shared_foreign_terms_agree():
+    shared = [Term(t.node) for t in itertools.islice(enumerate_terms(2, (0, 1)), 3_000)]
+    shared += [Term(t.node) for t in MALFORMED.values()]
+    start = threading.Barrier(4)
+    seen = [None] * 4
+
+    def work(k):
+        start.wait(timeout=60)
+        seen[k] = [view(t) for t in shared]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    expected = [_downcast_view(t) for t in shared]
+    for views in seen:
+        assert views == expected
+        assert all(v is None or v[1] is e[1] for v, e in zip(views, expected))
 
 
 def test_validators_reject_a_bool_literal_that_compares_equal():
