@@ -21,6 +21,9 @@ from .typecheck import infer, validate_typing
 
 USER_ERROR = 1
 INTERNAL_ERROR = 2
+# The internal-error line shows at most this many characters of each
+# argument, then the argument's length, so it stays one short line.
+ECHO_CHARS = 40
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -93,11 +96,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except FuelExhaustedError as exc:
         print(f"fuel exhausted: {exc}", file=sys.stderr)
         return USER_ERROR
+    # The whole answer is rendered before any of it is written, so a
+    # literal too long to print leaves stdout empty.
+    lines = []
     if args.trace:
-        for target, derivation in steps:
-            print(f"--> {render(target)}    {render_derivation(derivation)}")
-    final = steps[-1][0] if steps else term
-    print(render(final))
+        lines = [f"--> {render(target)}    {render_derivation(d)}" for target, d in steps]
+    lines.append(render(steps[-1][0] if steps else term))
+    print("\n".join(lines))
     return 0
 
 
@@ -116,9 +121,8 @@ def _cmd_preserve(args: argparse.Namespace) -> int:
         return USER_ERROR
     target, step = stepped
     wt_after = preserve(step, wt)
-    print(render_derivation(wt))
-    print(render_derivation(step))
-    print(render_derivation(wt_after))
+    # Rendered in full before any is written, as in eval.
+    print("\n".join([render_derivation(wt), render_derivation(step), render_derivation(wt_after)]))
     if not validate_typing(wt_after, target, ty):
         print("internal error: rewritten derivation does not validate", file=sys.stderr)
         return INTERNAL_ERROR
@@ -188,6 +192,14 @@ _COMMANDS = {
 }
 
 
+def _echo(argv: "list[str]") -> str:
+    shown = (
+        repr(arg) if len(arg) <= ECHO_CHARS else f"{arg[:ECHO_CHARS]!r}… ({len(arg)} chars)"
+        for arg in argv
+    )
+    return f"[{', '.join(shown)}]"
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -201,7 +213,7 @@ def main(argv: "list[str] | None" = None) -> int:
         # escapes a command is an internal error, reported on one line.
         shown = sys.argv[1:] if argv is None else argv
         print(
-            f"internal error: {type(exc).__name__}: {exc} (argv {shown!r})",
+            f"internal error: {type(exc).__name__}: {exc} (argv {_echo(shown)})",
             file=sys.stderr,
         )
         return INTERNAL_ERROR

@@ -10,15 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InR, Payload, Term, is_natural
+from .functor import InR, Pair, Payload, Slot, Term, is_natural
 from .lang import (
     View,
     array_lookup,
     enat,
-    index,
+    lift_array,
     lift_option,
+    lift_sum,
     nat_value,
-    plus,
     view,
 )
 
@@ -188,7 +188,9 @@ def drive_step(t: Term) -> Optional[tuple[Term, ComposedStep]]:
 
 def _drive(v: Optional[View]) -> Optional[tuple[Term, ComposedStep]]:
     # Steps the term whose view is v; each operand is viewed once, and the
-    # view both tests for a literal and drives the operand's own step.
+    # view both tests for a literal and drives the operand's own step.  The
+    # target shares the Slot of the operand a congruence leaves alone, and
+    # is still built by its fragment's lifter, shape check included.
     if v is None:
         return None
     tag, p = v
@@ -200,7 +202,8 @@ def _drive(v: Optional[View]) -> Optional[tuple[Term, ComposedStep]]:
             if inner is None:
                 return None
             left_after, d = inner
-            return plus(left_after, right), ViaSum(StepL(d, left, left_after, right))
+            target = lift_sum(Pair(Slot(left_after), p.snd))
+            return target, ViaSum(StepL(d, left, left_after, right))
         n1 = left_v[1].value
         right_v = view(right)
         if right_v is None or right_v[0] != "nat":
@@ -208,18 +211,21 @@ def _drive(v: Optional[View]) -> Optional[tuple[Term, ComposedStep]]:
             if inner is None:
                 return None
             right_after, d = inner
-            return plus(left, right_after), ViaSum(StepR(d, n1, right, right_after))
+            target = lift_sum(Pair(p.fst, Slot(right_after)))
+            return target, ViaSum(StepR(d, n1, right, right_after))
         n2 = right_v[1].value
         return enat(n1 + n2), ViaSum(StepV(n1, n2))
     if tag == "array" and isinstance(p, InR):
-        array, idx = p.payload.fst.term, p.payload.snd.term
+        operands = p.payload
+        array, idx = operands.fst.term, operands.snd.term
         idx_v = view(idx)
         if idx_v is None or idx_v[0] != "nat":
             inner = _drive(idx_v)
             if inner is None:
                 return None
             idx_after, d = inner
-            return index(array, idx_after), ViaArray(StepI(d, array, idx, idx_after))
+            target = lift_array(InR(Pair(operands.fst, Slot(idx_after))))
+            return target, ViaArray(StepI(d, array, idx, idx_after))
         n = idx_v[1].value
         array_v = view(array)
         if array_v is None or array_v[0] != "array":

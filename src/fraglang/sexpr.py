@@ -64,44 +64,65 @@ class StepSkeleton:
     inner: Optional["StepSkeleton"] = None
 
 
+# Each rule's printed name and the fields that hold its premises, in the
+# order they print.  The two rules that print a value of their own,
+# lift-wt-nat and lift-wt-option, are rendered in place instead.
+_RULES = {
+    ViaSum: ("step⁺", ("step",)),
+    ViaArray: ("step[]", ("step",)),
+    StepL: ("stepl", ("inner",)),
+    StepR: ("stepr", ("inner",)),
+    StepV: ("stepv", ()),
+    StepI: ("stepi", ("inner",)),
+    Lookup: ("lookup", ()),
+    LiftWtSum: ("lift-wt-sum", ("inner",)),
+    LiftWtArray: ("lift-wt-array", ("inner",)),
+    OkSum: ("ok-sum", ("left_wt", "right_wt")),
+    OkNil: ("ok-nil", ()),
+    OkIns: ("ok-ins", ("array_wt", "value_wt", "index_wt")),
+    OkLookup: ("ok-lookup", ("array_wt", "index_wt")),
+}
+
+
+class _Text(str):
+    """Text stacked between premises; a premise that is a plain str is still rejected."""
+
+    __slots__ = ()
+
+
+_SPACE, _CLOSE = _Text(" "), _Text(")")
+
+
 def render_derivation(d: Derivation) -> str:
     """The symbolic form of a step or typing derivation."""
-    match d:
-        case ViaSum(s):
-            return f"(step⁺ {render_derivation(s)})"
-        case ViaArray(s):
-            return f"(step[] {render_derivation(s)})"
-        case StepL(inner, _, _, _):
-            return f"(stepl {render_derivation(inner)})"
-        case StepR(inner, _, _, _):
-            return f"(stepr {render_derivation(inner)})"
-        case StepV(_, _):
-            return "stepv"
-        case StepI(inner, _, _, _):
-            return f"(stepi {render_derivation(inner)})"
-        case Lookup(_, _):
-            return "lookup"
-        case LiftWtNat(n):
-            return f"(lift-wt-nat {literal_text(n)})"
-        case LiftWtOption(payload):
-            term_text = render(lift_option(payload))
-            return f'(lift-wt-option "{term_text}")'
-        case LiftWtSum(inner):
-            return f"(lift-wt-sum {render_derivation(inner)})"
-        case LiftWtArray(inner):
-            return f"(lift-wt-array {render_derivation(inner)})"
-        case OkSum(left_wt, right_wt, _, _):
-            return f"(ok-sum {render_derivation(left_wt)} {render_derivation(right_wt)})"
-        case OkNil():
-            return "ok-nil"
-        case OkIns(array_wt, value_wt, index_wt, _, _, _):
-            return (
-                f"(ok-ins {render_derivation(array_wt)}"
-                f" {render_derivation(value_wt)} {render_derivation(index_wt)})"
-            )
-        case OkLookup(array_wt, index_wt, _, _):
-            return f"(ok-lookup {render_derivation(array_wt)} {render_derivation(index_wt)})"
-    raise SexprError(f"not a derivation: {d!r}")
+    # One pass with an explicit stack, so nesting depth is bounded by
+    # memory, not by the recursion limit, and each character is written
+    # once: the parts are joined at the end.
+    parts: list[str] = []
+    todo: list = [d]  # what is left to print, last first: derivations and text
+    while todo:
+        d = todo.pop()
+        if type(d) is _Text:
+            parts.append(d)
+            continue
+        rule = _RULES.get(type(d))
+        if rule is not None:
+            name, premises = rule
+            if not premises:
+                parts.append(name)
+                continue
+            parts.append("(" + name)
+            todo.append(_CLOSE)
+            for field in reversed(premises):
+                todo.append(getattr(d, field))
+                todo.append(_SPACE)
+        elif type(d) is LiftWtNat:
+            parts.append(f"(lift-wt-nat {literal_text(d.n)})")
+        elif type(d) is LiftWtOption:
+            parts.append(f'(lift-wt-option "{render(lift_option(d.payload))}")')
+        else:
+            raise SexprError(f"not a derivation: {d!r}")
+    return "".join(parts)
 
 
 # -- reading ------------------------------------------------------------
@@ -153,16 +174,7 @@ def _lex_sexpr(text: str) -> list:
     return tokens
 
 
-_RULE_NAMES = {
-    ViaSum: "step⁺",
-    ViaArray: "step[]",
-    StepL: "stepl",
-    StepR: "stepr",
-    StepV: "stepv",
-    StepI: "stepi",
-    Lookup: "lookup",
-}
-_STEP_NAMES = set(_RULE_NAMES.values())
+_STEP_NAMES = {_RULES[rule][0] for rule in (ViaSum, ViaArray, StepL, StepR, StepV, StepI, Lookup)}
 _LEAF_STEPS = {"stepv", "lookup"}
 # The typing rules by the premise positions they may fill.
 _LIFTS = {"lift-wt-nat", "lift-wt-option", "lift-wt-sum", "lift-wt-array"}
@@ -277,9 +289,9 @@ def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
 def _names_rules_of(skeleton: Optional[StepSkeleton], d) -> bool:
     # Walks both trees together, one rule and its one premise at a time.
     while d is not None:
-        if skeleton is None or skeleton.name != _RULE_NAMES[type(d)]:
+        name, premises = _RULES[type(d)]
+        if skeleton is None or skeleton.name != name:
             return False
         skeleton = skeleton.inner
-        # stepv and lookup have no premise
-        d = d.step if isinstance(d, (ViaSum, ViaArray)) else getattr(d, "inner", None)
+        d = getattr(d, premises[0]) if premises else None  # stepv, lookup
     return skeleton is None

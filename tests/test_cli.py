@@ -129,11 +129,35 @@ def test_escaping_exception_is_internal_error(capsys, monkeypatch):
     assert err.splitlines() == ["internal error: RuntimeError: boom (argv ['check', '1 + 2'])"]
 
 
+def test_long_argument_is_echoed_cut_short(capsys, monkeypatch):
+    def boom(term):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "infer", boom)
+    arg = "1 + " * 30 + "1"
+    code, _, err = run(capsys, "check", arg)
+    assert code == 2
+    assert err.splitlines() == [
+        f"internal error: RuntimeError: boom (argv ['check', {arg[:cli.ECHO_CHARS]!r}… (121 chars)])"
+    ]
+
+
 def test_deep_input_exits_without_traceback(capsys):
     code, _, err = run(capsys, "check", "(" * 3000 + "1" + ")" * 3000)
     assert code in (1, 2)
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert len(err.encode()) < 400
+
+
+def test_check_takes_an_800_term_chain(capsys):
+    n = 800
+    code, out, _ = run(capsys, "check", " + ".join(["1"] * n))
+    assert code == 0
+    assert out.splitlines() == [
+        "TNat",
+        "(lift-wt-sum (ok-sum " * (n - 1) + "(lift-wt-nat 1)" + " (lift-wt-nat 1)))" * (n - 1),
+    ]
 
 
 # CPython's integer-string limit; 0 (or no such function) means none.
@@ -156,6 +180,22 @@ def test_result_literal_past_the_limit_is_user_error(capsys, command):
     # The input literal is at the limit; its successor is one digit past it.
     code, _, err = run(capsys, command, "9" * LIMIT + " + 1")
     assert code == 1
+    assert err.splitlines() == [f"error: a literal has more digits than the integer-string limit of {LIMIT}"]
+
+
+@needs_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("preserve", "9" * LIMIT + " + 1"),
+        ("eval", "--trace", "0 + " + "9" * LIMIT + " + 1"),
+    ],
+)
+def test_answer_past_the_limit_writes_no_partial_answer(capsys, argv):
+    # Steps or derivations before the one that cannot print are not written.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
     assert err.splitlines() == [f"error: a literal has more digits than the integer-string limit of {LIMIT}"]
 
 
