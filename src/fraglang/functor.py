@@ -130,12 +130,9 @@ class Term(_ViewSlots):
 
 
 # Slot writers.  A frozen dataclass refuses setattr; its slot descriptors do
-# not, and filling a new instance through them skips the generated __init__
-# and its frozen field writes.
-new_instance = object.__new__
+# not, and filling a new Term through them skips the generated __init__.
+new_term = Term.__new__
 set_node = Term.node.__set__
-set_inl = InL.payload.__set__
-set_inr = InR.payload.__set__
 set_view_tag = _ViewSlots.view_tag.__set__
 set_view_payload = _ViewSlots.view_payload.__set__
 

@@ -26,9 +26,7 @@ from .functor import (
     ShapeError,
     Sum,
     Term,
-    new_instance,
-    set_inl,
-    set_inr,
+    new_term,
     set_node,
     set_view_payload,
     set_view_tag,
@@ -72,11 +70,7 @@ def lifter(path: ContainsPath, tag: Optional[str] = None) -> Callable[[Payload],
     ``lang.view``): the shape check just passed and the spine is the path's.
     """
     check = validator(path_target(path))
-    # The injection spine, innermost first, built through slot writers like
-    # the Term itself.
-    wraps = tuple(
-        (InL, set_inl) if step is Direction.LEFT else (InR, set_inr) for step in path.steps
-    )
+    wraps = tuple(InL if step is Direction.LEFT else InR for step in path.steps)
 
     def lift(p: Payload) -> Term:
         if not check(p):
@@ -84,11 +78,9 @@ def lifter(path: ContainsPath, tag: Optional[str] = None) -> Callable[[Payload],
                 f"payload {p!r} does not inhabit the target of path {path.steps!r}"
             )
         node = p
-        for cls, fill in wraps:
-            outer = new_instance(cls)
-            fill(outer, node)
-            node = outer
-        t = new_instance(Term)
+        for wrap in wraps:
+            node = wrap(node)
+        t = new_term(Term)
         set_node(t, node)
         if tag is not None:
             set_view_payload(t, p)
