@@ -133,8 +133,23 @@ def some_payload(e: Term) -> Payload:
     return InL(Slot(e))
 
 
+# Literals below this bound are shared: one Term each, built on first use.
+SHARED_NATS = 256
+_NATS: list[Optional[Term]] = [None] * SHARED_NATS
+
+
 def enat(n: int) -> Term:
-    """A natural-number literal."""
+    """A natural-number literal; equal small literals are one object.
+
+    Racing first calls for one ``n`` build equal terms and one is kept, so
+    the table needs no lock.  Anything but a plain int in range, ``True``
+    included, is built and shape-checked afresh.
+    """
+    if type(n) is int and 0 <= n < SHARED_NATS:
+        t = _NATS[n]
+        if t is None:
+            t = _NATS[n] = lift_nat(AtomVal(BaseSet.NAT, n))
+        return t
     return lift_nat(AtomVal(BaseSet.NAT, n))
 
 
@@ -148,14 +163,18 @@ def some(e: Term) -> Term:
     return lift_option(some_payload(e))
 
 
+_NONE = lift_option(NONE_PAYLOAD)
+_NIL = lift_array(NIL_PAYLOAD)
+
+
 def none() -> Term:
-    """The absent optional value."""
-    return lift_option(NONE_PAYLOAD)
+    """The absent optional value, one shared object."""
+    return _NONE
 
 
 def nil() -> Term:
-    """The empty array."""
-    return lift_array(NIL_PAYLOAD)
+    """The empty array, one shared object."""
+    return _NIL
 
 
 def assign(a: Term, i: Term, e: Term) -> Term:

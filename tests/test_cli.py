@@ -150,6 +150,15 @@ def test_deep_input_exits_without_traceback(capsys):
     assert len(err.encode()) < 400
 
 
+def test_preserve_takes_a_400_term_chain(capsys):
+    n = 400
+    code, out, _ = run(capsys, "preserve", " + ".join(["1"] * n))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[2].startswith("(lift-wt-sum (ok-sum " * (n - 2) + "(lift-wt-nat 2) (lift-wt-nat 1)")
+
+
 def test_check_takes_an_800_term_chain(capsys):
     n = 800
     code, out, _ = run(capsys, "check", " + ".join(["1"] * n))

@@ -1,7 +1,10 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
+from fraglang import lang
 from fraglang.functor import AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, UNIT, valid_term
 from fraglang.lang import (
     FEXPR,
@@ -10,6 +13,7 @@ from fraglang.lang import (
     LIFT_OPTION,
     LIFT_SUM,
     NONE_PAYLOAD,
+    SHARED_NATS,
     array_lookup,
     array_payload,
     assign,
@@ -22,6 +26,7 @@ from fraglang.lang import (
     plus,
     some,
     some_payload,
+    view,
 )
 from fraglang.semantics import drive_step
 from fraglang.subobject import downcast
@@ -156,3 +161,63 @@ def test_values_do_not_step():
 def test_nat_value_reads_literals_only():
     assert nat_value(enat(12)) == 12
     assert nat_value(plus(enat(1), enat(2))) is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 255])
+def test_small_literals_are_shared(n):
+    assert enat(n) is enat(n)
+    assert view(enat(n)) == ("nat", AtomVal(BaseSet.NAT, n))
+
+
+def test_none_and_nil_are_shared():
+    assert none() is none()
+    assert nil() is nil()
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 1.0, "1"])
+def test_shared_literals_still_reject_non_naturals(bad):
+    # True == 1 and hash(True) == hash(1): a table keyed by value would
+    # hand back the literal 1 here.
+    with pytest.raises(ShapeError):
+        enat(bad)
+
+
+@pytest.mark.parametrize("n", [SHARED_NATS, 10**40])
+def test_literals_past_the_table_are_equal_and_valid(n):
+    a, b = enat(n), enat(n)
+    assert a == b
+    assert valid_term(FEXPR, a) and nat_value(a) == n
+
+
+def test_int_subclass_literal_keeps_its_value():
+    class Nat(int):
+        pass
+
+    t = enat(Nat(3))
+    assert t == enat(3) and type(nat_value(t)) is Nat
+
+
+def test_threads_racing_the_first_literal_get_equal_terms(monkeypatch):
+    monkeypatch.setattr(lang, "_NATS", [None] * SHARED_NATS)
+    start = threading.Barrier(4)
+    seen = [None] * 4
+
+    def work(k):
+        start.wait(timeout=60)
+        seen[k] = [enat(n) for n in range(SHARED_NATS)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for terms in seen:
+        assert terms == seen[0]
+        assert all(view(t) == ("nat", AtomVal(BaseSet.NAT, n)) for n, t in enumerate(terms))
+    assert all(enat(n) is enat(n) for n in range(SHARED_NATS))
