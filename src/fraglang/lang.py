@@ -193,11 +193,6 @@ def nat_value(t: Term) -> Optional[int]:
     return v[1].value if v is not None and v[0] == "nat" else None
 
 
-def plus_parts(t: Term) -> Optional[tuple[Term, Term]]:
-    v = view(t)
-    return (v[1].fst.term, v[1].snd.term) if v is not None and v[0] == "sum" else None
-
-
 def option_payload(t: Term) -> Optional[Payload]:
     v = view(t)
     return v[1] if v is not None and v[0] == "option" else None

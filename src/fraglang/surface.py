@@ -12,8 +12,9 @@ The renderer emits minimal parentheses; parse(render(t)) == t.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
+from itertools import takewhile
 
 from .functor import InL, InR, Pair, ShapeError, Slot, Term
 from .lang import assign, enat, index, nil, none, plus, some, view
@@ -46,143 +47,105 @@ def literal_text(n: int) -> str:
         ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
-
-
-_PUNCT = {
-    "+": "plus",
-    "!": "bang",
-    "[": "lbrack",
-    "]": "rbrack",
-    "(": "lparen",
-    ")": "rparen",
-}
+# One token per match: a decimal literal, a run of word characters, ':=',
+# or any other single character.  Whitespace matches nothing.
+_TOKEN = re.compile(r"\d+|[^\W\d_]+|:=|\S")
 _KEYWORDS = {"nil", "none", "some"}
+_SYMBOLS = _KEYWORDS | {"+", "!", "[", "]", "(", ")", ":="}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():
-            start = i
-            while i < len(text) and text[i].isdecimal():
-                i += 1
-            tokens.append(_Token("nat", text[start:i], start))
-            continue
-        if c.isalpha():
-            start = i
-            while i < len(text) and text[i].isalpha():
-                i += 1
-            word = text[start:i]
-            if word not in _KEYWORDS:
-                raise ParseError(f"unknown word {word!r}", start)
-            tokens.append(_Token(word, word, start))
-            continue
-        if text.startswith(":=", i):
-            tokens.append(_Token("assign", ":=", i))
-            i += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    # Every token is checked before parsing starts, so a bad character
+    # anywhere is reported before any syntax error.  The list ends with an
+    # empty token at the end of the text.
+    tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for token, offset in tokens:
+        if token not in _SYMBOLS and not token[0].isdecimal():
+            # A word run may hold a numeric character that is no letter,
+            # such as '²': only the letters before it make the word.
+            word = "".join(takewhile(str.isalpha, token))
+            if word and word not in _KEYWORDS:
+                raise ParseError(f"unknown word {word!r}", offset)
+            raise ParseError(f"unexpected character {token[len(word)]!r}", offset + len(word))
+    tokens.append(("", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {what}", token.offset)
-        return self.take()
-
-    def expr(self) -> Term:
-        left = self.postfix()
-        while self.peek().kind == "plus":
-            self.take()
-            left = plus(left, self.postfix())
-        return left
-
-    def postfix(self) -> Term:
-        term = self.primary()
-        while True:
-            kind = self.peek().kind
-            if kind == "bang":
-                self.take()
-                term = index(term, self.primary())
-            elif kind == "lbrack":
-                self.take()
-                idx = self.expr()
-                self.expect("rbrack", "']'")
-                self.expect("assign", "':='")
-                term = assign(term, idx, self.primary())
-            else:
-                return term
-
-    def primary(self) -> Term:
-        token = self.peek()
-        if token.kind == "nat":
-            self.take()
-            try:
-                n = int(token.text)
-            except ValueError:  # a decimal run fails only past the limit
-                raise ParseError(
-                    f"literal of {len(token.text)} digits is past the"
-                    f" integer-string limit of {sys.get_int_max_str_digits()}",
-                    token.offset,
-                ) from None
-            return enat(n)
-        if token.kind == "nil":
-            self.take()
-            return nil()
-        if token.kind == "none":
-            self.take()
-            return none()
-        if token.kind == "some":
-            self.take()
-            self.expect("lparen", "'('")
-            inner = self.expr()
-            self.expect("rparen", "')'")
-            return some(inner)
-        if token.kind == "lparen":
-            self.take()
-            inner = self.expr()
-            self.expect("rparen", "')'")
-            return inner
-        raise ParseError("expected an expression", token.offset)
+def _literal(digits: str, offset: int) -> Term:
+    try:
+        return enat(int(digits))
+    except ValueError:  # a decimal run fails only past the limit
+        raise ParseError(
+            f"literal of {len(digits)} digits is past the"
+            f" integer-string limit of {sys.get_int_max_str_digits()}",
+            offset,
+        ) from None
 
 
 def parse(text: str) -> Term:
     """Parse surface syntax into a term."""
-    parser = _Parser(_tokenize(text))
-    term = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"unexpected {trailing.text!r}", trailing.offset)
-    return term
+    # One pass over the tokens with an explicit stack of open contexts, so
+    # nesting depth is bounded by memory, not by the recursion limit.  A
+    # context is an open '(' or 'some(', an open '[' holding its array, or
+    # an operator holding its left operands: '+' waits for a postfix, '!'
+    # and ':=' for a primary.
+    tokens = _tokenize(text)
+    stack: list[tuple[str, tuple]] = []
+    pos = 0
+    while True:
+        token, offset = tokens[pos]
+        pos += 1
+        if token == "(":
+            stack.append(("(", ()))
+            continue
+        if token == "some":
+            if tokens[pos][0] != "(":
+                raise ParseError("expected '('", tokens[pos][1])
+            pos += 1
+            stack.append(("some", ()))
+            continue
+        if token == "nil":
+            term = nil()
+        elif token == "none":
+            term = none()
+        elif token[:1].isdecimal():
+            term = _literal(token, offset)
+        else:
+            raise ParseError("expected an expression", offset)
+        # A primary is complete: fold what follows into it until a context
+        # needs another primary.
+        while True:
+            kind = stack[-1][0] if stack else None
+            if kind == "!" or kind == ":=":
+                held = stack.pop()[1]
+                term = index(*held, term) if kind == "!" else assign(*held, term)
+            token, offset = tokens[pos]
+            pos += 1
+            if token == "!" or token == "[":
+                stack.append((token, (term,)))
+                break
+            if stack and stack[-1][0] == "+":
+                term = plus(*stack.pop()[1], term)
+            if token == "+":
+                stack.append((token, (term,)))
+                break
+            if not stack:
+                if token:
+                    raise ParseError(f"unexpected {token!r}", offset)
+                return term
+            kind, held = stack.pop()
+            if kind == "[":
+                if token != "]":
+                    raise ParseError("expected ']'", offset)
+                if tokens[pos][0] != ":=":
+                    raise ParseError("expected ':='", tokens[pos][1])
+                pos += 1
+                stack.append((":=", (*held, term)))
+                break
+            if token != ")":
+                raise ParseError("expected ')'", offset)
+            if kind == "some":
+                term = some(term)
 
 
 # Binding levels, loosest first: a term renders bare at its own level or

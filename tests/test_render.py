@@ -10,7 +10,7 @@ import random
 import pytest
 
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import enat, index, lift_option, plus, plus_parts, view
+from fraglang.lang import enat, index, lift_option, plus, view
 from fraglang.preservation import preserve
 from fraglang.semantics import (
     Lookup,
@@ -88,7 +88,7 @@ def rebuilt_target(source, step):
     if isinstance(s, StepL):
         return plus(s.left_after, s.right)
     if isinstance(s, StepR):
-        return plus(plus_parts(source)[0], s.right_after)
+        return plus(view(source)[1].fst.term, s.right_after)
     if isinstance(s, StepI):
         return index(s.array, s.idx_after)
     return None

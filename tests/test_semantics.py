@@ -13,8 +13,8 @@ from fraglang.lang import (
     nil,
     none,
     plus,
-    plus_parts,
     some,
+    view,
 )
 from fraglang.semantics import (
     FuelExhaustedError,
@@ -166,7 +166,7 @@ def test_congruence_leaves_frozen_operand_alone():
         _, derivation = result
         match derivation:
             case ViaSum(StepL(_, _, _, right)):
-                assert plus_parts(t)[1] == right
+                assert view(t)[1].snd.term == right
                 seen += 1
             case ViaArray(StepI(_, array, _, _)):
                 assert _index_array(t) == array

@@ -13,7 +13,6 @@ from fraglang.lang import (
     none,
     option_payload,
     plus,
-    plus_parts,
     some,
     view,
 )
@@ -86,9 +85,9 @@ def _all_typings(t):
     op = option_payload(t)
     if op is not None:
         yield LangType.OPTION, LiftWtOption(op)
-    parts = plus_parts(t)
-    if parts is not None:
-        left, right = parts
+    v = view(t)
+    if v is not None and v[0] == "sum":
+        left, right = v[1].fst.term, v[1].snd.term
         for lty, lw in _all_typings(left):
             for rty, rw in _all_typings(right):
                 if lty is LangType.NAT and rty is LangType.NAT:
