@@ -112,11 +112,12 @@ Payload = Union[Slot, AtomVal, InL, InR, Pair]
 
 
 class _ViewSlots:
-    """Room on every Term for ``lang.view``'s reading of its node.
+    """Room on every Term for the view its lifter recorded (``lang.view``).
 
     Declared slots, not dataclass fields, so ``==``, ``hash``, ``repr`` and
-    ``dataclasses.fields`` never see them.  Unset means the node has not
-    been read yet; ``view_tag`` None records a node outside the language.
+    ``dataclasses.fields`` never see them.  They are set once, when a tagged
+    lifter builds the term, and never written after; a term built any other
+    way leaves them unset.
     """
 
     __slots__ = ("view_tag", "view_payload")
@@ -140,12 +141,6 @@ set_view_payload = _ViewSlots.view_payload.__set__
 def is_natural(value: Any) -> bool:
     # bool is an int subclass; keep it out of the naturals.
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _atom_ok(base: BaseSet, value: Any) -> bool:
-    if base is BaseSet.NAT:
-        return is_natural(value)
-    return value == UNIT
 
 
 Validator = Callable[[Any], bool]
@@ -224,7 +219,7 @@ def fmap(f: FunctorDesc, fn: Callable[[Any], Any], p: Payload) -> Payload:
     match (f, p):
         case (Rec(), Slot(t)):
             return Slot(fn(t))
-        case (Atom(base), AtomVal(got, value)) if got is base and _atom_ok(base, value):
+        case (Atom(), AtomVal()) if validator(f)(p):
             return p
         case (Sum(left, _), InL(q)):
             return InL(fmap(left, fn, q))

@@ -24,11 +24,9 @@ from .functor import (
     Sum,
     Term,
     UNIT,
-    set_view_payload,
-    set_view_tag,
     validator,
 )
-from .subobject import ContainsPath, Direction, lifter, path_target
+from .subobject import ContainsPath, Direction, downcast, lifter
 
 
 NAT = Atom(BaseSet.NAT)
@@ -63,27 +61,6 @@ lift_sum = lifter(LIFT_SUM, "sum")
 lift_array = lifter(LIFT_ARRAY, "array")
 
 
-def _spine_table(paths: dict[str, ContainsPath]) -> list:
-    """A trie over injection spines, outermost injection first.
-
-    An inner node is a [left, right] list indexed by the next injection;
-    each leaf is a fragment's (tag, compiled shape check of its summand).
-    """
-    side = {_L: 0, _R: 1}
-    table: list = [None, None]
-    for tag, path in paths.items():
-        node = table
-        *outer, last = reversed(path.steps)
-        for step in outer:
-            if node[side[step]] is None:
-                node[side[step]] = [None, None]
-            node = node[side[step]]
-        node[side[last]] = (tag, validator(path_target(path)))
-    return table
-
-
-_SPINE = _spine_table(LIFT_PATHS)
-
 View = tuple[str, Payload]
 
 
@@ -91,38 +68,19 @@ def view(t: Term) -> Optional[View]:
     """The fragment tag and payload under ``t``'s node, or None.
 
     ``view(t) == (tag, p)`` exactly when ``downcast(LIFT_PATHS[tag], t) ==
-    p``.  The answer is kept on the node: the lifters above record it when
-    they build a term, and any other term has its spine read on its first
-    view.  Racing first views write the same values, payload before tag, so
-    a reader that finds a tag finds its payload.
+    p``.  The lifters above record the answer on every term they build;
+    any other term is read through ``downcast``, on every call, and nothing
+    is written to it.
     """
     try:
-        tag = t.view_tag
+        return t.view_tag, t.view_payload
     except AttributeError:
-        v = _read_spine(t)
-        if v is not None:
-            set_view_payload(t, v[1])
-        set_view_tag(t, None if v is None else v[0])
-        return v
-    return None if tag is None else (tag, t.view_payload)
-
-
-def _read_spine(t: Term) -> Optional[View]:
-    # One walk down the injection spine, then the summand's shape check.
-    node = t.node
-    entry = _SPINE
-    while isinstance(entry, list):
-        if isinstance(node, InL):
-            entry = entry[0]
-        elif isinstance(node, InR):
-            entry = entry[1]
-        else:
-            return None
-        if entry is None:
-            return None
-        node = node.payload
-    tag, check = entry
-    return (tag, node) if check(node) else None
+        pass
+    for tag, path in LIFT_PATHS.items():
+        p = downcast(path, t)
+        if p is not None:
+            return tag, p
+    return None
 
 
 NONE_PAYLOAD = InR(AtomVal(BaseSet.UNIT, UNIT))

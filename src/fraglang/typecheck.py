@@ -193,37 +193,28 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
         return LangType.NAT, LiftWtSum(
             OkSum(left_result[1], right_result[1], left, right)
         )
-    return _infer_array(p)
-
-
-def _infer_array(p: Payload) -> Optional[tuple[LangType, ComposedTyping]]:
     match p:
         case InL(InR(_)):
             return LangType.ARRAY, LiftWtArray(OkNil())
         case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
-            wa = _infer_at(array, LangType.ARRAY)
-            if wa is None:
+            wa = infer(array)
+            if wa is None or wa[0] is not LangType.ARRAY:
                 return None
-            we = _infer_at(value, LangType.NAT)
-            if we is None:
+            we = infer(value)
+            if we is None or we[0] is not LangType.NAT:
                 return None
-            wn = _infer_at(idx, LangType.NAT)
-            if wn is None:
+            wn = infer(idx)
+            if wn is None or wn[0] is not LangType.NAT:
                 return None
-            return LangType.ARRAY, LiftWtArray(OkIns(wa, we, wn, array, value, idx))
+            return LangType.ARRAY, LiftWtArray(
+                OkIns(wa[1], we[1], wn[1], array, value, idx)
+            )
         case InR(Pair(Slot(array), Slot(idx))):
-            wa = _infer_at(array, LangType.ARRAY)
-            if wa is None:
+            wa = infer(array)
+            if wa is None or wa[0] is not LangType.ARRAY:
                 return None
-            wn = _infer_at(idx, LangType.NAT)
-            if wn is None:
+            wn = infer(idx)
+            if wn is None or wn[0] is not LangType.NAT:
                 return None
-            return LangType.OPTION, LiftWtArray(OkLookup(wa, wn, array, idx))
+            return LangType.OPTION, LiftWtArray(OkLookup(wa[1], wn[1], array, idx))
     return None
-
-
-def _infer_at(t: Term, want: LangType) -> Optional[ComposedTyping]:
-    result = infer(t)
-    if result is None or result[0] is not want:
-        return None
-    return result[1]

@@ -173,6 +173,13 @@ def test_check_takes_an_800_term_chain(capsys):
     ]
 
 
+def test_check_takes_a_900_assignment_chain(capsys):
+    # Left-nested: infer spends one frame a level on array premises, as on sums.
+    code, out, _ = run(capsys, "check", "nil" + "[0] := 1" * 900)
+    assert code == 0
+    assert out.splitlines()[0] == "TArray"
+
+
 # CPython's integer-string limit; 0 (or no such function) means none.
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_limit = pytest.mark.skipif(LIMIT == 0, reason="no integer-string limit")

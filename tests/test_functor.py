@@ -89,6 +89,23 @@ def test_fmap_rejects_mismatched_payload():
         fmap(Prod(Rec(), Rec()), lambda t: t, InL(Slot(enat(0))))
 
 
+@pytest.mark.parametrize(
+    "desc, p",
+    [
+        (NAT_ATOM, AtomVal(BaseSet.NAT, -1)),
+        (NAT_ATOM, AtomVal(BaseSet.NAT, True)),
+        (NAT_ATOM, AtomVal(BaseSet.UNIT, UNIT)),
+        (UNIT_ATOM, AtomVal(BaseSet.UNIT, 0)),
+        (UNIT_ATOM, AtomVal(BaseSet.NAT, 0)),
+    ],
+)
+def test_fmap_rejects_an_atom_outside_its_set(desc, p):
+    with pytest.raises(ShapeError):
+        fmap(desc, lambda t: t, p)
+    ok = AtomVal(desc.set, 3 if desc.set is BaseSet.NAT else UNIT)
+    assert fmap(desc, lambda t: t, ok) is ok
+
+
 def _size_algebra(p):
     # one per term node; atoms contribute nothing
     match p:
