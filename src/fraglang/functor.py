@@ -9,13 +9,46 @@ compared structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Any, Callable, Union
+from typing import Any, Callable, TypeVar, Union
 
 
 class ShapeError(Exception):
     """A payload was used against a descriptor it does not inhabit."""
+
+
+_C = TypeVar("_C", bound=type)
+
+
+def record(cls: _C) -> _C:
+    """``dataclass(frozen=True, slots=True)``, built through its slots.
+
+    The ``__init__`` a frozen dataclass generates writes each field with
+    ``object.__setattr__``, which looks the field up by name and costs about
+    twice what writing through the field's slot descriptor does.  The
+    replacement writes through the descriptors and keeps the generated
+    signature, defaults and annotations; ``==``, ``hash``, ``repr``,
+    ``__match_args__`` and the refusal of assignment are the dataclass's own.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    # What the generated __init__ would do beyond storing its arguments.
+    if hasattr(cls, "__post_init__") or any(
+        not f.init or f.kw_only or f.default_factory is not MISSING for f in fields(cls)
+    ):
+        raise TypeError(f"{cls.__qualname__}: a record's fields are positional, with plain defaults")
+    names = [f.name for f in fields(cls)]
+    generated = cls.__init__
+    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names) or "\n    pass"
+    exec(f"def __init__(self{''.join(', ' + name for name in names)}):{body}", setters)
+    init = setters["__init__"]
+    init.__qualname__ = generated.__qualname__
+    init.__module__ = generated.__module__
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 class BaseSet(Enum):
@@ -25,7 +58,7 @@ class BaseSet(Enum):
     UNIT = "unit"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Unit:
     """The single inhabitant of the unit set."""
 
@@ -36,19 +69,19 @@ class Unit:
 UNIT = Unit()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Rec:
     """Recursion slot: interpreted as the argument type itself."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Atom:
     """Constant layer holding a value of a base set."""
 
     set: BaseSet
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sum:
     """Disjoint sum of two layers (a tagged choice)."""
 
@@ -56,7 +89,7 @@ class Sum:
     right: "FunctorDesc"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Prod:
     """Cartesian product of two layers (both present)."""
 
@@ -67,7 +100,7 @@ class Prod:
 FunctorDesc = Union[Rec, Atom, Sum, Prod]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Slot:
     """A filled recursion slot.
 
@@ -78,7 +111,7 @@ class Slot:
     term: Any
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AtomVal:
     """An atom tagged with its base set: a natural or the unit value."""
 
@@ -86,21 +119,21 @@ class AtomVal:
     value: Any
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InL:
     """Left injection into a sum layer."""
 
     payload: "Payload"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InR:
     """Right injection into a sum layer."""
 
     payload: "Payload"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pair:
     """Both components of a product layer."""
 
@@ -123,17 +156,14 @@ class _ViewSlots:
     __slots__ = ("view_tag", "view_payload")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Term(_ViewSlots):
     """One unrolling of the fixed point: a payload whose slots hold terms."""
 
     node: Payload
 
 
-# Slot writers.  A frozen dataclass refuses setattr; its slot descriptors do
-# not, and filling a new Term through them skips the generated __init__.
-new_term = Term.__new__
-set_node = Term.node.__set__
+# Writers for the view slots, which are no fields, so no __init__ fills them.
 set_view_tag = _ViewSlots.view_tag.__set__
 set_view_payload = _ViewSlots.view_payload.__set__
 

@@ -7,48 +7,47 @@ modular machinery is supposed to add up to, for equivalence testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InL, InR, Pair, ShapeError, Slot, Term
+from .functor import InL, InR, Pair, ShapeError, Slot, Term, record
 from .lang import assign, enat, index, nil, none, plus, some, view
 from .typecheck import LangType
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ENat:
     n: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ESome:
     e: "MonoExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ENone:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Nil:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ELookup:
     a: "MonoExpr"
     i: "MonoExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ins:
     a: "MonoExpr"
     i: "MonoExpr"
     e: "MonoExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Plus:
     e1: "MonoExpr"
     e2: "MonoExpr"

@@ -10,10 +10,9 @@ composed constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .functor import Payload
+from .functor import Payload, record
 from .lang import array_lookup, enat, lift_array
 from .semantics import (
     ArrayStep,
@@ -31,12 +30,12 @@ from .typecheck import (
     ArrayTyping,
     ComposedTyping,
     LiftWtArray,
-    LiftWtNat,
     LiftWtOption,
     LiftWtSum,
     OkLookup,
     OkSum,
     SumTyping,
+    wt_nat,
 )
 
 
@@ -44,7 +43,7 @@ class SubjectMismatchError(Exception):
     """A step and a typing derivation disagree about their subject term."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PreservationHooks:
     """What a fragment transformer assumes about the composed language."""
 
@@ -123,7 +122,7 @@ def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
 # Instantiated once: the composed language supplies its own constructors
 # as every hook, closing the induction with preserve itself.
 COMPOSED_HOOKS = PreservationHooks(
-    wt_nat=LiftWtNat,
+    wt_nat=wt_nat,
     wt_option=LiftWtOption,
     lift_sum_wt=LiftWtSum,
     lift_array_wt=LiftWtArray,

@@ -7,10 +7,9 @@ be checked against a claimed (source, target) pair with no extra context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import InR, Pair, Payload, Slot, Term, is_natural
+from .functor import InR, Pair, Payload, Slot, Term, is_natural, record
 from .lang import (
     View,
     array_lookup,
@@ -27,7 +26,7 @@ class FuelExhaustedError(Exception):
     """A trace ran out of fuel while its term could still step."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepL:
     """Congruence on the left summand: e1 + e2 steps to e1' + e2."""
 
@@ -37,7 +36,7 @@ class StepL:
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepR:
     """Congruence on the right summand once the left is a literal."""
 
@@ -47,7 +46,7 @@ class StepR:
     right_after: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepV:
     """Reduction of two literals: n + m steps to their sum."""
 
@@ -58,7 +57,7 @@ class StepV:
 SumStep = Union[StepL, StepR, StepV]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepI:
     """Congruence on the index operand of a lookup."""
 
@@ -68,7 +67,7 @@ class StepI:
     idx_after: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lookup:
     """Resolution of a lookup on a lifted array payload and literal index."""
 
@@ -79,12 +78,12 @@ class Lookup:
 ArrayStep = Union[StepI, Lookup]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ViaSum:
     step: SumStep
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ViaArray:
     step: ArrayStep
 

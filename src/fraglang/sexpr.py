@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .functor import Term
-from .lang import assign, enat, index, lift_option, nil, option_payload, plus
+from .functor import Term, record
+from .lang import SHARED_NATS, assign, enat, index, lift_option, nil, option_payload, plus
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -36,6 +35,7 @@ from .semantics import (
 )
 from .surface import ParseError, literal_text, parse, render
 from .typecheck import (
+    WT_NIL,
     ArrayTyping,
     ComposedTyping,
     LiftWtArray,
@@ -47,6 +47,7 @@ from .typecheck import (
     OkNil,
     OkSum,
     SumTyping,
+    wt_nat,
 )
 
 Derivation = Union[ComposedStep, SumStep, ArrayStep, ComposedTyping, SumTyping, ArrayTyping]
@@ -56,7 +57,7 @@ class SexprError(Exception):
     """Malformed derivation text or an unknown constructor name."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepSkeleton:
     """A step derivation as printed: rule names only, terms erased."""
 
@@ -127,62 +128,33 @@ def render_derivation(d: Derivation) -> str:
 
 # -- reading ------------------------------------------------------------
 
-_Sexpr = Union[str, "_Quoted", list]
 
-
-@dataclass(frozen=True, slots=True)
+@record
 class _Quoted:
+    """A quoted term in derivation text, kept apart from names and literals."""
+
     text: str
-
-
-def _read_sexpr(text: str) -> _Sexpr:
-    # One pass over the tokens with an explicit stack of open lists, so
-    # nesting depth is bounded by memory, not by the recursion limit.
-    tokens = _lex_sexpr(text)
-    if not tokens:
-        raise SexprError("unexpected end of derivation text")
-    stack: list[list] = []
-    for pos, token in enumerate(tokens):
-        if token == "(":
-            stack.append([])
-            continue
-        if token == ")":
-            if not stack:
-                raise SexprError("unexpected ')'")
-            token = stack.pop()
-        if stack:
-            stack[-1].append(token)
-        elif pos + 1 != len(tokens):
-            raise SexprError("trailing input after derivation")
-        else:
-            return token
-    raise SexprError("missing ')'")
 
 
 # One token per match: a parenthesis, a quoted term, an atom, or a lone
 # quote (one with no closing partner).  Whitespace matches nothing.
 _TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"]+|"')
-
-
-def _lex_sexpr(text: str) -> list:
-    tokens: list = _TOKEN.findall(text)
-    for i, token in enumerate(tokens):
-        if token[0] == '"':
-            if len(token) == 1:
-                raise SexprError("unterminated quoted term")
-            tokens[i] = _Quoted(token[1:-1])
-    return tokens
-
-
-_STEP_NAMES = {_RULES[rule][0] for rule in (ViaSum, ViaArray, StepL, StepR, StepV, StepI, Lookup)}
-_LEAF_STEPS = {"stepv", "lookup"}
-# The typing rules by the premise positions they may fill.
-_LIFTS = {"lift-wt-nat", "lift-wt-option", "lift-wt-sum", "lift-wt-array"}
-_SUM_RULES = {"ok-sum"}
-_ARRAY_RULES = {"ok-nil", "ok-ins", "ok-lookup"}
-_TYPING_NAMES = _LIFTS | _SUM_RULES | _ARRAY_RULES
 # A literal as render_derivation prints it: ASCII digits, no leading zero.
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
+
+# The typing rules by the premise positions they may fill.
+_LIFTS = {
+    LiftWtNat: "lift-wt-nat",
+    LiftWtOption: "lift-wt-option",
+    LiftWtSum: "lift-wt-sum",
+    LiftWtArray: "lift-wt-array",
+}
+_SUMS = {OkSum: "ok-sum"}
+_ARRAYS = {OkNil: "ok-nil", OkIns: "ok-ins", OkLookup: "ok-lookup"}
+_TYPING_NAMES = {**_LIFTS, **_SUMS, **_ARRAYS}
+_STEP_NAMES = {_RULES[rule][0] for rule in (ViaSum, ViaArray, StepL, StepR, StepV, StepI, Lookup)}
+_LEAF_STEPS = {name: StepSkeleton(name) for name in ("stepv", "lookup")}
+_NIL_TYPED = (WT_NIL.inner, nil())
 
 
 def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping, StepSkeleton]:
@@ -191,81 +163,173 @@ def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping,
     Typing derivations come back complete.  Step derivations come back as
     a StepSkeleton; apply elaborate_step with the source term to finish.
     """
-    tree = _read_sexpr(text)
-    if _split(tree)[0] in _STEP_NAMES:
-        return _decode_step(tree)
-    return _decode(tree, _TYPING_NAMES)[0]
+    # One pass over the tokens with an explicit stack of open forms, so
+    # nesting depth is bounded by memory, not by the recursion limit.  A
+    # form is decoded when it closes, from premises already decoded: a
+    # typing premise as (derivation, the term it types), a step premise as
+    # its skeleton, a quoted term as a _Quoted, and a literal or a bare name
+    # as its text.
+    stack: list[list] = []  # each open form: its rule name, then its premises
+    tokens = iter(_TOKEN.findall(text))
+    for token in tokens:
+        if token == "(":
+            if stack and not stack[-1]:
+                raise SexprError("malformed derivation form: a form where a rule name belongs")
+            stack.append([])
+            continue
+        if token == ")":
+            if not stack:
+                raise SexprError("unexpected ')'")
+            form = stack.pop()
+            if not form:
+                raise SexprError("malformed derivation form: ()")
+        else:
+            if token[0] == '"':
+                if len(token) == 1:
+                    raise SexprError("unterminated quoted term")
+                token = _Quoted(token[1:-1])
+            if stack:
+                stack[-1].append(token)
+                continue
+            form = [token]  # the whole text is one bare name
+        # What follows the outermost form is an error before the form is.
+        if not stack and next(tokens, None) is not None:
+            raise SexprError("trailing input after derivation")
+        rule = _DECODERS.get(form[0])
+        if rule is None:
+            raise SexprError(f"unknown constructor name {form[0]!r}")
+        size, decode = rule
+        if len(form) != size:
+            raise SexprError(f"malformed {form[0]} form: {size - 1} premises expected")
+        value = decode(*form)
+        if stack:
+            stack[-1].append(value)
+        else:
+            return value[0] if type(value) is tuple else value
+    raise SexprError("missing ')'" if stack else "unexpected end of derivation text")
 
 
-def _decode(tree: _Sexpr, allowed: set) -> tuple[Union[ComposedTyping, SumTyping, ArrayTyping], Term]:
-    # Bottom-up: the typing derivation and the term it types, built once
-    # from the terms its premises returned.  ``allowed`` names the rules
-    # that may stand where ``tree`` stands.
-    head, args = _split(tree)
-    if head not in allowed:
-        if head in _TYPING_NAMES or head in _STEP_NAMES:
-            raise SexprError(f"expected {' or '.join(sorted(allowed))}, got {head}")
-        raise SexprError(f"unknown constructor name {head!r}")
-    match head, args:
-        case ("lift-wt-nat", [str(digits)]) if _NATURAL.fullmatch(digits):
-            try:
-                n = int(digits)
-            except ValueError:  # past the integer-string limit
-                raise SexprError(
-                    f"lift-wt-nat literal of {len(digits)} digits is past the"
-                    f" integer-string limit of {sys.get_int_max_str_digits()}"
-                ) from None
-            return LiftWtNat(n), enat(n)
-        case ("lift-wt-option", [_Quoted(text)]):
-            try:
-                t = parse(text)
-            except ParseError as exc:
-                raise SexprError(f"not a term: {text!r} ({exc})") from None
-            payload = option_payload(t)
-            if payload is None:
-                raise SexprError(f"not an option term: {text!r}")
-            return LiftWtOption(payload), t
-        case ("lift-wt-sum", [inner]):
-            w, t = _decode(inner, _SUM_RULES)
-            return LiftWtSum(w), t
-        case ("lift-wt-array", [inner]):
-            w, t = _decode(inner, _ARRAY_RULES)
-            return LiftWtArray(w), t
-        case ("ok-sum", [left, right]):
-            (wl, l), (wr, r) = _decode(left, _LIFTS), _decode(right, _LIFTS)
-            return OkSum(wl, wr, l, r), plus(l, r)
-        case ("ok-nil", []):
-            return OkNil(), nil()
-        case ("ok-ins", [array, value, idx]):
-            wa, a = _decode(array, _LIFTS)
-            we, e = _decode(value, _LIFTS)
-            wn, i = _decode(idx, _LIFTS)
-            return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
-        case ("ok-lookup", [array, idx]):
-            (wa, a), (wn, i) = _decode(array, _LIFTS), _decode(idx, _LIFTS)
-            return OkLookup(wa, wn, a, i), index(a, i)
-    raise SexprError(f"malformed {head} form")
+def _misplaced(premise, allowed) -> SexprError:
+    # The error for a decoded premise in a position ``allowed`` names.
+    if type(premise) is str:
+        name = premise
+    elif type(premise) is StepSkeleton:
+        name = premise.name
+    elif type(premise) is tuple:
+        name = _TYPING_NAMES[type(premise[0])]
+    else:
+        return SexprError(f'a quoted term "{premise.text}" where a derivation belongs')
+    if name in allowed:  # a bare name where its form belongs
+        return SexprError(f"malformed {name} form")
+    if name in _DECODERS:
+        return SexprError(f"expected {' or '.join(sorted(allowed))}, got {name}")
+    return SexprError(f"unknown constructor name {name!r}")
 
 
-def _split(tree: _Sexpr) -> tuple[str, list]:
-    if isinstance(tree, str):
-        return tree, []
-    if isinstance(tree, list) and tree and isinstance(tree[0], str):
-        return tree[0], tree[1:]
-    raise SexprError(f"malformed derivation form: {tree!r}")
+def _typed(premise, kinds: dict) -> tuple:
+    # A decoded typing premise whose rule is one of ``kinds``.
+    if type(premise) is tuple and type(premise[0]) in kinds:
+        return premise
+    raise _misplaced(premise, kinds.values())
 
 
-def _decode_step(tree: _Sexpr) -> StepSkeleton:
-    head, args = _split(tree)
-    if head not in _STEP_NAMES:
-        raise SexprError(f"unknown constructor name {head!r}")
-    if head in _LEAF_STEPS:
-        if args:
-            raise SexprError(f"{head} takes no premises")
-        return StepSkeleton(head)
-    if len(args) != 1:
-        raise SexprError(f"{head} takes exactly one premise")
-    return StepSkeleton(head, _decode_step(args[0]))
+# The small literals' typings and terms by their text, shared as enat
+# shares the terms; built on first use.
+_LITERALS: dict[str, tuple] = {}
+
+
+def _lift_wt_nat(_, digits) -> tuple:
+    typed = _LITERALS.get(digits) if type(digits) is str else None
+    if typed is not None:
+        return typed
+    if type(digits) is not str or not _NATURAL.fullmatch(digits):
+        raise SexprError("malformed lift-wt-nat form")
+    try:
+        n = int(digits)
+    except ValueError:  # past the integer-string limit
+        raise SexprError(
+            f"lift-wt-nat literal of {len(digits)} digits is past the"
+            f" integer-string limit of {sys.get_int_max_str_digits()}"
+        ) from None
+    typed = wt_nat(n), enat(n)
+    if n < SHARED_NATS:
+        _LITERALS[digits] = typed
+    return typed
+
+
+def _lift_wt_option(_, quoted) -> tuple:
+    if type(quoted) is not _Quoted:
+        raise SexprError("malformed lift-wt-option form")
+    try:
+        t = parse(quoted.text)
+    except ParseError as exc:
+        raise SexprError(f"not a term: {quoted.text!r} ({exc})") from None
+    payload = option_payload(t)
+    if payload is None:
+        raise SexprError(f"not an option term: {quoted.text!r}")
+    return LiftWtOption(payload), t
+
+
+def _lift_wt_sum(_, inner) -> tuple:
+    w, t = _typed(inner, _SUMS)
+    return LiftWtSum(w), t
+
+
+def _lift_wt_array(_, inner) -> tuple:
+    if inner == "ok-nil" or inner is _NIL_TYPED:
+        return WT_NIL, _NIL_TYPED[1]
+    w, t = _typed(inner, _ARRAYS)
+    return LiftWtArray(w), t
+
+
+def _ok_sum(_, left, right) -> tuple:
+    (wl, l), (wr, r) = _typed(left, _LIFTS), _typed(right, _LIFTS)
+    return OkSum(wl, wr, l, r), plus(l, r)
+
+
+def _ok_nil(_) -> tuple:
+    return _NIL_TYPED
+
+
+def _ok_ins(_, array, value, idx) -> tuple:
+    (wa, a), (we, e), (wn, i) = _typed(array, _LIFTS), _typed(value, _LIFTS), _typed(idx, _LIFTS)
+    return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
+
+
+def _ok_lookup(_, array, idx) -> tuple:
+    (wa, a), (wn, i) = _typed(array, _LIFTS), _typed(idx, _LIFTS)
+    return OkLookup(wa, wn, a, i), index(a, i)
+
+
+def _step(name, inner) -> StepSkeleton:
+    # Any step rule may stand under any other: elaboration checks the names.
+    if type(inner) is str and inner in _LEAF_STEPS:
+        inner = _LEAF_STEPS[inner]
+    elif type(inner) is not StepSkeleton:
+        raise _misplaced(inner, _STEP_NAMES)
+    return StepSkeleton(name, inner)
+
+
+def _leaf_step(name) -> StepSkeleton:
+    return _LEAF_STEPS[name]
+
+
+# Each rule's decoder by its printed name.  A decoder takes the rule name,
+# then the premises, so its parameter count is the length of its form.
+_DECODERS = {
+    name: (decode.__code__.co_argcount, decode)
+    for name, decode in {
+        "lift-wt-nat": _lift_wt_nat,
+        "lift-wt-option": _lift_wt_option,
+        "lift-wt-sum": _lift_wt_sum,
+        "lift-wt-array": _lift_wt_array,
+        "ok-sum": _ok_sum,
+        "ok-nil": _ok_nil,
+        "ok-ins": _ok_ins,
+        "ok-lookup": _ok_lookup,
+        **{name: _leaf_step if name in _LEAF_STEPS else _step for name in _STEP_NAMES},
+    }.items()
+}
 
 
 def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:

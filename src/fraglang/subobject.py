@@ -14,7 +14,6 @@ payload p to the node InL(InR(p)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -26,8 +25,7 @@ from .functor import (
     ShapeError,
     Sum,
     Term,
-    new_term,
-    set_node,
+    record,
     set_view_payload,
     set_view_tag,
     validator,
@@ -43,7 +41,7 @@ class Direction(Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ContainsPath:
     """A proof sketch that one descriptor is a (nested) summand of another."""
 
@@ -80,8 +78,7 @@ def lifter(path: ContainsPath, tag: Optional[str] = None) -> Callable[[Payload],
         node = p
         for wrap in wraps:
             node = wrap(node)
-        t = new_term(Term)
-        set_node(t, node)
+        t = Term(node)
         if tag is not None:
             set_view_payload(t, p)
             set_view_tag(t, tag)

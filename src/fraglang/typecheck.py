@@ -8,7 +8,6 @@ the payload's contents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -20,9 +19,10 @@ from .functor import (
     Slot,
     Term,
     is_natural,
+    record,
     validator,
 )
-from .lang import OPTION, view
+from .lang import OPTION, SHARED_NATS, view
 
 
 class LangType(Enum):
@@ -31,7 +31,7 @@ class LangType(Enum):
     ARRAY = "TArray"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OkSum:
     """Addition of two naturals is a natural."""
 
@@ -41,12 +41,12 @@ class OkSum:
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OkNil:
     """The empty array is an array."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OkIns:
     """Assignment of a natural at a natural index preserves array-ness."""
 
@@ -58,7 +58,7 @@ class OkIns:
     index: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OkLookup:
     """Lookup of a natural index in an array yields an option."""
 
@@ -72,27 +72,40 @@ SumTyping = OkSum
 ArrayTyping = Union[OkNil, OkIns, OkLookup]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LiftWtNat:
     n: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LiftWtOption:
     payload: Payload
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LiftWtSum:
     inner: SumTyping
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LiftWtArray:
     inner: ArrayTyping
 
 
 ComposedTyping = Union[LiftWtNat, LiftWtOption, LiftWtSum, LiftWtArray]
+
+
+# Typing leaves are shared as their terms are (``lang.enat``, ``lang.nil``):
+# one LiftWtNat per small literal, one typing of the empty array.
+_WT_NATS = tuple(map(LiftWtNat, range(SHARED_NATS)))
+WT_NIL = LiftWtArray(OkNil())
+
+
+def wt_nat(n: int) -> LiftWtNat:
+    """The typing of literal ``n``; equal small ones are one object, by enat's rule."""
+    if type(n) is int and 0 <= n < SHARED_NATS:
+        return _WT_NATS[n]
+    return LiftWtNat(n)
 
 
 _option_ok = validator(OPTION)
@@ -179,7 +192,7 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
         return None
     tag, p = v
     if tag == "nat":
-        return LangType.NAT, LiftWtNat(p.value)
+        return LangType.NAT, wt_nat(p.value)
     if tag == "option":
         return LangType.OPTION, LiftWtOption(p)
     if tag == "sum":
@@ -195,7 +208,7 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
         )
     match p:
         case InL(InR(_)):
-            return LangType.ARRAY, LiftWtArray(OkNil())
+            return LangType.ARRAY, WT_NIL
         case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
             wa = infer(array)
             if wa is None or wa[0] is not LangType.ARRAY:

@@ -1,12 +1,14 @@
 import random
+import re
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from fraglang import sexpr
 from fraglang.functor import AtomVal, BaseSet, InL, Term
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import enat, index, nil, plus, some
+from fraglang.lang import assign, enat, index, nil, option_payload, plus, some
 from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import (
     SexprError,
@@ -15,8 +17,19 @@ from fraglang.sexpr import (
     parse_derivation,
     render_derivation,
 )
-from fraglang.surface import LiteralLimitError
-from fraglang.typecheck import LangType, LiftWtNat, LiftWtOption, infer
+from fraglang.surface import LiteralLimitError, ParseError, parse
+from fraglang.typecheck import (
+    LangType,
+    LiftWtArray,
+    LiftWtNat,
+    LiftWtOption,
+    LiftWtSum,
+    OkIns,
+    OkLookup,
+    OkNil,
+    OkSum,
+    infer,
+)
 from goldens import (
     EVAL_EXP_SEXPR,
     PRESERVED_SEXPR,
@@ -29,6 +42,7 @@ from goldens import (
 
 # CPython's integer-string limit; 0 (or no such function) means none.
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+STEP_NAMES = ("step⁺", "step[]", "stepl", "stepr", "stepv", "stepi", "lookup")
 
 
 def test_render_step_derivation_golden():
@@ -142,7 +156,7 @@ def test_elaboration_rejects_a_premise_under_a_leaf_rule():
 def _one_name_mutants(skeleton):
     if skeleton is None:
         return
-    for name in sorted(sexpr._STEP_NAMES - {skeleton.name}):
+    for name in sorted(set(STEP_NAMES) - {skeleton.name}):
         yield StepSkeleton(name, skeleton.inner)
     for inner in _one_name_mutants(skeleton.inner):
         yield StepSkeleton(skeleton.name, inner)
@@ -192,19 +206,21 @@ def test_step_round_trip_on_random_derivations():
 
 
 def test_lexer_tokens():
-    q = sexpr._Quoted
-    assert sexpr._lex_sexpr('((x) "y z")  ( q\t"w"\n)') == [
-        "(", "(", "x", ")", q("y z"), ")", "(", "q", q("w"), ")",
-    ]
-    assert sexpr._lex_sexpr('a"b"c') == ["a", q("b"), "c"]
-    assert sexpr._lex_sexpr("") == []
-    assert sexpr._lex_sexpr(" \t\n\r\f\v ") == []
+    # Any whitespace separates tokens, a quote ends an atom, and a quoted
+    # term keeps its spaces and parentheses.
+    spaced = "\t(lift-wt-sum\n(ok-sum ( lift-wt-nat\r1 )\f\v(lift-wt-nat 2) ) ) \n"
+    assert parse_derivation(spaced) == parse_derivation("(lift-wt-sum (ok-sum (lift-wt-nat 1) (lift-wt-nat 2)))")
+    option = LiftWtOption(infer(some(plus(enat(1), enat(2))))[1].payload)
+    assert parse_derivation('(lift-wt-option"some(1 + 2)")') == option
+    for text in ("", " \t\n\r\f\v "):
+        with pytest.raises(SexprError, match="^unexpected end of derivation text$"):
+            parse_derivation(text)
 
 
 def test_lexer_rejects_an_unterminated_quote():
     for text in ('(a "b', '"'):
         with pytest.raises(SexprError, match="unterminated"):
-            sexpr._lex_sexpr(text)
+            parse_derivation(text)
 
 
 def test_round_trip_on_the_depth_one_population():
@@ -234,13 +250,216 @@ def test_round_trip_on_the_depth_one_population():
 )
 def test_reader_errors(text, message):
     with pytest.raises(SexprError, match=f"^{message}$"):
-        sexpr._read_sexpr(text)
+        parse_derivation(text)
+
+
+def _walk_skeleton(skeleton):
+    # The names down the .inner chain; == and repr recurse, so they are not used.
+    names = []
+    while skeleton is not None:
+        names.append(skeleton.name)
+        skeleton = skeleton.inner
+    return names
 
 
 def test_reader_takes_deep_nesting():
     depth = 5_000
-    tree = sexpr._read_sexpr("(x " * depth + ")" * depth)
-    for _ in range(depth - 1):
-        assert tree[0] == "x" and len(tree) == 2
-        tree = tree[1]
-    assert tree == ["x"]
+    skeleton = parse_derivation("(step⁺ " * depth + "stepv" + ")" * depth)
+    assert _walk_skeleton(skeleton) == ["step⁺"] * depth + ["stepv"]
+
+
+def test_deep_typing_round_trip():
+    # The typing `fraglang check` prints for an 800-term chain reads back;
+    # the texts are compared, since == on derivations this deep recurses.
+    ty, derivation = infer(parse(" + ".join(["1"] * 800)))
+    text = render_derivation(derivation)
+    assert text.count("(") > 2 * 800
+    assert render_derivation(parse_derivation(text)) == text
+    # The same typing where a rule name belongs is rejected without being hashed.
+    with pytest.raises(SexprError):
+        parse_derivation(f"({text})")
+
+
+def test_deep_skeleton_round_trip():
+    depth = 5_000
+    names = [random.Random(depth).choice(["step⁺", "stepl", "stepr", "step[]", "stepi"]) for _ in range(depth)]
+    text = "".join(f"({name} " for name in names) + "lookup" + ")" * depth
+    assert _walk_skeleton(parse_derivation(text)) == names + ["lookup"]
+
+
+# -- the reference decoder ------------------------------------------------
+# The two-pass decoder parse_derivation replaced: read the text into a list
+# tree, then decode the tree top-down.  It is the specification the one-pass
+# decoder is checked against.
+
+_REF_TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"]+|"')
+_REF_NATURAL = re.compile(r"0|[1-9][0-9]*")
+_REF_LEAF_STEPS = {"stepv", "lookup"}
+_REF_LIFTS = {"lift-wt-nat", "lift-wt-option", "lift-wt-sum", "lift-wt-array"}
+_REF_SUM_RULES = {"ok-sum"}
+_REF_ARRAY_RULES = {"ok-nil", "ok-ins", "ok-lookup"}
+_REF_TYPING_NAMES = _REF_LIFTS | _REF_SUM_RULES | _REF_ARRAY_RULES
+
+
+@dataclass(frozen=True)
+class _RefQuoted:
+    text: str
+
+
+def _ref_lex(text):
+    tokens = _REF_TOKEN.findall(text)
+    for i, token in enumerate(tokens):
+        if token[0] == '"':
+            if len(token) == 1:
+                raise SexprError("unterminated quoted term")
+            tokens[i] = _RefQuoted(token[1:-1])
+    return tokens
+
+
+def _ref_read(text):
+    tokens = _ref_lex(text)
+    if not tokens:
+        raise SexprError("unexpected end of derivation text")
+    stack = []
+    for pos, token in enumerate(tokens):
+        if token == "(":
+            stack.append([])
+            continue
+        if token == ")":
+            if not stack:
+                raise SexprError("unexpected ')'")
+            token = stack.pop()
+        if stack:
+            stack[-1].append(token)
+        elif pos + 1 != len(tokens):
+            raise SexprError("trailing input after derivation")
+        else:
+            return token
+    raise SexprError("missing ')'")
+
+
+def _ref_split(tree):
+    if isinstance(tree, str):
+        return tree, []
+    if isinstance(tree, list) and tree and isinstance(tree[0], str):
+        return tree[0], tree[1:]
+    raise SexprError(f"malformed derivation form: {tree!r}")
+
+
+def _ref_decode(tree, allowed):
+    head, args = _ref_split(tree)
+    if head not in allowed:
+        if head in _REF_TYPING_NAMES or head in STEP_NAMES:
+            raise SexprError(f"expected {' or '.join(sorted(allowed))}, got {head}")
+        raise SexprError(f"unknown constructor name {head!r}")
+    match head, args:
+        case ("lift-wt-nat", [str(digits)]) if _REF_NATURAL.fullmatch(digits):
+            try:
+                n = int(digits)
+            except ValueError:
+                raise SexprError("past the integer-string limit") from None
+            return LiftWtNat(n), enat(n)
+        case ("lift-wt-option", [_RefQuoted(text)]):
+            try:
+                t = parse(text)
+            except ParseError as exc:
+                raise SexprError(f"not a term: {text!r} ({exc})") from None
+            payload = option_payload(t)
+            if payload is None:
+                raise SexprError(f"not an option term: {text!r}")
+            return LiftWtOption(payload), t
+        case ("lift-wt-sum", [inner]):
+            w, t = _ref_decode(inner, _REF_SUM_RULES)
+            return LiftWtSum(w), t
+        case ("lift-wt-array", [inner]):
+            w, t = _ref_decode(inner, _REF_ARRAY_RULES)
+            return LiftWtArray(w), t
+        case ("ok-sum", [left, right]):
+            (wl, l), (wr, r) = _ref_decode(left, _REF_LIFTS), _ref_decode(right, _REF_LIFTS)
+            return OkSum(wl, wr, l, r), plus(l, r)
+        case ("ok-nil", []):
+            return OkNil(), nil()
+        case ("ok-ins", [array, value, idx]):
+            wa, a = _ref_decode(array, _REF_LIFTS)
+            we, e = _ref_decode(value, _REF_LIFTS)
+            wn, i = _ref_decode(idx, _REF_LIFTS)
+            return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
+        case ("ok-lookup", [array, idx]):
+            (wa, a), (wn, i) = _ref_decode(array, _REF_LIFTS), _ref_decode(idx, _REF_LIFTS)
+            return OkLookup(wa, wn, a, i), index(a, i)
+    raise SexprError(f"malformed {head} form")
+
+
+def _ref_decode_step(tree):
+    head, args = _ref_split(tree)
+    if head not in STEP_NAMES:
+        raise SexprError(f"unknown constructor name {head!r}")
+    if head in _REF_LEAF_STEPS:
+        if args:
+            raise SexprError(f"{head} takes no premises")
+        return StepSkeleton(head)
+    if len(args) != 1:
+        raise SexprError(f"{head} takes exactly one premise")
+    return StepSkeleton(head, _ref_decode_step(args[0]))
+
+
+def reference_parse(text):
+    tree = _ref_read(text)
+    if _ref_split(tree)[0] in STEP_NAMES:
+        return _ref_decode_step(tree)
+    return _ref_decode(tree, _REF_TYPING_NAMES)[0]
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except SexprError:
+        return SexprError
+
+
+def _derivation_texts():
+    for t in enumerate_terms(1):
+        typed = infer(t)
+        if typed is not None:
+            yield render_derivation(typed[1])
+        stepped = drive_step(t)
+        if stepped is not None:
+            yield render_derivation(stepped[1])
+    rng = random.Random(83)
+    for _ in range(300):
+        t = random_typed_term(rng, rng.choice(list(LangType)), rng.randrange(8))
+        yield render_derivation(infer(t)[1])
+        stepped = drive_step(t)
+        if stepped is not None:
+            yield render_derivation(stepped[1])
+
+
+RULE_NAMES = sorted(_REF_TYPING_NAMES | set(STEP_NAMES))
+
+
+def _one_token_mutants(text, rng):
+    # Delete, duplicate, or swap with its neighbour one token; or rename one
+    # rule name to another.
+    tokens = _REF_TOKEN.findall(text)
+    for i, token in enumerate(tokens):
+        yield tokens[:i] + tokens[i + 1:]
+        yield tokens[:i + 1] + tokens[i:]
+        if i + 1 < len(tokens):
+            yield tokens[:i] + [tokens[i + 1], token] + tokens[i + 2:]
+        if token in RULE_NAMES:
+            yield tokens[:i] + [rng.choice([n for n in RULE_NAMES if n != token])] + tokens[i + 1:]
+
+
+def test_reference_differential():
+    rng = random.Random(89)
+    texts = list(dict.fromkeys(_derivation_texts()))
+    mutants = {" ".join(m) for text in texts for m in _one_token_mutants(text, rng)}
+    decoded = rejected = 0
+    for text in texts + sorted(mutants):
+        expected = _outcome(reference_parse, text)
+        assert _outcome(parse_derivation, text) == expected, text
+        if expected is SexprError:
+            rejected += 1
+        else:
+            decoded += 1
+    assert decoded > 400 and rejected > 20_000
