@@ -9,7 +9,7 @@ compared structurally.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from typing import Any, Callable, TypeVar, Union
 
@@ -28,8 +28,9 @@ def record(cls: _C) -> _C:
     ``object.__setattr__``, which looks the field up by name and costs about
     twice what writing through the field's slot descriptor does.  The
     replacement writes through the descriptors and keeps the generated
-    signature, defaults and annotations; ``==``, ``hash``, ``repr``,
-    ``__match_args__`` and the refusal of assignment are the dataclass's own.
+    signature, defaults and annotations; ``==``, ``hash``, ``repr`` and
+    ``__match_args__`` are the dataclass's own.  Assignment and deletion
+    raise ``FrozenInstanceError``, as a frozen dataclass's do.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     # What the generated __init__ would do beyond storing its arguments.
@@ -48,6 +49,22 @@ def record(cls: _C) -> _C:
     init.__defaults__ = generated.__defaults__
     init.__annotations__ = generated.__annotations__
     cls.__init__ = init
+    # The generated __setattr__ and __delattr__ name the class dataclass
+    # replaced to add __slots__ (CPython 3.10, 3.11), so for a name that is
+    # no field they raise TypeError from super(); these name the new class.
+    frozen = frozenset(names)
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in frozen:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in frozen:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls
 
 

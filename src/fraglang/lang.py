@@ -174,26 +174,26 @@ def is_value(t: Term) -> bool:
     if tag == "nat":
         return True
     if tag == "option":
-        match p:
-            case InR(AtomVal()):
-                return True
-            case InL(Slot(e)):
-                return is_value(e)
+        return isinstance(p, InR) or is_value(p.payload.term)
     if tag == "array":
         return _is_value_array(p)
     return False
 
 
 def _is_value_array(p: Payload) -> bool:
-    match p:
-        case InL(InR(AtomVal())):
-            return True
-        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
-            if nat_value(i) is None or nat_value(e) is None:
-                return False
-            inner = array_payload(a)
-            return inner is not None and _is_value_array(inner)
-    return False
+    # Three array cases, read by field on a viewed payload: lookup
+    # InR(a, i) is no value, the empty array InL(InR(unit)) is one, and
+    # assignment InL(InL(a, (i, e))) is one when i and e are literals and
+    # a is a value.
+    if isinstance(p, InR):
+        return False
+    if isinstance(p.payload, InR):
+        return True
+    ops = p.payload.payload
+    if nat_value(ops.snd.fst.term) is None or nat_value(ops.snd.snd.term) is None:
+        return False
+    inner = array_payload(ops.fst.term)
+    return inner is not None and _is_value_array(inner)
 
 
 _array_ok = validator(ARRAY)
@@ -209,20 +209,19 @@ def array_lookup(a: Payload, n: int) -> Payload:
     """
     if not _array_ok(a):
         raise ShapeError(f"array_lookup expects an array payload, got {a!r}")
+    # Three array cases, read by field once checked (a later payload is a
+    # view): lookup InR(a, i) and the empty array InL(InR(unit)) end the
+    # scan; assignment InL(InL(a, (i, e))) holds n or passes it on to a.
     while True:
-        match a:
-            case InL(InR(AtomVal())):
-                return NONE_PAYLOAD
-            case InL(InL(Pair(Slot(rest), Pair(Slot(i), Slot(e))))):
-                stored = nat_value(i)
-                if stored is None:
-                    return NONE_PAYLOAD
-                if stored == n:
-                    return some_payload(e)
-                inner = array_payload(rest)
-                if inner is None:
-                    return NONE_PAYLOAD
-                a = inner
-            case _:
-                # A lookup node: the chain is not all assignments.
-                return NONE_PAYLOAD
+        if isinstance(a, InR) or isinstance(a.payload, InR):
+            return NONE_PAYLOAD
+        ops = a.payload.payload
+        stored = nat_value(ops.snd.fst.term)
+        if stored is None:
+            return NONE_PAYLOAD
+        if stored == n:
+            return some_payload(ops.snd.snd.term)
+        inner = array_payload(ops.fst.term)
+        if inner is None:
+            return NONE_PAYLOAD
+        a = inner

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .functor import InL, InR, Pair, ShapeError, Slot, Term, record
-from .lang import assign, enat, index, nil, none, plus, some, view
+from .functor import InL, InR, ShapeError, Term, record
+from .lang import SHARED_NATS, assign, enat, index, nil, none, plus, some, view
 from .typecheck import LangType
 
 
@@ -56,26 +56,39 @@ class Plus:
 MonoExpr = Union[ENat, ESome, ENone, Nil, ELookup, Ins, Plus]
 
 
+# Leaves are shared as the composed language shares its own (``lang.enat``,
+# ``lang.none``, ``lang.nil``): one ENat per small literal, one ENone, one Nil.
+_ENATS = tuple(map(ENat, range(SHARED_NATS)))
+_ENONE = ENone()
+_NIL = Nil()
+
+
 def embed(t: Term) -> MonoExpr:
-    """Transliterate a composed term into the flat type."""
+    """Transliterate a composed term into the flat type.
+
+    ``view`` checked each payload against its fragment's descriptor, so
+    the payload is read by field: one ``isinstance`` picks the case.
+    """
     v = view(t)
     if v is None:
         raise ShapeError(f"not a term of the composed language: {t!r}")
     tag, p = v
     if tag == "nat":
-        return ENat(p.value)
+        n = p.value  # a natural, so only the upper bound needs checking
+        return _ENATS[n] if type(n) is int and n < SHARED_NATS else ENat(n)
     if tag == "sum":
         return Plus(embed(p.fst.term), embed(p.snd.term))
     if tag == "option":
-        return ESome(embed(p.payload.term)) if isinstance(p, InL) else ENone()
-    match p:
-        case InL(InR(_)):
-            return Nil()
-        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
-            return Ins(embed(a), embed(i), embed(e))
-        case InR(Pair(Slot(a), Slot(i))):
-            return ELookup(embed(a), embed(i))
-    raise ShapeError(f"not a term of the composed language: {t!r}")
+        return ESome(embed(p.payload.term)) if isinstance(p, InL) else _ENONE
+    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
+    # and assignment InL(InL(a, (i, e))); view checked the shape.
+    if isinstance(p, InR):
+        ops = p.payload
+        return ELookup(embed(ops.fst.term), embed(ops.snd.term))
+    if isinstance(p.payload, InR):
+        return _NIL
+    ops = p.payload.payload
+    return Ins(embed(ops.fst.term), embed(ops.snd.fst.term), embed(ops.snd.snd.term))
 
 
 def project(m: MonoExpr) -> Term:

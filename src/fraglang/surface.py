@@ -16,7 +16,7 @@ import re
 import sys
 from itertools import takewhile
 
-from .functor import InL, InR, Pair, ShapeError, Slot, Term
+from .functor import InL, InR, ShapeError, Term
 from .lang import assign, enat, index, nil, none, plus, some, view
 
 
@@ -174,11 +174,15 @@ def _render(t: Term, level: int) -> str:
     if tag == "sum":
         text = f"{_render(p.fst.term, _SUM)} + {_render(p.snd.term, _POSTFIX)}"
         return text if level == _SUM else f"({text})"
-    match p:
-        case InR(Pair(Slot(a), Slot(i))):
-            text = f"{_render(a, _POSTFIX)} ! {_render(i, _PRIMARY)}"
-        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
-            text = f"{_render(a, _POSTFIX)}[{_render(i, _SUM)}] := {_render(e, _PRIMARY)}"
-        case _:
-            return "nil"
+    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
+    # and assignment InL(InL(a, (i, e))); view checked the shape.
+    if isinstance(p, InR):
+        ops = p.payload
+        text = f"{_render(ops.fst.term, _POSTFIX)} ! {_render(ops.snd.term, _PRIMARY)}"
+    elif isinstance(p.payload, InR):
+        return "nil"
+    else:
+        ops = p.payload.payload
+        a, i, e = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+        text = f"{_render(a, _POSTFIX)}[{_render(i, _SUM)}] := {_render(e, _PRIMARY)}"
     return text if level <= _POSTFIX else f"({text})"

@@ -11,17 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from .functor import (
-    InL,
-    InR,
-    Pair,
-    Payload,
-    Slot,
-    Term,
-    is_natural,
-    record,
-    validator,
-)
+from .functor import InR, Payload, Term, is_natural, record, validator
 from .lang import OPTION, SHARED_NATS, view
 
 
@@ -153,30 +143,33 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     if not isinstance(d, LiftWtArray):
         return False
     w = d.inner
-    match p:
-        case InL(InR(_)):
-            return isinstance(w, OkNil) and ty is LangType.ARRAY
-        case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
-            return (
-                isinstance(w, OkIns)
-                and ty is LangType.ARRAY
-                and w.array == array
-                and w.index == idx
-                and w.value == value
-                and validate_typing(w.array_wt, array, LangType.ARRAY)
-                and validate_typing(w.value_wt, value, LangType.NAT)
-                and validate_typing(w.index_wt, idx, LangType.NAT)
-            )
-        case InR(Pair(Slot(array), Slot(idx))):
-            return (
-                isinstance(w, OkLookup)
-                and ty is LangType.OPTION
-                and w.array == array
-                and w.index == idx
-                and validate_typing(w.array_wt, array, LangType.ARRAY)
-                and validate_typing(w.index_wt, idx, LangType.NAT)
-            )
-    return False
+    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
+    # and assignment InL(InL(a, (i, e))); view checked the shape.
+    if isinstance(p, InR):
+        ops = p.payload
+        array, idx = ops.fst.term, ops.snd.term
+        return (
+            isinstance(w, OkLookup)
+            and ty is LangType.OPTION
+            and w.array == array
+            and w.index == idx
+            and validate_typing(w.array_wt, array, LangType.ARRAY)
+            and validate_typing(w.index_wt, idx, LangType.NAT)
+        )
+    if isinstance(p.payload, InR):
+        return isinstance(w, OkNil) and ty is LangType.ARRAY
+    ops = p.payload.payload
+    array, idx, value = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+    return (
+        isinstance(w, OkIns)
+        and ty is LangType.ARRAY
+        and w.array == array
+        and w.index == idx
+        and w.value == value
+        and validate_typing(w.array_wt, array, LangType.ARRAY)
+        and validate_typing(w.value_wt, value, LangType.NAT)
+        and validate_typing(w.index_wt, idx, LangType.NAT)
+    )
 
 
 def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
@@ -206,28 +199,29 @@ def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
         return LangType.NAT, LiftWtSum(
             OkSum(left_result[1], right_result[1], left, right)
         )
-    match p:
-        case InL(InR(_)):
-            return LangType.ARRAY, WT_NIL
-        case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
-            wa = infer(array)
-            if wa is None or wa[0] is not LangType.ARRAY:
-                return None
-            we = infer(value)
-            if we is None or we[0] is not LangType.NAT:
-                return None
-            wn = infer(idx)
-            if wn is None or wn[0] is not LangType.NAT:
-                return None
-            return LangType.ARRAY, LiftWtArray(
-                OkIns(wa[1], we[1], wn[1], array, value, idx)
-            )
-        case InR(Pair(Slot(array), Slot(idx))):
-            wa = infer(array)
-            if wa is None or wa[0] is not LangType.ARRAY:
-                return None
-            wn = infer(idx)
-            if wn is None or wn[0] is not LangType.NAT:
-                return None
-            return LangType.OPTION, LiftWtArray(OkLookup(wa[1], wn[1], array, idx))
-    return None
+    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
+    # and assignment InL(InL(a, (i, e))); view checked the shape.
+    if isinstance(p, InR):
+        ops = p.payload
+        array, idx = ops.fst.term, ops.snd.term
+        wa = infer(array)
+        if wa is None or wa[0] is not LangType.ARRAY:
+            return None
+        wn = infer(idx)
+        if wn is None or wn[0] is not LangType.NAT:
+            return None
+        return LangType.OPTION, LiftWtArray(OkLookup(wa[1], wn[1], array, idx))
+    if isinstance(p.payload, InR):
+        return LangType.ARRAY, WT_NIL
+    ops = p.payload.payload
+    array, idx, value = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+    wa = infer(array)
+    if wa is None or wa[0] is not LangType.ARRAY:
+        return None
+    we = infer(value)
+    if we is None or we[0] is not LangType.NAT:
+        return None
+    wn = infer(idx)
+    if wn is None or wn[0] is not LangType.NAT:
+        return None
+    return LangType.ARRAY, LiftWtArray(OkIns(wa[1], we[1], wn[1], array, value, idx))

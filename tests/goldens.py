@@ -1,6 +1,12 @@
-"""The worked example and its three derivations, built by hand once."""
+"""The worked example and its three derivations, built by hand once, and
+the population on which a destructor is compared with its reference."""
 
-from fraglang.lang import assign, enat, index, nil, plus
+import itertools
+import random
+
+from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, Slot, Term, fold
+from fraglang.generate import enumerate_terms, random_term
+from fraglang.lang import FEXPR, assign, enat, index, nil, plus, some
 from fraglang.semantics import StepI, StepV, ViaArray, ViaSum
 from fraglang.typecheck import (
     LiftWtArray,
@@ -59,3 +65,42 @@ PRESERVED_SEXPR = (
     "(lift-wt-array (ok-lookup (lift-wt-array (ok-ins (lift-wt-array ok-nil)"
     " (lift-wt-nat 1) (lift-wt-nat 0))) (lift-wt-nat 1)))"
 )
+
+
+class _SubInR(InR):
+    """An injection the shape check accepts, as it accepts any subclass."""
+
+
+def differential_terms():
+    """Terms on which a destructor and its reference must agree.
+
+    The enumeration prefix of the acceptance gate; seeded draws with
+    literals on both sides of the shared range; copies of the draws built
+    by hand, at the root and at every node, so that ``view`` reads them
+    through ``downcast``; terms malformed at or below the root; and terms
+    built with a subclass of an injection.
+    """
+    terms = list(itertools.islice(enumerate_terms(2, (0, 1)), 20_000))
+    rng = random.Random(1401)
+    draws = [random_term(rng, 1 + k % 12, (0, 1, 255, 256, 2**70)) for k in range(2_000)]
+    terms += draws
+    terms += [Term(t.node) for t in draws]
+    terms += [fold(FEXPR, Term, t) for t in draws]
+    bad = Term(Slot(enat(0)))
+    true = Term(InL(InL(InL(AtomVal(BaseSet.NAT, True)))))
+    for odd in (bad, true):
+        terms += [
+            odd,
+            plus(odd, enat(0)),
+            plus(enat(0), odd),
+            some(odd),
+            assign(odd, enat(0), enat(1)),
+            assign(nil(), odd, enat(1)),
+            assign(nil(), enat(0), odd),
+            index(odd, enat(0)),
+            index(nil(), odd),
+            plus(enat(1), assign(nil(), enat(0), odd)),
+        ]
+    terms.append(Term(InR(_SubInR(Pair(Slot(nil()), Slot(enat(0)))))))
+    terms.append(Term(InR(InL(_SubInR(AtomVal(BaseSet.UNIT, UNIT))))))
+    return terms

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from fraglang.functor import ShapeError, Term, Slot
+from fraglang.functor import InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import enumerate_terms, random_term
-from fraglang.lang import enat, none, some
+from fraglang.lang import SHARED_NATS, enat, nil, none, some, view
 from fraglang.oracle import (
     ELookup,
     ENat,
@@ -20,7 +20,7 @@ from fraglang.oracle import (
 )
 from fraglang.sweeps import oracle_sweep, sweep, trace_sweep
 from fraglang.typecheck import LangType
-from goldens import exp_term
+from goldens import differential_terms, exp_term
 
 EXP_MONO = ELookup(Ins(Nil(), ENat(0), ENat(1)), Plus(ENat(0), ENat(1)))
 
@@ -53,6 +53,56 @@ def test_project_inverts_embed_on_random_terms():
 def test_embed_rejects_malformed_terms():
     with pytest.raises(ShapeError):
         embed(Term(Slot(enat(0))))
+
+
+def test_embed_shares_its_leaves():
+    for n in range(SHARED_NATS):
+        assert embed(enat(n)) is embed(enat(n))
+        assert embed(Term(enat(n).node)) is embed(enat(n))  # read through downcast
+    assert embed(none()) is embed(none())
+    assert embed(nil()) is embed(nil())
+    assert embed(enat(SHARED_NATS)) == ENat(SHARED_NATS)
+
+
+# -- the reference embed ----------------------------------------------------
+# The embed that reading viewed payloads by field replaced: one nested class
+# pattern per array case, and a fresh object for every leaf.  It is the
+# specification the field-reading embed is checked against.
+
+
+def reference_embed(t):
+    v = view(t)
+    if v is None:
+        raise ShapeError(f"not a term of the composed language: {t!r}")
+    tag, p = v
+    if tag == "nat":
+        return ENat(p.value)
+    if tag == "sum":
+        return Plus(reference_embed(p.fst.term), reference_embed(p.snd.term))
+    if tag == "option":
+        return ESome(reference_embed(p.payload.term)) if isinstance(p, InL) else ENone()
+    match p:
+        case InL(InR(_)):
+            return Nil()
+        case InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))):
+            return Ins(reference_embed(a), reference_embed(i), reference_embed(e))
+        case InR(Pair(Slot(a), Slot(i))):
+            return ELookup(reference_embed(a), reference_embed(i))
+    raise ShapeError(f"not a term of the composed language: {t!r}")
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t)
+    except ShapeError:
+        return ShapeError
+
+
+def test_reference_differential():
+    terms = differential_terms()
+    outcomes = [_outcome(embed, t) for t in terms]
+    assert outcomes == [_outcome(reference_embed, t) for t in terms]
+    assert outcomes.count(ShapeError) == 20  # the malformed terms, and only they
 
 
 def test_mono_infer_examples():

@@ -58,9 +58,13 @@ def test_record_builds_through_its_slots(cls):
     instance = cls(*range(len(names)))
     assert [getattr(instance, name) for name in names] == list(range(len(names)))
     assert instance == cls(**dict(zip(names, range(len(names)))))
-    for name in names:
+    # A frozen dataclass refuses every assignment and deletion, of a field
+    # or of any other name, with FrozenInstanceError.
+    for name in [*names, "extra"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(instance, name, -1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(instance, name)
     for name in names:
         changed = dataclasses.replace(instance, **{name: -1})
         assert getattr(changed, name) == -1 and type(changed) is cls

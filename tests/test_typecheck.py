@@ -29,8 +29,8 @@ from fraglang.typecheck import (
     infer,
     validate_typing,
 )
-from fraglang.functor import InL, InR, Pair, Slot
-from goldens import exp_term, wt_exp
+from fraglang.functor import InL, InR, Pair, ShapeError, Slot
+from goldens import differential_terms, exp_term, wt_exp
 
 
 def test_validate_worked_example():
@@ -208,3 +208,70 @@ def test_ill_typed_left_operand_hides_a_deep_right_operand():
     for _ in range(3_000):
         chain = plus(chain, enat(1))
     assert infer(plus(nil(), chain)) is None
+
+
+# -- the reference infer ----------------------------------------------------
+# The infer that reading viewed payloads by field replaced: one nested class
+# pattern per array case, with the same premise order and the same stop at
+# the first failing premise.  It is the specification infer is checked
+# against.
+
+
+def reference_infer(t):
+    v = view(t)
+    if v is None:
+        return None
+    tag, p = v
+    if tag == "nat":
+        return LangType.NAT, typecheck.wt_nat(p.value)
+    if tag == "option":
+        return LangType.OPTION, LiftWtOption(p)
+    if tag == "sum":
+        left, right = p.fst.term, p.snd.term
+        left_result = reference_infer(left)
+        if left_result is None or left_result[0] is not LangType.NAT:
+            return None
+        right_result = reference_infer(right)
+        if right_result is None or right_result[0] is not LangType.NAT:
+            return None
+        return LangType.NAT, LiftWtSum(OkSum(left_result[1], right_result[1], left, right))
+    match p:
+        case InL(InR(_)):
+            return LangType.ARRAY, LiftWtArray(OkNil())
+        case InL(InL(Pair(Slot(array), Pair(Slot(idx), Slot(value))))):
+            wa = reference_infer(array)
+            if wa is None or wa[0] is not LangType.ARRAY:
+                return None
+            we = reference_infer(value)
+            if we is None or we[0] is not LangType.NAT:
+                return None
+            wn = reference_infer(idx)
+            if wn is None or wn[0] is not LangType.NAT:
+                return None
+            return LangType.ARRAY, LiftWtArray(OkIns(wa[1], we[1], wn[1], array, value, idx))
+        case InR(Pair(Slot(array), Slot(idx))):
+            wa = reference_infer(array)
+            if wa is None or wa[0] is not LangType.ARRAY:
+                return None
+            wn = reference_infer(idx)
+            if wn is None or wn[0] is not LangType.NAT:
+                return None
+            return LangType.OPTION, LiftWtArray(OkLookup(wa[1], wn[1], array, idx))
+    return None
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t)
+    except ShapeError:
+        return ShapeError
+
+
+def test_reference_differential():
+    terms = differential_terms()
+    outcomes = [_outcome(infer, t) for t in terms]
+    assert outcomes == [_outcome(reference_infer, t) for t in terms]
+    typed = [(t, r) for t, r in zip(terms, outcomes) if r is not None]
+    assert len(typed) >= 1_000
+    for t, (ty, d) in typed:
+        assert validate_typing(d, t, ty)
