@@ -55,10 +55,7 @@ LIFT_PATHS = {
 }
 
 # Each lifter records its fragment's view on the terms it builds.
-lift_nat = lifter(LIFT_NAT, "nat")
-lift_option = lifter(LIFT_OPTION, "option")
-lift_sum = lifter(LIFT_SUM, "sum")
-lift_array = lifter(LIFT_ARRAY, "array")
+lift_nat, lift_option, lift_sum, lift_array = (lifter(path, tag) for tag, path in LIFT_PATHS.items())
 
 
 View = tuple[str, Payload]

@@ -8,7 +8,7 @@ own.  Step derivations round-trip as a skeleton of rule names; a source
 term has at most one step derivation, so elaborate_step runs the driver on
 the source and accepts its derivation when the skeleton names its rules.
 
-Terms appear in one place only (the payload of lift-wt-option) and are
+Terms appear in one place only (the payload of an option's typing) and are
 embedded as a double-quoted surface-syntax string.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .functor import Term, record
 from .lang import SHARED_NATS, assign, enat, index, lift_option, nil, option_payload, plus
@@ -66,8 +66,8 @@ class StepSkeleton:
 
 
 # Each rule's printed name and the fields that hold its premises, in the
-# order they print.  The two rules that print a value of their own,
-# lift-wt-nat and lift-wt-option, are rendered in place instead.
+# order they print.  The two rules that print a value of their own are
+# named in _NAMES and rendered in place.
 _RULES = {
     ViaSum: ("step⁺", ("step",)),
     ViaArray: ("step[]", ("step",)),
@@ -83,6 +83,8 @@ _RULES = {
     OkIns: ("ok-ins", ("array_wt", "value_wt", "index_wt")),
     OkLookup: ("ok-lookup", ("array_wt", "index_wt")),
 }
+_NAMES = {rule: name for rule, (name, _) in _RULES.items()}
+_NAMES.update({LiftWtNat: "lift-wt-nat", LiftWtOption: "lift-wt-option"})
 
 
 class _Text(str):
@@ -118,9 +120,9 @@ def render_derivation(d: Derivation) -> str:
                 todo.append(getattr(d, field))
                 todo.append(_SPACE)
         elif type(d) is LiftWtNat:
-            parts.append(f"(lift-wt-nat {literal_text(d.n)})")
+            parts.append(f"({_NAMES[LiftWtNat]} {literal_text(d.n)})")
         elif type(d) is LiftWtOption:
-            parts.append(f'(lift-wt-option "{render(lift_option(d.payload))}")')
+            parts.append(f'({_NAMES[LiftWtOption]} "{render(lift_option(d.payload))}")')
         else:
             raise SexprError(f"not a derivation: {d!r}")
     return "".join(parts)
@@ -142,18 +144,13 @@ _TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"]+|"')
 # A literal as render_derivation prints it: ASCII digits, no leading zero.
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
 
-# The typing rules by the premise positions they may fill.
-_LIFTS = {
-    LiftWtNat: "lift-wt-nat",
-    LiftWtOption: "lift-wt-option",
-    LiftWtSum: "lift-wt-sum",
-    LiftWtArray: "lift-wt-array",
-}
-_SUMS = {OkSum: "ok-sum"}
-_ARRAYS = {OkNil: "ok-nil", OkIns: "ok-ins", OkLookup: "ok-lookup"}
-_TYPING_NAMES = {**_LIFTS, **_SUMS, **_ARRAYS}
-_STEP_NAMES = {_RULES[rule][0] for rule in (ViaSum, ViaArray, StepL, StepR, StepV, StepI, Lookup)}
-_LEAF_STEPS = {name: StepSkeleton(name) for name in ("stepv", "lookup")}
+# The rules by the premise positions they may fill, read off the unions.
+_LIFTS = frozenset(get_args(ComposedTyping))
+_SUMS = frozenset((SumTyping,))
+_ARRAYS = frozenset(get_args(ArrayTyping))
+_STEPS = frozenset(get_args(ComposedStep) + get_args(SumStep) + get_args(ArrayStep))
+# The step rules with no premises print as a bare name.
+_LEAF_STEPS = {_NAMES[rule]: StepSkeleton(_NAMES[rule]) for rule in _STEPS if not _RULES[rule][1]}
 _NIL_TYPED = (WT_NIL.inner, nil())
 
 
@@ -209,16 +206,17 @@ def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping,
     raise SexprError("missing ')'" if stack else "unexpected end of derivation text")
 
 
-def _misplaced(premise, allowed) -> SexprError:
-    # The error for a decoded premise in a position ``allowed`` names.
+def _misplaced(premise, kinds) -> SexprError:
+    # The error for a decoded premise in a position that takes the rules ``kinds``.
     if type(premise) is str:
         name = premise
     elif type(premise) is StepSkeleton:
         name = premise.name
     elif type(premise) is tuple:
-        name = _TYPING_NAMES[type(premise[0])]
+        name = _NAMES[type(premise[0])]
     else:
         return SexprError(f'a quoted term "{premise.text}" where a derivation belongs')
+    allowed = [_NAMES[rule] for rule in kinds]
     if name in allowed:  # a bare name where its form belongs
         return SexprError(f"malformed {name} form")
     if name in _DECODERS:
@@ -226,11 +224,11 @@ def _misplaced(premise, allowed) -> SexprError:
     return SexprError(f"unknown constructor name {name!r}")
 
 
-def _typed(premise, kinds: dict) -> tuple:
+def _typed(premise, kinds: frozenset) -> tuple:
     # A decoded typing premise whose rule is one of ``kinds``.
     if type(premise) is tuple and type(premise[0]) in kinds:
         return premise
-    raise _misplaced(premise, kinds.values())
+    raise _misplaced(premise, kinds)
 
 
 # The small literals' typings and terms by their text, shared as enat
@@ -238,17 +236,17 @@ def _typed(premise, kinds: dict) -> tuple:
 _LITERALS: dict[str, tuple] = {}
 
 
-def _lift_wt_nat(_, digits) -> tuple:
+def _lift_wt_nat(name, digits) -> tuple:
     typed = _LITERALS.get(digits) if type(digits) is str else None
     if typed is not None:
         return typed
     if type(digits) is not str or not _NATURAL.fullmatch(digits):
-        raise SexprError("malformed lift-wt-nat form")
+        raise SexprError(f"malformed {name} form")
     try:
         n = int(digits)
     except ValueError:  # past the integer-string limit
         raise SexprError(
-            f"lift-wt-nat literal of {len(digits)} digits is past the"
+            f"{name} literal of {len(digits)} digits is past the"
             f" integer-string limit of {sys.get_int_max_str_digits()}"
         ) from None
     typed = wt_nat(n), enat(n)
@@ -257,9 +255,9 @@ def _lift_wt_nat(_, digits) -> tuple:
     return typed
 
 
-def _lift_wt_option(_, quoted) -> tuple:
+def _lift_wt_option(name, quoted) -> tuple:
     if type(quoted) is not _Quoted:
-        raise SexprError("malformed lift-wt-option form")
+        raise SexprError(f"malformed {name} form")
     try:
         t = parse(quoted.text)
     except ParseError as exc:
@@ -276,7 +274,7 @@ def _lift_wt_sum(_, inner) -> tuple:
 
 
 def _lift_wt_array(_, inner) -> tuple:
-    if inner == "ok-nil" or inner is _NIL_TYPED:
+    if inner == _NAMES[OkNil] or inner is _NIL_TYPED:
         return WT_NIL, _NIL_TYPED[1]
     w, t = _typed(inner, _ARRAYS)
     return LiftWtArray(w), t
@@ -306,7 +304,7 @@ def _step(name, inner) -> StepSkeleton:
     if type(inner) is str and inner in _LEAF_STEPS:
         inner = _LEAF_STEPS[inner]
     elif type(inner) is not StepSkeleton:
-        raise _misplaced(inner, _STEP_NAMES)
+        raise _misplaced(inner, _STEPS)
     return StepSkeleton(name, inner)
 
 
@@ -317,17 +315,17 @@ def _leaf_step(name) -> StepSkeleton:
 # Each rule's decoder by its printed name.  A decoder takes the rule name,
 # then the premises, so its parameter count is the length of its form.
 _DECODERS = {
-    name: (decode.__code__.co_argcount, decode)
-    for name, decode in {
-        "lift-wt-nat": _lift_wt_nat,
-        "lift-wt-option": _lift_wt_option,
-        "lift-wt-sum": _lift_wt_sum,
-        "lift-wt-array": _lift_wt_array,
-        "ok-sum": _ok_sum,
-        "ok-nil": _ok_nil,
-        "ok-ins": _ok_ins,
-        "ok-lookup": _ok_lookup,
-        **{name: _leaf_step if name in _LEAF_STEPS else _step for name in _STEP_NAMES},
+    _NAMES[rule]: (decode.__code__.co_argcount, decode)
+    for rule, decode in {
+        LiftWtNat: _lift_wt_nat,
+        LiftWtOption: _lift_wt_option,
+        LiftWtSum: _lift_wt_sum,
+        LiftWtArray: _lift_wt_array,
+        OkSum: _ok_sum,
+        OkNil: _ok_nil,
+        OkIns: _ok_ins,
+        OkLookup: _ok_lookup,
+        **{rule: _step if _RULES[rule][1] else _leaf_step for rule in _STEPS},
     }.items()
 }
 
@@ -357,5 +355,5 @@ def _names_rules_of(skeleton: Optional[StepSkeleton], d) -> bool:
         if skeleton is None or skeleton.name != name:
             return False
         skeleton = skeleton.inner
-        d = getattr(d, premises[0]) if premises else None  # stepv, lookup
+        d = getattr(d, premises[0]) if premises else None  # a leaf step
     return skeleton is None

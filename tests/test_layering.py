@@ -1,0 +1,46 @@
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fraglang
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(fraglang.__path__))
+
+# What importing a module alone loads of the package, where it is pinned:
+# the package re-exports nothing, so a module loads only what it names.
+LOADS = {
+    "functor": {"functor"},
+    "lang": {"functor", "subobject", "lang"},
+}
+# The monolithic twin stands apart from the modular machinery it is checked against.
+NOT_LOADED = {"oracle": {"semantics", "preservation", "sexpr"}}
+
+
+def _loaded_alone(module):
+    # The fraglang modules a fresh interpreter holds after importing ``module``.
+    src = str(Path(fraglang.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        f"import sys, fraglang.{module}; "
+        "print(' '.join(m[9:] for m in sys.modules if m.startswith('fraglang.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_every_pinned_module_exists():
+    assert set(LOADS) | set(NOT_LOADED) <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    loaded = _loaded_alone(module)
+    assert module in loaded
+    if module in LOADS:
+        assert loaded == LOADS[module]
+    assert not loaded & NOT_LOADED.get(module, set())

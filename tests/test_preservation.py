@@ -24,6 +24,7 @@ from fraglang.semantics import (
     Lookup,
     StepI,
     StepL,
+    StepR,
     StepV,
     ViaArray,
     ViaSum,
@@ -81,6 +82,74 @@ def test_preservation_array_index_congruence_clause():
     wt = OkLookup(LiftWtArray(OkNil()), LiftWtSum(infer(src)[1].inner), nil(), src)
     result = preservation_array(COMPOSED_HOOKS, step, wt)
     assert result == LiftWtArray(OkLookup(LiftWtArray(OkNil()), LiftWtNat(1), nil(), tgt))
+
+
+_ONE_PLUS_TWO = plus(enat(1), enat(2))
+_ONE_PLUS_TWO_WT = infer(_ONE_PLUS_TWO)[1]
+_STEP_ONE_PLUS_TWO = ViaSum(StepV(1, 2))
+_SUM_WT = OkSum(_ONE_PLUS_TWO_WT, LiftWtNat(9), _ONE_PLUS_TWO, enat(9))  # (1 + 2) + 9
+_LITERAL_SUM_WT = OkSum(LiftWtNat(4), _ONE_PLUS_TWO_WT, enat(4), _ONE_PLUS_TWO)  # 4 + (1 + 2)
+_LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), _ONE_PLUS_TWO_WT, nil(), _ONE_PLUS_TWO)  # nil ! (1 + 2)
+
+
+@pytest.mark.parametrize(
+    "transformer, step, wt, message",
+    [
+        (preservation_sum, StepV(1, 2), _LOOKUP_WT, "sum step against non-sum typing OkLookup"),
+        (
+            preservation_sum,
+            StepL(_STEP_ONE_PLUS_TWO, plus(enat(1), enat(3)), enat(4), enat(9)),
+            _SUM_WT,
+            "left-congruence subject mismatch",
+        ),
+        (
+            preservation_sum,
+            StepL(_STEP_ONE_PLUS_TWO, _ONE_PLUS_TWO, enat(3), enat(8)),
+            _SUM_WT,
+            "left-congruence subject mismatch",
+        ),
+        (
+            preservation_sum,
+            StepR(_STEP_ONE_PLUS_TWO, 5, _ONE_PLUS_TWO, enat(3)),
+            _LITERAL_SUM_WT,
+            "right-congruence subject mismatch",
+        ),
+        (
+            preservation_sum,
+            StepR(_STEP_ONE_PLUS_TWO, 4, plus(enat(1), enat(3)), enat(3)),
+            _LITERAL_SUM_WT,
+            "right-congruence subject mismatch",
+        ),
+        (preservation_sum, Lookup(array_payload(nil()), 0), _SUM_WT, "not a sum step: Lookup"),
+        (
+            preservation_array,
+            StepI(_STEP_ONE_PLUS_TWO, nil(), _ONE_PLUS_TWO, enat(3)),
+            OkIns(LiftWtArray(OkNil()), LiftWtNat(1), LiftWtNat(0), nil(), enat(1), enat(0)),
+            "index-congruence subject mismatch",
+        ),
+        (
+            preservation_array,
+            StepI(_STEP_ONE_PLUS_TWO, nil(), plus(enat(2), enat(1)), enat(3)),
+            _LOOKUP_WT,
+            "index-congruence subject mismatch",
+        ),
+        (preservation_array, StepV(1, 2), _LOOKUP_WT, "not an array step: StepV"),
+    ],
+    ids=[
+        "sum-against-lookup",
+        "stepl-left",
+        "stepl-right",
+        "stepr-literal",
+        "stepr-right",
+        "lookup-to-sum",
+        "stepi-against-ins",
+        "stepi-other-index",
+        "stepv-to-array",
+    ],
+)
+def test_transformers_reject_a_subject_the_typing_does_not_type(transformer, step, wt, message):
+    with pytest.raises(SubjectMismatchError, match=f"^{message}"):
+        transformer(COMPOSED_HOOKS, step, wt)
 
 
 def test_preservation_array_rejects_lookup_against_ins():

@@ -54,6 +54,26 @@ def test_validate_rejects_invalid_inner():
     assert not validate_step(d, plus(enat(5), enat(7)), plus(enat(6), enat(7)))
 
 
+@pytest.mark.parametrize(
+    "d, source, target",
+    [
+        # a lookup claimed under the sum rule
+        (ViaSum(Lookup(array_payload(nil()), 0)), plus(plus(enat(0), enat(1)), enat(2)), plus(enat(1), enat(2))),
+        # an index congruence on an assignment, where no rule steps
+        (
+            ViaArray(StepI(ViaSum(StepV(0, 1)), nil(), plus(enat(0), enat(1)), enat(1))),
+            assign(nil(), enat(0), enat(1)),
+            assign(nil(), enat(0), enat(1)),
+        ),
+        # a sum rule claimed under the array rule
+        (ViaArray(StepV(0, 1)), index(nil(), plus(enat(0), enat(1))), index(nil(), enat(1))),
+    ],
+    ids=["lookup-under-sum", "stepi-on-assignment", "stepv-under-array"],
+)
+def test_validate_rejects_a_rule_its_source_does_not_take(d, source, target):
+    assert validate_step(d, source, target) is False
+
+
 def test_drive_worked_example():
     result = drive_step(exp_term())
     assert result is not None

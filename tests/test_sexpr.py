@@ -246,6 +246,7 @@ def test_round_trip_on_the_depth_one_population():
         ("(a", "missing '\\)'"),
         ("(a))", "trailing input after derivation"),
         ("a b", "trailing input after derivation"),
+        ('(lift-wt-option "1")', "not an option term: '1'"),
     ],
 )
 def test_reader_errors(text, message):

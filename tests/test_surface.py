@@ -198,7 +198,7 @@ def test_parse_agrees_with_the_reference(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["nil²", "x½", "some²(1)", "²", "nil_", "x_y", "nil[0]", "nil[0] :=", "(((1", "some", "some 1", ""],
+    ["nil²", "x½", "some²(1)", "²", "nil_", "x_y", "nil[0]", "nil[0] :=", "(((1", "some", "some 1", "", "nil[0 + 1"],
 )
 def test_parse_agrees_with_the_reference_on_fixed_texts(text):
     # A regex word run also takes numeric characters that are no letters,
@@ -234,6 +234,8 @@ def test_parse_error_carries_offset():
     with pytest.raises(ParseError) as err:
         parse("some(")
     assert err.value.offset == 5
+    with pytest.raises(ParseError, match=r"^expected '\]' at offset 9$"):
+        parse("nil[0 + 1")
 
 
 def test_parse_error_on_unknown_word():
