@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import random
 import sys
+import threading
 
 from .generate import DEPTH_CAP, enumerate_terms, random_term
 from .preservation import preserve
@@ -24,6 +26,10 @@ INTERNAL_ERROR = 2
 # The internal-error line shows at most this many characters of each
 # argument, then the argument's length, so it stays one short line.
 ECHO_CHARS = 40
+# Held while main reads or switches the process-wide collector, so calls
+# that overlap in several threads, once all have returned, leave it as the
+# first of them found it.
+_COLLECTOR = threading.Lock()
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -80,8 +86,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("ill-typed")
         return USER_ERROR
     ty, derivation = result
-    print(ty.value)
-    print(render_derivation(derivation))
+    # Rendered in full before any is written, as in eval.
+    print("\n".join([ty.value, render_derivation(derivation)]))
     return 0
 
 
@@ -202,6 +208,13 @@ def _echo(argv: "list[str]") -> str:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The command runs with the cyclic collector off: a trace keeps Θ(n²)
+    # targets and derivations live, each full collection would rescan them
+    # all, and the commands make no cycles for it to free. The setting is
+    # process-wide; the caller's is restored on every exit path.
+    with _COLLECTOR:
+        collecting = gc.isenabled()
+        gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except LiteralLimitError as exc:
@@ -217,6 +230,10 @@ def main(argv: "list[str] | None" = None) -> int:
             file=sys.stderr,
         )
         return INTERNAL_ERROR
+    finally:
+        if collecting:
+            with _COLLECTOR:
+                gc.enable()
 
 
 if __name__ == "__main__":

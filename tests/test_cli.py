@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import subprocess
@@ -127,6 +128,18 @@ def test_escaping_exception_is_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "1 + 2")
     assert code == 2
     assert err.splitlines() == ["internal error: RuntimeError: boom (argv ['check', '1 + 2'])"]
+
+
+def test_check_writes_no_partial_answer(capsys, monkeypatch):
+    # The type is not written before the derivation that follows it renders.
+    def overflow(derivation):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "render_derivation", overflow)
+    code, out, err = run(capsys, "check", "some(1)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
 
 
 def test_long_argument_is_echoed_cut_short(capsys, monkeypatch):
@@ -299,3 +312,106 @@ def test_shared_parser_parses_from_several_threads():
     assert not any(thread.is_alive() for thread in threads)
     expected = [("eval", str(i), i, False) for i in range(200)]
     assert results == [expected] * len(results)
+
+
+@pytest.fixture(params=[True, False], ids=["caller-collects", "caller-disabled"])
+def collector(request):
+    """The caller's collector setting, with thresholds main must not touch."""
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(701, 11, 12)
+    (gc.enable if request.param else gc.disable)()
+    yield (request.param, (701, 11, 12))
+    gc.set_threshold(*threshold)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _raise(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "argv, command, code",
+    [
+        (["check", "1 + 2"], None, 0),
+        (["check", "0 + nil"], None, 1),
+        (["check", "1 + 2"], _raise(RuntimeError("boom")), 2),
+        (["bogus"], None, SystemExit),
+        (["check", "1 + 2"], _raise(KeyboardInterrupt()), KeyboardInterrupt),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "usage-error", "interrupt"],
+)
+def test_main_restores_the_callers_collector(capsys, monkeypatch, collector, argv, command, code):
+    if command is not None:
+        monkeypatch.setitem(cli._COMMANDS, argv[0], command)
+    if isinstance(code, int):
+        assert main(argv) == code
+    else:
+        with pytest.raises(code):
+            main(argv)
+    assert (gc.isenabled(), gc.get_threshold()) == collector
+
+
+def test_command_runs_with_the_collector_off(capsys, monkeypatch, collector):
+    seen = []
+
+    def record(args):
+        seen.append((gc.isenabled(), gc.get_threshold()))
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "check", record)
+    assert main(["check", "1"]) == 0
+    assert seen == [(False, collector[1])]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", EXP_TEXT], 0),
+        (["eval", "--trace", "--fuel", "100", " + ".join(["1"] * 100)], 0),
+        (["preserve", EXP_TEXT], 0),
+        (["selftest", "--depth", "1"], 0),
+        (["oracle-diff", "--depth", "1"], 0),
+        # Overflows the recursion in infer: the exit-2 path.
+        (["check", " + ".join(["1"] * 1500)], 2),
+    ],
+    ids=["check", "eval-trace", "preserve", "selftest", "oracle-diff", "recursion-error"],
+)
+def test_command_leaves_no_cyclic_garbage(argv, code):
+    # main turns the collector off because no command makes cycles; one
+    # that starts to would grow memory until the caller's next collection.
+    def quiet():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    assert quiet() == code  # warms the caches a first call fills
+    gc.collect()
+    assert quiet() == code
+    assert gc.collect() == 0
+
+
+def test_overlapping_calls_restore_the_callers_collector(collector):
+    # A call reads and switches the collector under one lock. Without it, a
+    # call could read "off" while another runs, then switch the collector
+    # off again just after that other call has turned it back on.
+    codes = []
+
+    def work():
+        codes.extend(main(["check", "1"]) for _ in range(300))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            with redirect_stdout(io.StringIO()):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            assert (gc.isenabled(), gc.get_threshold()) == collector
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [0] * 12_000
