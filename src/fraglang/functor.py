@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
-from typing import Any, Callable, TypeVar, Union
+from typing import Any, Callable, TypeVar
 
 
 class ShapeError(Exception):
@@ -114,7 +114,7 @@ class Prod:
     right: "FunctorDesc"
 
 
-FunctorDesc = Union[Rec, Atom, Sum, Prod]
+FunctorDesc = Rec | Atom | Sum | Prod
 
 
 @record
@@ -158,7 +158,7 @@ class Pair:
     snd: "Payload"
 
 
-Payload = Union[Slot, AtomVal, InL, InR, Pair]
+Payload = Slot | AtomVal | InL | InR | Pair
 
 
 class _ViewSlots:

@@ -7,8 +7,6 @@ payloads along the fragment's path, and destructors invert them.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .functor import (
     Atom,
     AtomVal,
@@ -61,7 +59,7 @@ lift_nat, lift_option, lift_sum, lift_array = (lifter(path, tag) for tag, path i
 View = tuple[str, Payload]
 
 
-def view(t: Term) -> Optional[View]:
+def view(t: Term) -> View | None:
     """The fragment tag and payload under ``t``'s node, or None.
 
     ``view(t) == (tag, p)`` exactly when ``downcast(LIFT_PATHS[tag], t) ==
@@ -88,23 +86,19 @@ def some_payload(e: Term) -> Payload:
     return InL(Slot(e))
 
 
-# Literals below this bound are shared: one Term each, built on first use.
+# Literals below this bound are shared: one Term each, built at import.
 SHARED_NATS = 256
-_NATS: list[Optional[Term]] = [None] * SHARED_NATS
+_NATS = tuple(lift_nat(AtomVal(BaseSet.NAT, n)) for n in range(SHARED_NATS))
 
 
 def enat(n: int) -> Term:
     """A natural-number literal; equal small literals are one object.
 
-    Racing first calls for one ``n`` build equal terms and one is kept, so
-    the table needs no lock.  Anything but a plain int in range, ``True``
-    included, is built and shape-checked afresh.
+    Anything but a plain int in range, ``True`` included, is built and
+    shape-checked afresh.
     """
     if type(n) is int and 0 <= n < SHARED_NATS:
-        t = _NATS[n]
-        if t is None:
-            t = _NATS[n] = lift_nat(AtomVal(BaseSet.NAT, n))
-        return t
+        return _NATS[n]
     return lift_nat(AtomVal(BaseSet.NAT, n))
 
 
@@ -142,18 +136,18 @@ def index(a: Term, i: Term) -> Term:
     return lift_array(InR(Pair(Slot(a), Slot(i))))
 
 
-def nat_value(t: Term) -> Optional[int]:
+def nat_value(t: Term) -> int | None:
     """The literal under a natural, or None."""
     v = view(t)
     return v[1].value if v is not None and v[0] == "nat" else None
 
 
-def option_payload(t: Term) -> Optional[Payload]:
+def option_payload(t: Term) -> Payload | None:
     v = view(t)
     return v[1] if v is not None and v[0] == "option" else None
 
 
-def array_payload(t: Term) -> Optional[Payload]:
+def array_payload(t: Term) -> Payload | None:
     v = view(t)
     return v[1] if v is not None and v[0] == "array" else None
 

@@ -7,8 +7,6 @@ modular machinery is supposed to add up to, for equivalence testing.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .functor import InL, InR, ShapeError, Term, record
 from .lang import SHARED_NATS, assign, enat, index, nil, none, plus, some, view
 from .typecheck import LangType
@@ -53,7 +51,7 @@ class Plus:
     e2: "MonoExpr"
 
 
-MonoExpr = Union[ENat, ESome, ENone, Nil, ELookup, Ins, Plus]
+MonoExpr = ENat | ESome | ENone | Nil | ELookup | Ins | Plus
 
 
 # Leaves are shared as the composed language shares its own (``lang.enat``,
@@ -111,7 +109,7 @@ def project(m: MonoExpr) -> Term:
     raise ShapeError(f"not a monolithic expression: {m!r}")
 
 
-def mono_infer(m: MonoExpr) -> Optional[LangType]:
+def mono_infer(m: MonoExpr) -> LangType | None:
     match m:
         case ENat(_):
             return LangType.NAT
@@ -153,7 +151,7 @@ def _chain_lookup(a: MonoExpr, n: int) -> MonoExpr:
                 return ENone()
 
 
-def mono_step(m: MonoExpr) -> Optional[MonoExpr]:
+def mono_step(m: MonoExpr) -> MonoExpr | None:
     """One deterministic step mirroring the modular driver's strategy."""
     match m:
         case Plus(ENat(n1), ENat(n2)):

@@ -7,8 +7,6 @@ be checked against a claimed (source, target) pair with no extra context.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .functor import InR, Pair, Payload, Slot, Term, is_natural, record
 from .lang import (
     View,
@@ -54,7 +52,7 @@ class StepV:
     m: int
 
 
-SumStep = Union[StepL, StepR, StepV]
+SumStep = StepL | StepR | StepV
 
 
 @record
@@ -75,7 +73,7 @@ class Lookup:
     idx: int
 
 
-ArrayStep = Union[StepI, Lookup]
+ArrayStep = StepI | Lookup
 
 
 @record
@@ -88,7 +86,7 @@ class ViaArray:
     step: ArrayStep
 
 
-ComposedStep = Union[ViaSum, ViaArray]
+ComposedStep = ViaSum | ViaArray
 
 
 def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
@@ -175,7 +173,7 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
     return False
 
 
-def drive_step(t: Term) -> Optional[tuple[Term, ComposedStep]]:
+def drive_step(t: Term) -> tuple[Term, ComposedStep] | None:
     """One deterministic step, or None on a normal form.
 
     Strategy: addition reduces its left operand to a literal, then its
@@ -185,7 +183,7 @@ def drive_step(t: Term) -> Optional[tuple[Term, ComposedStep]]:
     return _drive(view(t))
 
 
-def _drive(v: Optional[View]) -> Optional[tuple[Term, ComposedStep]]:
+def _drive(v: View | None) -> tuple[Term, ComposedStep] | None:
     # Steps the term whose view is v; each operand is viewed once, and the
     # view both tests for a literal and drives the operand's own step.  The
     # target shares the Slot of the operand a congruence leaves alone, and

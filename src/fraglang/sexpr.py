@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Optional, Union, get_args
+from typing import get_args
 
 from .functor import Term, record
 from .lang import SHARED_NATS, assign, enat, index, lift_option, nil, option_payload, plus
@@ -50,7 +50,7 @@ from .typecheck import (
     wt_nat,
 )
 
-Derivation = Union[ComposedStep, SumStep, ArrayStep, ComposedTyping, SumTyping, ArrayTyping]
+Derivation = ComposedStep | SumStep | ArrayStep | ComposedTyping | SumTyping | ArrayTyping
 
 
 class SexprError(Exception):
@@ -62,7 +62,7 @@ class StepSkeleton:
     """A step derivation as printed: rule names only, terms erased."""
 
     name: str
-    inner: Optional["StepSkeleton"] = None
+    inner: StepSkeleton | None = None
 
 
 # Each rule's printed name and the fields that hold its premises, in the
@@ -154,7 +154,7 @@ _LEAF_STEPS = {_NAMES[rule]: StepSkeleton(_NAMES[rule]) for rule in _STEPS if no
 _NIL_TYPED = (WT_NIL.inner, nil())
 
 
-def parse_derivation(text: str) -> Union[ComposedTyping, SumTyping, ArrayTyping, StepSkeleton]:
+def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | StepSkeleton:
     """Read a derivation back from its symbolic form.
 
     Typing derivations come back complete.  Step derivations come back as
@@ -232,8 +232,8 @@ def _typed(premise, kinds: frozenset) -> tuple:
 
 
 # The small literals' typings and terms by their text, shared as enat
-# shares the terms; built on first use.
-_LITERALS: dict[str, tuple] = {}
+# shares the terms.
+_LITERALS = {str(n): (wt_nat(n), enat(n)) for n in range(SHARED_NATS)}
 
 
 def _lift_wt_nat(name, digits) -> tuple:
@@ -249,10 +249,7 @@ def _lift_wt_nat(name, digits) -> tuple:
             f"{name} literal of {len(digits)} digits is past the"
             f" integer-string limit of {sys.get_int_max_str_digits()}"
         ) from None
-    typed = wt_nat(n), enat(n)
-    if n < SHARED_NATS:
-        _LITERALS[digits] = typed
-    return typed
+    return wt_nat(n), enat(n)
 
 
 def _lift_wt_option(name, quoted) -> tuple:
@@ -348,7 +345,7 @@ def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
     return derivation
 
 
-def _names_rules_of(skeleton: Optional[StepSkeleton], d) -> bool:
+def _names_rules_of(skeleton: StepSkeleton | None, d) -> bool:
     # Walks both trees together, one rule and its one premise at a time.
     while d is not None:
         name, premises = _RULES[type(d)]

@@ -15,7 +15,7 @@ payload p to the node InL(InR(p)).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .functor import (
     FunctorDesc,
@@ -61,7 +61,7 @@ def path_target(path: ContainsPath) -> FunctorDesc:
     return desc
 
 
-def lifter(path: ContainsPath, tag: Optional[str] = None) -> Callable[[Payload], Term]:
+def lifter(path: ContainsPath, tag: str | None = None) -> Callable[[Payload], Term]:
     """``upcast`` along one path, with the target found and compiled once.
 
     Given a ``tag``, each new term records ``(tag, p)`` as its view (see
@@ -92,7 +92,7 @@ def upcast(path: ContainsPath, p: Payload) -> Term:
     return lifter(path)(p)
 
 
-def downcast(path: ContainsPath, t: Term) -> Optional[Payload]:
+def downcast(path: ContainsPath, t: Term) -> Payload | None:
     """Partial inverse of upcast: recover the payload, or None.
 
     Returns the unique p with upcast(path, p) == t when t's node carries

@@ -15,8 +15,8 @@ held everywhere).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
 
 from .functor import Term
 from .lang import is_value
@@ -29,9 +29,9 @@ from .typecheck import ComposedTyping, LangType, infer, validate_typing
 _MAX_OFFENDERS = 10
 _TRACE_FUEL = 32
 
-Typed = Optional[tuple[LangType, ComposedTyping]]
-Stepped = Optional[tuple[Term, ComposedStep]]
-Check = Callable[[Term, Typed, Stepped], Optional[Sequence[str]]]
+Typed = tuple[LangType, ComposedTyping] | None
+Stepped = tuple[Term, ComposedStep] | None
+Check = Callable[[Term, Typed, Stepped], Sequence[str] | None]
 
 
 @dataclass(slots=True)
@@ -73,7 +73,7 @@ def sweep(terms: Iterable[Term], checks: dict[str, Check]) -> list[SweepReport]:
     return [report for report, _ in runs]
 
 
-def preservation_sweep(t: Term, typed: Typed, stepped: Stepped) -> Optional[list[str]]:
+def preservation_sweep(t: Term, typed: Typed, stepped: Stepped) -> list[str] | None:
     """Stepping a well-typed term preserves its type, with a valid derivation."""
     if typed is None or stepped is None:
         return None
@@ -88,7 +88,7 @@ def preservation_sweep(t: Term, typed: Typed, stepped: Stepped) -> Optional[list
     return []
 
 
-def driver_sweep(t: Term, typed: Typed, stepped: Stepped) -> Optional[list[str]]:
+def driver_sweep(t: Term, typed: Typed, stepped: Stepped) -> list[str] | None:
     """Driver soundness, determinism, and normality of values."""
     if drive_step(t) != stepped:
         return ["two invocations disagree"]

@@ -9,7 +9,6 @@ the payload's contents.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Union
 
 from .functor import InR, Payload, Term, is_natural, record, validator
 from .lang import OPTION, SHARED_NATS, view
@@ -59,7 +58,7 @@ class OkLookup:
 
 
 SumTyping = OkSum
-ArrayTyping = Union[OkNil, OkIns, OkLookup]
+ArrayTyping = OkNil | OkIns | OkLookup
 
 
 @record
@@ -82,7 +81,7 @@ class LiftWtArray:
     inner: ArrayTyping
 
 
-ComposedTyping = Union[LiftWtNat, LiftWtOption, LiftWtSum, LiftWtArray]
+ComposedTyping = LiftWtNat | LiftWtOption | LiftWtSum | LiftWtArray
 
 
 # Typing leaves are shared as their terms are (``lang.enat``, ``lang.nil``):
@@ -172,7 +171,7 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     )
 
 
-def infer(t: Term) -> Optional[tuple[LangType, ComposedTyping]]:
+def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
     """The unique type and derivation for t, or None.
 
     The rules are syntax-directed, so no search is needed: the injection

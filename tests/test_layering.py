@@ -20,17 +20,22 @@ LOADS = {
 NOT_LOADED = {"oracle": {"semantics", "preservation", "sexpr"}}
 
 
-def _loaded_alone(module):
-    # The fraglang modules a fresh interpreter holds after importing ``module``.
+def _fresh(code):
+    # What ``code`` prints, run in a fresh interpreter that imports this checkout.
     src = str(Path(fraglang.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def _loaded_alone(module):
+    # The fraglang modules a fresh interpreter holds after importing ``module``.
     code = (
         f"import sys, fraglang.{module}; "
         "print(' '.join(m[9:] for m in sys.modules if m.startswith('fraglang.')))"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
-    assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return set(_fresh(code))
 
 
 def test_every_pinned_module_exists():
@@ -44,3 +49,25 @@ def test_module_imports_alone(module):
     if module in LOADS:
         assert loaded == LOADS[module]
     assert not loaded & NOT_LOADED.get(module, set())
+
+
+# Classes a dropped copy of the package must not outlive.  A module-level
+# ``typing`` subscription over a fraglang class (``Union[...]``,
+# ``Optional[...]``, ``typing.Callable[...]``) is cached process-wide and
+# keeps its classes, and with them their modules, alive.
+PINNED = [("functor", "Slot"), ("typecheck", "OkSum"), ("semantics", "ViaSum"), ("oracle", "ENat")]
+
+
+def test_a_dropped_import_is_freed():
+    code = f"""
+import gc, importlib, sys, weakref
+for module in {MODULES!r}:
+    importlib.import_module("fraglang." + module)
+refs = [weakref.ref(getattr(sys.modules["fraglang." + m], name)) for m, name in {PINNED!r}]
+for name in [m for m in sys.modules if m == "fraglang" or m.startswith("fraglang.")]:
+    del sys.modules[name]
+importlib.import_module("fraglang.cli")
+gc.collect()
+print(" ".join(ref().__qualname__ for ref in refs if ref() is not None))
+"""
+    assert _fresh(code) == []

@@ -8,7 +8,7 @@ import pytest
 from fraglang import sexpr
 from fraglang.functor import AtomVal, BaseSet, InL, Term
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import assign, enat, index, nil, option_payload, plus, some
+from fraglang.lang import SHARED_NATS, assign, enat, index, nil, option_payload, plus, some
 from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import (
     SexprError,
@@ -29,6 +29,7 @@ from fraglang.typecheck import (
     OkNil,
     OkSum,
     infer,
+    wt_nat,
 )
 from goldens import (
     EVAL_EXP_SEXPR,
@@ -109,6 +110,16 @@ def test_literal_past_the_integer_string_limit():
 def test_canonical_naturals_round_trip():
     for n in (0, 7, 10, 1007):
         assert render_derivation(parse_derivation(f"(lift-wt-nat {n})")) == f"(lift-wt-nat {n})"
+
+
+@pytest.mark.parametrize("n", [0, SHARED_NATS - 1, SHARED_NATS])
+def test_literal_typings_read_back_shared_below_the_table_bound(n):
+    text = f"(lift-wt-nat {n})"
+    got = parse_derivation(text)
+    if n < SHARED_NATS:
+        assert got is wt_nat(n)
+    else:
+        assert got == wt_nat(n) and got is not parse_derivation(text)
 
 
 def test_elaboration_rejects_wrong_source():
