@@ -7,6 +7,8 @@ payloads along the fragment's path, and destructors invert them.
 
 from __future__ import annotations
 
+import functools
+
 from .functor import (
     Atom,
     AtomVal,
@@ -24,7 +26,7 @@ from .functor import (
     UNIT,
     validator,
 )
-from .subobject import ContainsPath, Direction, downcast, lifter
+from .subobject import ContainsPath, downcast, lifter
 
 
 NAT = Atom(BaseSet.NAT)
@@ -35,22 +37,17 @@ ARRAY = Sum(
     Sum(Prod(Rec(), Prod(Rec(), Rec())), Atom(BaseSet.UNIT)),
     Prod(Rec(), Rec()),
 )
-FEXPR = Sum(Sum(Sum(NAT, OPTION), SUM), ARRAY)
-
-_L = Direction.LEFT
-_R = Direction.RIGHT
-
-LIFT_NAT = ContainsPath((_L, _L, _L), FEXPR)
-LIFT_OPTION = ContainsPath((_R, _L, _L), FEXPR)
-LIFT_SUM = ContainsPath((_R, _L), FEXPR)
-LIFT_ARRAY = ContainsPath((_R,), FEXPR)
+# The fragments in order.  The language is their left-nested sum, so a
+# payload of fragment k of n is wrapped in one InR (none for the first),
+# then in n - 1 - k InLs: a path lists its injections innermost first.
+FRAGMENTS = {"nat": NAT, "option": OPTION, "sum": SUM, "array": ARRAY}
+FEXPR = functools.reduce(Sum, FRAGMENTS.values())
 
 LIFT_PATHS = {
-    "nat": LIFT_NAT,
-    "option": LIFT_OPTION,
-    "sum": LIFT_SUM,
-    "array": LIFT_ARRAY,
+    tag: ContainsPath((InR,)[:k] + (InL,) * (len(FRAGMENTS) - 1 - k), FEXPR)
+    for k, tag in enumerate(FRAGMENTS)
 }
+LIFT_NAT, LIFT_OPTION, LIFT_SUM, LIFT_ARRAY = LIFT_PATHS.values()
 
 # Each lifter records its fragment's view on the terms it builds.
 lift_nat, lift_option, lift_sum, lift_array = (lifter(path, tag) for tag, path in LIFT_PATHS.items())
@@ -157,34 +154,30 @@ def is_value(t: Term) -> bool:
 
     Naturals; nil; assignment chains whose indices and elements are all
     literals; none; and some of a value.  Lookup nodes are never values.
+    Both chains are walked in a loop, so any depth is answered.
     """
     v = view(t)
+    while v is not None and v[0] == "option":
+        if isinstance(v[1], InR):  # none
+            return True
+        v = view(v[1].payload.term)  # some(e) is a value when e is
     if v is None:
         return False
     tag, p = v
-    if tag == "nat":
-        return True
-    if tag == "option":
-        return isinstance(p, InR) or is_value(p.payload.term)
-    if tag == "array":
-        return _is_value_array(p)
-    return False
-
-
-def _is_value_array(p: Payload) -> bool:
+    if tag != "array":
+        return tag == "nat"
     # Three array cases, read by field on a viewed payload: lookup
     # InR(a, i) is no value, the empty array InL(InR(unit)) is one, and
     # assignment InL(InL(a, (i, e))) is one when i and e are literals and
     # a is a value.
-    if isinstance(p, InR):
-        return False
-    if isinstance(p.payload, InR):
-        return True
-    ops = p.payload.payload
-    if nat_value(ops.snd.fst.term) is None or nat_value(ops.snd.snd.term) is None:
-        return False
-    inner = array_payload(ops.fst.term)
-    return inner is not None and _is_value_array(inner)
+    while isinstance(p, InL):
+        if isinstance(p.payload, InR):
+            return True
+        ops = p.payload.payload
+        if nat_value(ops.snd.fst.term) is None or nat_value(ops.snd.snd.term) is None:
+            return False
+        p = array_payload(ops.fst.term)
+    return False
 
 
 _array_ok = validator(ARRAY)

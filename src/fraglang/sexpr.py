@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import get_args
+from typing import NoReturn, get_args
 
 from .functor import Term, record
 from .lang import SHARED_NATS, assign, enat, index, lift_option, nil, option_payload, plus
@@ -149,9 +149,13 @@ _LIFTS = frozenset(get_args(ComposedTyping))
 _SUMS = frozenset((SumTyping,))
 _ARRAYS = frozenset(get_args(ArrayTyping))
 _STEPS = frozenset(get_args(ComposedStep) + get_args(SumStep) + get_args(ArrayStep))
-# The step rules with no premises print as a bare name.
-_LEAF_STEPS = {_NAMES[rule]: StepSkeleton(_NAMES[rule]) for rule in _STEPS if not _RULES[rule][1]}
 _NIL_TYPED = (WT_NIL.inner, nil())
+# The rules with no premises print as their bare name, which is read as the
+# rule wherever it stands; a form headed by one is malformed.
+_LEAVES = {
+    _NAMES[OkNil]: _NIL_TYPED,
+    **{_NAMES[rule]: StepSkeleton(_NAMES[rule]) for rule in _STEPS if not _RULES[rule][1]},
+}
 
 
 def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | StepSkeleton:
@@ -164,10 +168,14 @@ def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | St
     # nesting depth is bounded by memory, not by the recursion limit.  A
     # form is decoded when it closes, from premises already decoded: a
     # typing premise as (derivation, the term it types), a step premise as
-    # its skeleton, a quoted term as a _Quoted, and a literal or a bare name
-    # as its text.
+    # its skeleton, a quoted term as a _Quoted, a rule with no premises as
+    # itself, and any other literal or bare name as its text.
+    tokens = _TOKEN.findall(text)
+    if len(tokens) == 1 and tokens[0] in _LEAVES:  # the whole text is one such rule
+        leaf = _LEAVES[tokens[0]]
+        return leaf[0] if type(leaf) is tuple else leaf
     stack: list[list] = []  # each open form: its rule name, then its premises
-    tokens = iter(_TOKEN.findall(text))
+    tokens = iter(tokens)
     for token in tokens:
         if token == "(":
             if stack and not stack[-1]:
@@ -185,6 +193,8 @@ def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | St
                 if len(token) == 1:
                     raise SexprError("unterminated quoted term")
                 token = _Quoted(token[1:-1])
+            elif stack and stack[-1]:  # a premise
+                token = _LEAVES.get(token, token)
             if stack:
                 stack[-1].append(token)
                 continue
@@ -271,7 +281,7 @@ def _lift_wt_sum(_, inner) -> tuple:
 
 
 def _lift_wt_array(_, inner) -> tuple:
-    if inner == _NAMES[OkNil] or inner is _NIL_TYPED:
+    if inner is _NIL_TYPED:
         return WT_NIL, _NIL_TYPED[1]
     w, t = _typed(inner, _ARRAYS)
     return LiftWtArray(w), t
@@ -280,10 +290,6 @@ def _lift_wt_array(_, inner) -> tuple:
 def _ok_sum(_, left, right) -> tuple:
     (wl, l), (wr, r) = _typed(left, _LIFTS), _typed(right, _LIFTS)
     return OkSum(wl, wr, l, r), plus(l, r)
-
-
-def _ok_nil(_) -> tuple:
-    return _NIL_TYPED
 
 
 def _ok_ins(_, array, value, idx) -> tuple:
@@ -298,15 +304,13 @@ def _ok_lookup(_, array, idx) -> tuple:
 
 def _step(name, inner) -> StepSkeleton:
     # Any step rule may stand under any other: elaboration checks the names.
-    if type(inner) is str and inner in _LEAF_STEPS:
-        inner = _LEAF_STEPS[inner]
-    elif type(inner) is not StepSkeleton:
+    if type(inner) is not StepSkeleton:
         raise _misplaced(inner, _STEPS)
     return StepSkeleton(name, inner)
 
 
-def _leaf_step(name) -> StepSkeleton:
-    return _LEAF_STEPS[name]
+def _leaf_form(name) -> NoReturn:
+    raise SexprError(f"malformed {name} form")
 
 
 # Each rule's decoder by its printed name.  A decoder takes the rule name,
@@ -319,10 +323,10 @@ _DECODERS = {
         LiftWtSum: _lift_wt_sum,
         LiftWtArray: _lift_wt_array,
         OkSum: _ok_sum,
-        OkNil: _ok_nil,
+        OkNil: _leaf_form,
         OkIns: _ok_ins,
         OkLookup: _ok_lookup,
-        **{rule: _step if _RULES[rule][1] else _leaf_step for rule in _STEPS},
+        **{rule: _step if _RULES[rule][1] else _leaf_form for rule in _STEPS},
     }.items()
 }
 

@@ -1,20 +1,15 @@
 """Containment paths into sum-structured descriptors and the lifts they induce.
 
-A path is a list of left/right choices selecting one summand of a root
-descriptor; the empty path selects the root itself.  Each path induces an
-injective lift from payloads of the selected summand into terms over the
-root, with a partial inverse that peels the injection spine back off.
-
-Order convention (fixed by the constructors this mirrors): the first step
-of a path wraps the payload first, so it becomes the innermost injection,
-while the descriptor walk that finds the target reads the steps last to
-first.  A path (right, left) therefore targets root.left.right and lifts a
-payload p to the node InL(InR(p)).
+A path is the tuple of injections (InL or InR) that selects one summand
+of a root descriptor, innermost first; the empty path selects the root
+itself.  Each path induces an injective lift from payloads of the selected
+summand into terms over the root, with a partial inverse that peels the
+injection spine back off.  The path (InR, InL), for one, targets
+root.left.right and lifts a payload p to the node InL(InR(p)).
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable
 
 from .functor import (
@@ -36,16 +31,11 @@ class MalformedPathError(Exception):
     """A path step met a descriptor that is not a sum."""
 
 
-class Direction(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 @record
 class ContainsPath:
     """A proof sketch that one descriptor is a (nested) summand of another."""
 
-    steps: tuple[Direction, ...]
+    steps: tuple[type[InL] | type[InR], ...]
     root: FunctorDesc
 
 
@@ -55,9 +45,9 @@ def path_target(path: ContainsPath) -> FunctorDesc:
     for step in reversed(path.steps):
         if not isinstance(desc, Sum):
             raise MalformedPathError(
-                f"path step {step.value} reaches non-sum descriptor {desc!r}"
+                f"path step {step.__name__} reaches non-sum descriptor {desc!r}"
             )
-        desc = desc.left if step is Direction.LEFT else desc.right
+        desc = desc.left if step is InL else desc.right
     return desc
 
 
@@ -68,7 +58,7 @@ def lifter(path: ContainsPath, tag: str | None = None) -> Callable[[Payload], Te
     ``lang.view``): the shape check just passed and the spine is the path's.
     """
     check = validator(path_target(path))
-    wraps = tuple(InL if step is Direction.LEFT else InR for step in path.steps)
+    wraps = path.steps
 
     def lift(p: Payload) -> Term:
         if not check(p):
@@ -101,12 +91,9 @@ def downcast(path: ContainsPath, t: Term) -> Payload | None:
     node = t.node
     # The outermost injection corresponds to the last path step.
     for step in reversed(path.steps):
-        if step is Direction.LEFT and isinstance(node, InL):
-            node = node.payload
-        elif step is Direction.RIGHT and isinstance(node, InR):
-            node = node.payload
-        else:
+        if not isinstance(node, step):
             return None
+        node = node.payload
     if not validator(path_target(path))(node):
         return None
     return node

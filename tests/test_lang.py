@@ -27,6 +27,7 @@ from fraglang.lang import (
 )
 from fraglang.semantics import drive_step
 from fraglang.subobject import downcast
+from goldens import differential_terms
 
 
 def test_enat_spine():
@@ -92,6 +93,46 @@ def test_is_value():
     assert not is_value(some(plus(enat(0), enat(0))))
     # the array operand must itself be a literal chain
     assert not is_value(assign(index(nil(), enat(0)), enat(0), enat(1)))
+
+
+def _reference_is_value(t):
+    # The recursive definition is_value walks in loops.
+    v = view(t)
+    if v is None:
+        return False
+    tag, p = v
+    if tag == "option":
+        return isinstance(p, InR) or _reference_is_value(p.payload.term)
+    if tag != "array" or isinstance(p, InR):
+        return tag == "nat"
+    if isinstance(p.payload, InR):
+        return True
+    ops = p.payload.payload
+    a, i, e = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+    literals = nat_value(i) is not None and nat_value(e) is not None
+    return literals and array_payload(a) is not None and _reference_is_value(a)
+
+
+def test_is_value_reference_differential():
+    terms = differential_terms()
+    answers = [is_value(t) for t in terms]
+    assert answers == [_reference_is_value(t) for t in terms]
+    assert 0 < answers.count(True) < len(terms)
+
+
+def _deep(base, wrap, depth=5_000):
+    t = base
+    for k in range(depth):
+        t = wrap(t, k)
+    return t
+
+
+def test_is_value_takes_any_depth():
+    assert is_value(_deep(nil(), lambda a, k: assign(a, enat(k), enat(1))))
+    assert is_value(_deep(enat(1), lambda e, _: some(e)))
+    bad_base = assign(nil(), plus(enat(0), enat(0)), enat(1))
+    assert not is_value(_deep(bad_base, lambda a, k: assign(a, enat(k), enat(1))))
+    assert not is_value(_deep(index(nil(), enat(0)), lambda e, _: some(e)))
 
 
 def _chain(pairs):

@@ -258,6 +258,17 @@ def test_round_trip_on_the_depth_one_population():
         ("(a))", "trailing input after derivation"),
         ("a b", "trailing input after derivation"),
         ('(lift-wt-option "1")', "not an option term: '1'"),
+        # A rule with no premises is its bare name, never a form.
+        ("(ok-nil)", "malformed ok-nil form"),
+        ("(lift-wt-array (ok-nil))", "malformed ok-nil form"),
+        ("(stepv)", "malformed stepv form"),
+        ("(step⁺ (stepv))", "malformed stepv form"),
+        ("(lookup)", "malformed lookup form"),
+        ("(step[] (lookup))", "malformed lookup form"),
+        # A bare one where another rule belongs is named as found.
+        ("(lift-wt-sum ok-nil)", "expected ok-sum, got ok-nil"),
+        ("(lift-wt-array stepv)", "expected ok-ins or ok-lookup or ok-nil, got stepv"),
+        ("(step⁺ ok-nil)", "expected lookup or step\\[\\] or stepi or stepl or stepr or stepv or step⁺, got ok-nil"),
     ],
 )
 def test_reader_errors(text, message):
@@ -302,7 +313,7 @@ def test_deep_skeleton_round_trip():
 # -- the reference decoder ------------------------------------------------
 # The two-pass decoder parse_derivation replaced: read the text into a list
 # tree, then decode the tree top-down.  It is the specification the one-pass
-# decoder is checked against.
+# decoder is checked against.  A rule with no premises is its bare name only.
 
 _REF_TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"]+|"')
 _REF_NATURAL = re.compile(r"0|[1-9][0-9]*")
@@ -389,7 +400,7 @@ def _ref_decode(tree, allowed):
         case ("ok-sum", [left, right]):
             (wl, l), (wr, r) = _ref_decode(left, _REF_LIFTS), _ref_decode(right, _REF_LIFTS)
             return OkSum(wl, wr, l, r), plus(l, r)
-        case ("ok-nil", []):
+        case ("ok-nil", []) if isinstance(tree, str):
             return OkNil(), nil()
         case ("ok-ins", [array, value, idx]):
             wa, a = _ref_decode(array, _REF_LIFTS)
@@ -407,8 +418,8 @@ def _ref_decode_step(tree):
     if head not in STEP_NAMES:
         raise SexprError(f"unknown constructor name {head!r}")
     if head in _REF_LEAF_STEPS:
-        if args:
-            raise SexprError(f"{head} takes no premises")
+        if not isinstance(tree, str):
+            raise SexprError(f"malformed {head} form")
         return StepSkeleton(head)
     if len(args) != 1:
         raise SexprError(f"{head} takes exactly one premise")

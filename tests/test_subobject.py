@@ -21,14 +21,13 @@ from fraglang.lang import (
 )
 from fraglang.subobject import (
     ContainsPath,
-    Direction,
     MalformedPathError,
     downcast,
     path_target,
     upcast,
 )
 
-L, R = Direction.LEFT, Direction.RIGHT
+L, R = InL, InR
 LIFTS = [LIFT_NAT, LIFT_OPTION, LIFT_SUM, LIFT_ARRAY]
 
 

@@ -24,7 +24,7 @@ from fraglang.lang import (
 )
 from fraglang.oracle import embed
 from fraglang.semantics import Lookup, StepV, ViaArray, ViaSum, drive_step, validate_step
-from fraglang.subobject import Direction, downcast, path_target
+from fraglang.subobject import downcast, path_target
 from fraglang.surface import render
 from fraglang.typecheck import LangType, LiftWtNat, infer, validate_typing
 
@@ -67,7 +67,7 @@ def test_view_agrees_with_downcast():
             for spine in LIFT_PATHS.values():
                 node = p
                 for step in spine.steps:
-                    node = InL(node) if step is Direction.LEFT else InR(node)
+                    node = step(node)
                 terms.append(Term(node))
     for t in terms:
         assert view(t) == _downcast_view(t)
