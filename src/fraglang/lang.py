@@ -24,7 +24,6 @@ from .functor import (
     Sum,
     Term,
     UNIT,
-    validator,
 )
 from .subobject import ContainsPath, downcast, lifter
 
@@ -75,14 +74,6 @@ def view(t: Term) -> View | None:
     return None
 
 
-NONE_PAYLOAD = InR(AtomVal(BaseSet.UNIT, UNIT))
-NIL_PAYLOAD = InL(InR(AtomVal(BaseSet.UNIT, UNIT)))
-
-
-def some_payload(e: Term) -> Payload:
-    return InL(Slot(e))
-
-
 # Literals below this bound are shared: one Term each, built at import.
 SHARED_NATS = 256
 _NATS = tuple(lift_nat(AtomVal(BaseSet.NAT, n)) for n in range(SHARED_NATS))
@@ -106,11 +97,11 @@ def plus(e1: Term, e2: Term) -> Term:
 
 def some(e: Term) -> Term:
     """A present optional value."""
-    return lift_option(some_payload(e))
+    return lift_option(InL(Slot(e)))
 
 
-_NONE = lift_option(NONE_PAYLOAD)
-_NIL = lift_array(NIL_PAYLOAD)
+_NONE = lift_option(InR(AtomVal(BaseSet.UNIT, UNIT)))
+_NIL = lift_array(InL(InR(AtomVal(BaseSet.UNIT, UNIT))))
 
 
 def none() -> Term:
@@ -137,11 +128,6 @@ def nat_value(t: Term) -> int | None:
     """The literal under a natural, or None."""
     v = view(t)
     return v[1].value if v is not None and v[0] == "nat" else None
-
-
-def option_payload(t: Term) -> Payload | None:
-    v = view(t)
-    return v[1] if v is not None and v[0] == "option" else None
 
 
 def array_payload(t: Term) -> Payload | None:
@@ -180,32 +166,29 @@ def is_value(t: Term) -> bool:
     return False
 
 
-_array_ok = validator(ARRAY)
-
-
-def array_lookup(a: Payload, n: int) -> Payload:
+def array_lookup(a: Term, n: int) -> Term:
     """Scan an assignment chain for index n; the outermost write wins.
 
-    Returns an option payload: some of the stored element on a hit, none
-    when the chain ends at nil.  The scan fails closed (none) on any node
-    that is not an assignment or nil, and on any non-literal index, since
-    no rule ever evaluates inside an assignment.
+    Returns some of the stored element on a hit, and none when the chain
+    ends at nil.  The scan fails closed (none) on any node that is not an
+    assignment or nil, and on any non-literal index, since no rule ever
+    evaluates inside an assignment.  Raises ShapeError when ``a`` is no
+    array.
     """
-    if not _array_ok(a):
-        raise ShapeError(f"array_lookup expects an array payload, got {a!r}")
-    # Three array cases, read by field once checked (a later payload is a
-    # view): lookup InR(a, i) and the empty array InL(InR(unit)) end the
-    # scan; assignment InL(InL(a, (i, e))) holds n or passes it on to a.
-    while True:
-        if isinstance(a, InR) or isinstance(a.payload, InR):
-            return NONE_PAYLOAD
-        ops = a.payload.payload
+    v = view(a) if isinstance(a, Term) else None
+    if v is None or v[0] != "array":
+        got = type(a).__name__ if v is None else f"a {v[0]} term"
+        raise ShapeError(f"array_lookup expects an array term, got {got}")
+    # Three array cases, read by field on a viewed payload: lookup InR(a, i)
+    # and the empty array InL(InR(unit)) end the scan; assignment
+    # InL(InL(a, (i, e))) holds n or passes it on to a.
+    p = v[1]
+    while isinstance(p, InL) and isinstance(p.payload, InL):
+        ops = p.payload.payload
         stored = nat_value(ops.snd.fst.term)
         if stored is None:
-            return NONE_PAYLOAD
+            break
         if stored == n:
-            return some_payload(ops.snd.snd.term)
-        inner = array_payload(ops.fst.term)
-        if inner is None:
-            return NONE_PAYLOAD
-        a = inner
+            return some(ops.snd.snd.term)
+        p = array_payload(ops.fst.term)
+    return _NONE

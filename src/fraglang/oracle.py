@@ -69,7 +69,8 @@ def embed(t: Term) -> MonoExpr:
     """
     v = view(t)
     if v is None:
-        raise ShapeError(f"not a term of the composed language: {t!r}")
+        # The node's class, not its repr: a deep term's repr recurses too far.
+        raise ShapeError(f"not a term of the composed language: a Term over {type(t.node).__name__}")
     tag, p = v
     if tag == "nat":
         n = p.value  # a natural, so only the upper bound needs checking

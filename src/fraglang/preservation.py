@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .functor import Payload, record
-from .lang import array_lookup, enat, lift_array
+from .functor import Term, record
+from .lang import array_lookup, enat
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -48,7 +48,7 @@ class PreservationHooks:
     """What a fragment transformer assumes about the composed language."""
 
     wt_nat: Callable[[int], ComposedTyping]
-    wt_option: Callable[[Payload], ComposedTyping]
+    wt_option: Callable[[Term], ComposedTyping]
     lift_sum_wt: Callable[[SumTyping], ComposedTyping]
     lift_array_wt: Callable[[ArrayTyping], ComposedTyping]
     induction: Callable[[ComposedStep, ComposedTyping], ComposedTyping]
@@ -92,14 +92,10 @@ def preservation_array(
             return hooks.lift_array_wt(
                 OkLookup(wt.array_wt, rewritten, array, idx_after)
             )
-        case Lookup(chain, idx):
-            if (
-                not isinstance(wt, OkLookup)
-                or wt.array != lift_array(chain)
-                or wt.index != enat(idx)
-            ):
+        case Lookup(array, idx):
+            if not isinstance(wt, OkLookup) or wt.array != array or wt.index != enat(idx):
                 raise SubjectMismatchError("lookup subject mismatch")
-            return hooks.wt_option(array_lookup(chain, idx))
+            return hooks.wt_option(array_lookup(array, idx))
     raise SubjectMismatchError(f"not an array step: {step!r}")
 
 

@@ -13,7 +13,6 @@ from .lang import (
     array_lookup,
     enat,
     lift_array,
-    lift_option,
     lift_sum,
     nat_value,
     view,
@@ -67,9 +66,9 @@ class StepI:
 
 @record
 class Lookup:
-    """Resolution of a lookup on a lifted array payload and literal index."""
+    """Resolution of a lookup on an array and a literal index."""
 
-    chain: Payload
+    array: Term
     idx: int
 
 
@@ -95,7 +94,7 @@ def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
     Each rule is checked against one ``view`` of the source and one of the
     target: literals against the viewed literal values, stored terms against
     the viewed slot terms, and a lookup's result against ``array_lookup`` on
-    the source's own array payload.  Premises are checked against those slot
+    the source's own array.  Premises are checked against those slot
     terms, so no claimed endpoint is rebuilt.
     """
     sv = view(source) if isinstance(source, Term) else None
@@ -164,11 +163,10 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
         return (
             is_natural(s.idx)
             and nat_value(idx) == s.idx
+            and s.array == array
             and array_v is not None
             and array_v[0] == "array"
-            and s.chain == array_v[1]
-            and tv[0] == "option"
-            and tv[1] == array_lookup(array_v[1], s.idx)
+            and tv == view(array_lookup(array, s.idx))
         )
     return False
 
@@ -178,7 +176,7 @@ def drive_step(t: Term) -> tuple[Term, ComposedStep] | None:
 
     Strategy: addition reduces its left operand to a literal, then its
     right, then the pair; lookup reduces its index to a literal, then
-    resolves when the array operand is a lifted array payload.
+    resolves when the array operand is an array.
     """
     return _drive(view(t))
 
@@ -227,8 +225,7 @@ def _drive(v: View | None) -> tuple[Term, ComposedStep] | None:
         array_v = view(array)
         if array_v is None or array_v[0] != "array":
             return None
-        chain = array_v[1]
-        return lift_option(array_lookup(chain, n)), ViaArray(Lookup(chain, n))
+        return array_lookup(array, n), ViaArray(Lookup(array, n))
     return None
 
 

@@ -8,7 +8,7 @@ own.  Step derivations round-trip as a skeleton of rule names; a source
 term has at most one step derivation, so elaborate_step runs the driver on
 the source and accepts its derivation when the skeleton names its rules.
 
-Terms appear in one place only (the payload of an option's typing) and are
+Terms appear in one place only (the term of an option's typing) and are
 embedded as a double-quoted surface-syntax string.
 """
 
@@ -19,7 +19,7 @@ import sys
 from typing import NoReturn, get_args
 
 from .functor import Term, record
-from .lang import SHARED_NATS, assign, enat, index, lift_option, nil, option_payload, plus
+from .lang import SHARED_NATS, assign, enat, index, nil, plus, view
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -122,7 +122,7 @@ def render_derivation(d: Derivation) -> str:
         elif type(d) is LiftWtNat:
             parts.append(f"({_NAMES[LiftWtNat]} {literal_text(d.n)})")
         elif type(d) is LiftWtOption:
-            parts.append(f'({_NAMES[LiftWtOption]} "{render(lift_option(d.payload))}")')
+            parts.append(f'({_NAMES[LiftWtOption]} "{render(d.term)}")')
         else:
             raise SexprError(f"not a derivation: {d!r}")
     return "".join(parts)
@@ -204,6 +204,8 @@ def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | St
             raise SexprError("trailing input after derivation")
         rule = _DECODERS.get(form[0])
         if rule is None:
+            if type(form[0]) is _Quoted:
+                raise SexprError(f'a quoted term "{form[0].text}" where a rule name belongs')
             raise SexprError(f"unknown constructor name {form[0]!r}")
         size, decode = rule
         if len(form) != size:
@@ -269,10 +271,9 @@ def _lift_wt_option(name, quoted) -> tuple:
         t = parse(quoted.text)
     except ParseError as exc:
         raise SexprError(f"not a term: {quoted.text!r} ({exc})") from None
-    payload = option_payload(t)
-    if payload is None:
+    if view(t)[0] != "option":
         raise SexprError(f"not an option term: {quoted.text!r}")
-    return LiftWtOption(payload), t
+    return LiftWtOption(t), t
 
 
 def _lift_wt_sum(_, inner) -> tuple:

@@ -165,7 +165,8 @@ def render(t: Term) -> str:
 def _render(t: Term, level: int) -> str:
     v = view(t)
     if v is None:
-        raise ShapeError(f"not a term of the composed language: {t!r}")
+        # The node's class, not its repr: a deep term's repr recurses too far.
+        raise ShapeError(f"not a term of the composed language: a Term over {type(t.node).__name__}")
     tag, p = v
     if tag == "nat":
         return literal_text(p.value)

@@ -2,16 +2,15 @@
 
 Fragment rules (sums, arrays) know nothing about the composed language;
 the lift constructors tie them to it.  The option rule is deliberately
-shallow: any shape-correct option payload is well-typed, with no demand on
-the payload's contents.
+shallow: any option term is well-typed, with no demand on what it holds.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .functor import InR, Payload, Term, is_natural, record, validator
-from .lang import OPTION, SHARED_NATS, view
+from .functor import InR, Term, is_natural, record
+from .lang import SHARED_NATS, view
 
 
 class LangType(Enum):
@@ -68,7 +67,7 @@ class LiftWtNat:
 
 @record
 class LiftWtOption:
-    payload: Payload
+    term: Term
 
 
 @record
@@ -97,17 +96,15 @@ def wt_nat(n: int) -> LiftWtNat:
     return LiftWtNat(n)
 
 
-_option_ok = validator(OPTION)
-
-
 def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     """True iff d is recursively well-formed and claims exactly (t, ty).
 
     Each rule is checked against one ``view`` of the term it is given:
-    literals and option payloads against the view's payload, stored terms
-    against the view's slot terms.  Premises are checked against those slot
-    terms, so no claimed term is rebuilt, and a term outside the language
-    (a bool literal, say) is rejected rather than compared equal.
+    literals against the view's payload, stored terms against the view's
+    slot terms, and an option's stored term by its own view.  Premises are
+    checked against those slot terms, so no claimed term is rebuilt, and a
+    term outside the language (a bool literal, say) is rejected rather than
+    compared equal.
     """
     v = view(t) if isinstance(t, Term) else None
     if v is None:
@@ -121,12 +118,13 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
             and d.n == p.value
         )
     if tag == "option":
-        # The payload's contents are deliberately unconstrained.
+        # What the option holds is deliberately unconstrained; view
+        # shape-checks the stored term.
         return (
             isinstance(d, LiftWtOption)
             and ty is LangType.OPTION
-            and _option_ok(d.payload)
-            and d.payload == p
+            and isinstance(d.term, Term)
+            and view(d.term) == v
         )
     if tag == "sum":
         w = d.inner if isinstance(d, LiftWtSum) else None
@@ -186,7 +184,7 @@ def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
     if tag == "nat":
         return LangType.NAT, wt_nat(p.value)
     if tag == "option":
-        return LangType.OPTION, LiftWtOption(p)
+        return LangType.OPTION, LiftWtOption(t)
     if tag == "sum":
         left, right = p.fst.term, p.snd.term
         left_result = infer(left)

@@ -9,7 +9,6 @@ from fraglang.lang import (
     LIFT_NAT,
     LIFT_OPTION,
     LIFT_SUM,
-    NONE_PAYLOAD,
     SHARED_NATS,
     array_lookup,
     array_payload,
@@ -22,7 +21,6 @@ from fraglang.lang import (
     none,
     plus,
     some,
-    some_payload,
     view,
 )
 from fraglang.semantics import drive_step
@@ -66,8 +64,8 @@ def test_constructors_validate_and_downcast_back():
     cases = [
         (LIFT_NAT, enat(5), AtomVal(BaseSet.NAT, 5)),
         (LIFT_SUM, plus(enat(1), enat(2)), Pair(Slot(enat(1)), Slot(enat(2)))),
-        (LIFT_OPTION, none(), NONE_PAYLOAD),
-        (LIFT_OPTION, some(enat(1)), some_payload(enat(1))),
+        (LIFT_OPTION, none(), InR(AtomVal(BaseSet.UNIT, UNIT))),
+        (LIFT_OPTION, some(enat(1)), InL(Slot(enat(1)))),
         (LIFT_ARRAY, nil(), InL(InR(AtomVal(BaseSet.UNIT, UNIT)))),
         (LIFT_ARRAY, index(nil(), enat(0)), InR(Pair(Slot(nil()), Slot(enat(0))))),
         (
@@ -143,27 +141,37 @@ def _chain(pairs):
 
 
 def test_array_lookup_examples():
-    assert array_lookup(array_payload(nil()), 0) == NONE_PAYLOAD
-    one = array_payload(_chain([(0, 1)]))
-    assert array_lookup(one, 0) == some_payload(enat(1))
-    assert array_lookup(one, 2) == NONE_PAYLOAD
+    assert array_lookup(nil(), 0) is none()
+    one = _chain([(0, 1)])
+    assert array_lookup(one, 0) == some(enat(1))
+    assert array_lookup(one, 2) is none()
 
 
 def test_array_lookup_non_literal_index_fails_closed():
-    chain = array_payload(assign(nil(), plus(enat(0), enat(0)), enat(1)))
-    assert array_lookup(chain, 0) == NONE_PAYLOAD
+    chain = assign(nil(), plus(enat(0), enat(0)), enat(1))
+    assert array_lookup(chain, 0) is none()
 
 
 def test_array_lookup_stops_on_lookup_node():
-    assert array_lookup(array_payload(index(nil(), enat(0))), 0) == NONE_PAYLOAD
-    chain = array_payload(assign(index(nil(), enat(0)), enat(1), enat(2)))
-    assert array_lookup(chain, 1) == some_payload(enat(2))
-    assert array_lookup(chain, 0) == NONE_PAYLOAD
+    assert array_lookup(index(nil(), enat(0)), 0) is none()
+    chain = assign(index(nil(), enat(0)), enat(1), enat(2))
+    assert array_lookup(chain, 1) == some(enat(2))
+    assert array_lookup(chain, 0) is none()
 
 
 def test_array_lookup_rejects_non_array_payload():
-    with pytest.raises(ShapeError):
+    # A payload is no term, and a term of another fragment is no array.
+    with pytest.raises(ShapeError, match="got AtomVal"):
         array_lookup(AtomVal(BaseSet.NAT, 0), 0)
+    with pytest.raises(ShapeError, match="got a nat term"):
+        array_lookup(enat(0), 0)
+
+
+def test_array_lookup_error_names_the_class_not_the_value():
+    # The repr of a 100-term chain's payload is past the recursion limit.
+    chain = _deep(enat(1), lambda e, _: plus(e, enat(1)), depth=100)
+    with pytest.raises(ShapeError, match="got Pair$"):
+        array_lookup(view(chain)[1], 0)
 
 
 def test_array_lookup_exhaustive_against_dict_oracle():
@@ -173,21 +181,20 @@ def test_array_lookup_exhaustive_against_dict_oracle():
     for k in range(1, 4):
         chains += [list(c) for c in itertools.product(writes, repeat=k)]
     for pairs in chains:
-        payload = array_payload(_chain(pairs))
+        array = _chain(pairs)
         expected = {}
         for i, e in pairs:  # later (outermost) writes win
             expected[i] = e
         for n in range(4):
-            got = array_lookup(payload, n)
+            got = array_lookup(array, n)
             if n in expected:
-                assert got == some_payload(enat(expected[n]))
+                assert got == some(enat(expected[n]))
             else:
-                assert got == NONE_PAYLOAD
+                assert got is none()
 
 
 def test_outermost_assignment_shadows():
-    payload = array_payload(_chain([(0, 1), (0, 2)]))
-    assert array_lookup(payload, 0) == some_payload(enat(2))
+    assert array_lookup(_chain([(0, 1), (0, 2)]), 0) == some(enat(2))
 
 
 def test_values_do_not_step():

@@ -1,12 +1,17 @@
+import dataclasses
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
 import fraglang
+from fraglang.preservation import PreservationHooks
+from fraglang.semantics import ArrayStep, ComposedStep, SumStep
+from fraglang.typecheck import ArrayTyping, ComposedTyping, SumTyping
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fraglang.__path__))
 
@@ -71,3 +76,18 @@ gc.collect()
 print(" ".join(ref().__qualname__ for ref in refs if ref() is not None))
 """
     assert _fresh(code) == []
+
+
+def test_derivations_hold_terms_not_payloads():
+    # Proofs reach a fragment's payload only through view: no derivation
+    # record, and no hook the preservation transformers assume, holds one.
+    unions = (ComposedTyping, SumTyping, ArrayTyping, ComposedStep, SumStep, ArrayStep)
+    rules = {rule for union in unions for rule in get_args(union) or (union,)}
+    assert len(rules) == 15  # LiftWt*, Ok*, Via*, Step*, Lookup
+    holders = [
+        f"{cls.__name__}.{f.name}: {f.type}"
+        for cls in sorted(rules | {PreservationHooks}, key=lambda cls: cls.__name__)
+        for f in dataclasses.fields(cls)
+        if "Payload" in str(f.type)
+    ]
+    assert holders == []

@@ -4,7 +4,7 @@ import pytest
 
 from fraglang.functor import InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import enumerate_terms, random_term
-from fraglang.lang import SHARED_NATS, enat, nil, none, some, view
+from fraglang.lang import SHARED_NATS, enat, nil, none, plus, some, view
 from fraglang.oracle import (
     ELookup,
     ENat,
@@ -53,6 +53,16 @@ def test_project_inverts_embed_on_random_terms():
 def test_embed_rejects_malformed_terms():
     with pytest.raises(ShapeError):
         embed(Term(Slot(enat(0))))
+
+
+def test_embed_error_names_the_class_not_the_term():
+    # The repr of a 100-term chain is past the recursion limit.
+    chain = enat(1)
+    for _ in range(99):
+        chain = plus(chain, enat(1))
+    for bad in (Term(Slot(chain)), plus(enat(1), Term(Slot(chain)))):
+        with pytest.raises(ShapeError, match="a Term over Slot$"):
+            embed(bad)
 
 
 def test_embed_shares_its_leaves():

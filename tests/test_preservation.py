@@ -5,12 +5,11 @@ import pytest
 import fraglang.preservation as preservation_module
 from fraglang.generate import random_typed_term
 from fraglang.lang import (
-    NONE_PAYLOAD,
-    array_payload,
     assign,
     enat,
     index,
     nil,
+    none,
     plus,
 )
 from fraglang.preservation import (
@@ -68,11 +67,10 @@ def test_preservation_sum_rejects_mismatched_subject():
 
 
 def test_preservation_array_lookup_clause():
-    chain = array_payload(assign(nil(), enat(0), enat(1)))
     subject_array = assign(nil(), enat(0), enat(1))
     wt = OkLookup(infer(subject_array)[1], LiftWtNat(1), subject_array, enat(1))
-    result = preservation_array(COMPOSED_HOOKS, Lookup(chain, 1), wt)
-    assert result == LiftWtOption(NONE_PAYLOAD)
+    result = preservation_array(COMPOSED_HOOKS, Lookup(subject_array, 1), wt)
+    assert result == LiftWtOption(none())
 
 
 def test_preservation_array_index_congruence_clause():
@@ -120,7 +118,7 @@ _LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), _ONE_PLUS_TWO_WT, nil(), _ONE_PLUS_T
             _LITERAL_SUM_WT,
             "right-congruence subject mismatch",
         ),
-        (preservation_sum, Lookup(array_payload(nil()), 0), _SUM_WT, "not a sum step: Lookup"),
+        (preservation_sum, Lookup(nil(), 0), _SUM_WT, "not a sum step: Lookup"),
         (
             preservation_array,
             StepI(_STEP_ONE_PLUS_TWO, nil(), _ONE_PLUS_TWO, enat(3)),
@@ -153,10 +151,9 @@ def test_transformers_reject_a_subject_the_typing_does_not_type(transformer, ste
 
 
 def test_preservation_array_rejects_lookup_against_ins():
-    chain = array_payload(nil())
     wt = OkIns(LiftWtArray(OkNil()), LiftWtNat(1), LiftWtNat(0), nil(), enat(1), enat(0))
     with pytest.raises(SubjectMismatchError):
-        preservation_array(COMPOSED_HOOKS, Lookup(chain, 0), wt)
+        preservation_array(COMPOSED_HOOKS, Lookup(nil(), 0), wt)
 
 
 def test_preserve_worked_example_exactly():
@@ -171,9 +168,8 @@ def test_preserve_literal_sum():
 
 
 def test_preserve_rejects_cross_fragment_pairing():
-    chain = array_payload(nil())
     with pytest.raises(SubjectMismatchError):
-        preserve(ViaArray(Lookup(chain, 0)), LiftWtSum(OkSum(LiftWtNat(0), LiftWtNat(0), enat(0), enat(0))))
+        preserve(ViaArray(Lookup(nil(), 0)), LiftWtSum(OkSum(LiftWtNat(0), LiftWtNat(0), enat(0), enat(0))))
     with pytest.raises(SubjectMismatchError):
         preserve(ViaSum(StepV(0, 0)), LiftWtNat(0))
 
@@ -215,9 +211,7 @@ def test_sum_cases_never_call_array_transformer(monkeypatch):
 def test_composed_hooks_cohere():
     # every hook output validates for its lifted subject
     assert validate_typing(COMPOSED_HOOKS.wt_nat(5), enat(5), LangType.NAT)
-    from fraglang.lang import none
-
-    assert validate_typing(COMPOSED_HOOKS.wt_option(NONE_PAYLOAD), none(), LangType.OPTION)
+    assert validate_typing(COMPOSED_HOOKS.wt_option(none()), none(), LangType.OPTION)
     ok_sum = OkSum(LiftWtNat(1), LiftWtNat(2), enat(1), enat(2))
     assert validate_typing(
         COMPOSED_HOOKS.lift_sum_wt(ok_sum), plus(enat(1), enat(2)), LangType.NAT

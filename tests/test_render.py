@@ -10,7 +10,7 @@ import random
 import pytest
 
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import enat, index, lift_option, plus, view
+from fraglang.lang import enat, index, plus, view
 from fraglang.preservation import preserve
 from fraglang.semantics import (
     Lookup,
@@ -57,9 +57,8 @@ def reference_render(d) -> str:
             return "lookup"
         case LiftWtNat(n):
             return f"(lift-wt-nat {literal_text(n)})"
-        case LiftWtOption(payload):
-            term_text = render(lift_option(payload))
-            return f'(lift-wt-option "{term_text}")'
+        case LiftWtOption(term):
+            return f'(lift-wt-option "{render(term)}")'
         case LiftWtSum(inner):
             return f"(lift-wt-sum {reference_render(inner)})"
         case LiftWtArray(inner):

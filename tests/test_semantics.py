@@ -42,9 +42,9 @@ def test_validate_rejects_wrong_target():
 
 
 def test_validate_lookup_hit():
-    chain = array_payload(assign(nil(), enat(0), enat(1)))
-    d = ViaArray(Lookup(chain, 0))
-    source = index(assign(nil(), enat(0), enat(1)), enat(0))
+    array = assign(nil(), enat(0), enat(1))
+    d = ViaArray(Lookup(array, 0))
+    source = index(array, enat(0))
     assert validate_step(d, source, some(enat(1)))
 
 
@@ -58,7 +58,7 @@ def test_validate_rejects_invalid_inner():
     "d, source, target",
     [
         # a lookup claimed under the sum rule
-        (ViaSum(Lookup(array_payload(nil()), 0)), plus(plus(enat(0), enat(1)), enat(2)), plus(enat(1), enat(2))),
+        (ViaSum(Lookup(nil(), 0)), plus(plus(enat(0), enat(1)), enat(2)), plus(enat(1), enat(2))),
         # an index congruence on an assignment, where no rule steps
         (
             ViaArray(StepI(ViaSum(StepV(0, 1)), nil(), plus(enat(0), enat(1)), enat(1))),
@@ -92,7 +92,7 @@ def test_drive_lookup_miss_goes_to_none():
     assert result is not None
     target, derivation = result
     assert target == none()
-    assert derivation == ViaArray(Lookup(array_payload(assign(nil(), enat(0), enat(1))), 1))
+    assert derivation == ViaArray(Lookup(assign(nil(), enat(0), enat(1)), 1))
 
 
 def test_drive_has_no_congruence_for_assign_or_some():

@@ -8,7 +8,7 @@ import pytest
 from fraglang import sexpr
 from fraglang.functor import AtomVal, BaseSet, InL, Term
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import SHARED_NATS, assign, enat, index, nil, option_payload, plus, some
+from fraglang.lang import SHARED_NATS, assign, enat, index, nil, plus, some, view
 from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import (
     SexprError,
@@ -61,7 +61,7 @@ def test_typing_round_trip_on_goldens():
 
 
 def test_option_rule_embeds_its_term():
-    d = LiftWtOption(infer(some(plus(enat(1), enat(2))))[1].payload)
+    d = LiftWtOption(some(plus(enat(1), enat(2))))
     text = render_derivation(d)
     assert text == '(lift-wt-option "some(1 + 2)")'
     assert parse_derivation(text) == d
@@ -221,7 +221,7 @@ def test_lexer_tokens():
     # term keeps its spaces and parentheses.
     spaced = "\t(lift-wt-sum\n(ok-sum ( lift-wt-nat\r1 )\f\v(lift-wt-nat 2) ) ) \n"
     assert parse_derivation(spaced) == parse_derivation("(lift-wt-sum (ok-sum (lift-wt-nat 1) (lift-wt-nat 2)))")
-    option = LiftWtOption(infer(some(plus(enat(1), enat(2))))[1].payload)
+    option = LiftWtOption(some(plus(enat(1), enat(2))))
     assert parse_derivation('(lift-wt-option"some(1 + 2)")') == option
     for text in ("", " \t\n\r\f\v "):
         with pytest.raises(SexprError, match="^unexpected end of derivation text$"):
@@ -269,6 +269,9 @@ def test_round_trip_on_the_depth_one_population():
         ("(lift-wt-sum ok-nil)", "expected ok-sum, got ok-nil"),
         ("(lift-wt-array stepv)", "expected ok-ins or ok-lookup or ok-nil, got stepv"),
         ("(step⁺ ok-nil)", "expected lookup or step\\[\\] or stepi or stepl or stepr or stepv or step⁺, got ok-nil"),
+        # A quoted term where a rule name belongs is named as one.
+        ('"x"', 'a quoted term "x" where a rule name belongs'),
+        ('("x")', 'a quoted term "x" where a rule name belongs'),
     ],
 )
 def test_reader_errors(text, message):
@@ -387,10 +390,9 @@ def _ref_decode(tree, allowed):
                 t = parse(text)
             except ParseError as exc:
                 raise SexprError(f"not a term: {text!r} ({exc})") from None
-            payload = option_payload(t)
-            if payload is None:
+            if view(t)[0] != "option":
                 raise SexprError(f"not an option term: {text!r}")
-            return LiftWtOption(payload), t
+            return LiftWtOption(t), t
         case ("lift-wt-sum", [inner]):
             w, t = _ref_decode(inner, _REF_SUM_RULES)
             return LiftWtSum(w), t

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraglang.functor import InL
+from fraglang.functor import InL, ShapeError, Slot, Term
 from fraglang.generate import random_term
 from fraglang.lang import assign, enat, index, nil, none, plus, some, view
 from fraglang.surface import LiteralLimitError, ParseError, parse, render
@@ -294,6 +294,16 @@ def test_render_examples():
     assert render(plus(enat(6), enat(7))) == "6 + 7"
     assert render(exp_term()) == "nil[0] := 1 ! (0 + 1)"
     assert render(some(plus(enat(1), enat(2)))) == "some(1 + 2)"
+
+
+def test_render_error_names_the_class_not_the_term():
+    # The repr of a 100-term chain is past the recursion limit.
+    chain = enat(1)
+    for _ in range(99):
+        chain = plus(chain, enat(1))
+    for bad in (Term(Slot(chain)), plus(enat(1), Term(Slot(chain)))):
+        with pytest.raises(ShapeError, match="a Term over Slot$"):
+            render(bad)
 
 
 def test_render_parenthesizes_only_when_needed():

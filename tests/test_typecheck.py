@@ -11,7 +11,6 @@ from fraglang.lang import (
     nat_value,
     nil,
     none,
-    option_payload,
     plus,
     some,
     view,
@@ -59,12 +58,13 @@ def test_infer_rejects_plus_of_array():
 
 
 def test_infer_accepts_any_option_payload():
-    # the option rule never inspects its payload
-    result = infer(some(nil()))
+    # the option rule never inspects what the option holds
+    t = some(nil())
+    result = infer(t)
     assert result is not None
     ty, derivation = result
     assert ty is LangType.OPTION
-    assert derivation == LiftWtOption(option_payload(some(nil())))
+    assert derivation == LiftWtOption(t)
     # even an ill-typed payload is fine
     assert infer(some(plus(nil(), nil())))[0] is LangType.OPTION
 
@@ -82,10 +82,9 @@ def _all_typings(t):
     n = nat_value(t)
     if n is not None:
         yield LangType.NAT, LiftWtNat(n)
-    op = option_payload(t)
-    if op is not None:
-        yield LangType.OPTION, LiftWtOption(op)
     v = view(t)
+    if v is not None and v[0] == "option":
+        yield LangType.OPTION, LiftWtOption(t)
     if v is not None and v[0] == "sum":
         left, right = v[1].fst.term, v[1].snd.term
         for lty, lw in _all_typings(left):
@@ -153,7 +152,7 @@ def _eager_infer(t):
     if tag == "nat":
         return LangType.NAT, LiftWtNat(p.value)
     if tag == "option":
-        return LangType.OPTION, LiftWtOption(p)
+        return LangType.OPTION, LiftWtOption(t)
     match p:
         case Pair(Slot(left), Slot(right)):
             wants = [(left, LangType.NAT), (right, LangType.NAT)]
@@ -225,7 +224,7 @@ def reference_infer(t):
     if tag == "nat":
         return LangType.NAT, typecheck.wt_nat(p.value)
     if tag == "option":
-        return LangType.OPTION, LiftWtOption(p)
+        return LangType.OPTION, LiftWtOption(t)
     if tag == "sum":
         left, right = p.fst.term, p.snd.term
         left_result = reference_infer(left)

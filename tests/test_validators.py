@@ -25,28 +25,23 @@ from fraglang.functor import (
     AtomVal,
     BaseSet,
     InL,
-    InR,
-    Pair,
     ShapeError,
-    Slot,
     Term,
     fmap,
     is_natural,
     valid_term,
-    validator,
 )
 from fraglang.generate import enumerate_terms, random_typed_term
 from fraglang.lang import (
     ARRAY,
     FEXPR,
-    OPTION,
+    LIFT_ARRAY,
+    LIFT_OPTION,
     SUM,
     array_lookup,
     assign,
     enat,
     index,
-    lift_array,
-    lift_option,
     nil,
     plus,
     view,
@@ -62,6 +57,7 @@ from fraglang.semantics import (
     drive_step,
     validate_step,
 )
+from fraglang.subobject import downcast
 from fraglang.typecheck import (
     LangType,
     LiftWtArray,
@@ -76,9 +72,6 @@ from fraglang.typecheck import (
     validate_typing,
 )
 
-_option_ok = validator(OPTION)
-_array_ok = validator(ARRAY)
-
 
 class MalformedDerivationError(Exception):
     """A derivation tree is not built from the step or typing constructors."""
@@ -92,8 +85,8 @@ def typing_subject(d):
     match d:
         case LiftWtNat(n):
             return enat(n), LangType.NAT
-        case LiftWtOption(payload):
-            return lift_option(payload), LangType.OPTION
+        case LiftWtOption(term):
+            return term, LangType.OPTION
         case LiftWtSum(OkSum(_, _, left, right)):
             return plus(left, right), LangType.NAT
         case LiftWtArray(OkNil()):
@@ -117,9 +110,8 @@ def step_endpoints(d):
             return plus(enat(n), enat(m)), enat(n + m)
         case ViaArray(StepI(_, array, idx, idx_after)):
             return index(array, idx), index(array, idx_after)
-        case ViaArray(Lookup(chain, idx)):
-            source = index(lift_array(chain), enat(idx))
-            return source, lift_option(array_lookup(chain, idx))
+        case ViaArray(Lookup(array, idx)):
+            return index(array, enat(idx)), array_lookup(array, idx)
     raise MalformedDerivationError(f"not a composed step: {d!r}")
 
 
@@ -133,8 +125,8 @@ def reference_typing(d, t, ty):
     match d:
         case LiftWtNat(n):
             return is_natural(n)
-        case LiftWtOption(payload):
-            return _option_ok(payload)
+        case LiftWtOption(term):
+            return isinstance(term, Term) and downcast(LIFT_OPTION, term) is not None
         case LiftWtSum(OkSum(left_wt, right_wt, left, right)):
             return reference_typing(left_wt, left, LangType.NAT) and reference_typing(
                 right_wt, right, LangType.NAT
@@ -170,8 +162,8 @@ def reference_step(d, source, target):
             return is_natural(n) and is_natural(m)
         case ViaArray(StepI(inner, _, idx, idx_after)):
             return reference_step(inner, idx, idx_after)
-        case ViaArray(Lookup(chain, idx)):
-            return is_natural(idx) and _array_ok(chain)
+        case ViaArray(Lookup(array, idx)):
+            return is_natural(idx) and downcast(LIFT_ARRAY, array) is not None
     return False
 
 
@@ -204,15 +196,14 @@ def _polluted(t):
     return go(t)
 
 
-# A stored payload (a lookup's chain, an option rule's payload) is left
-# whole: a lookup is checked against the source's own array, not against
-# the chain it stores, which tests/test_view.py pins separately.
-_PAYLOADS = (InL, InR, Pair, Slot, AtomVal)
-
-
 def _mutants(d):
     """Derivations one edit away from ``d``: each literal off by one, made a
-    bool or made negative; each stored term replaced; premises swapped."""
+    bool or made negative; each stored term replaced; premises swapped.
+
+    A lookup's array is replaced but never polluted: a lookup is checked
+    against the source's own array, not against the array it stores, which
+    tests/test_view.py pins separately.
+    """
     if not dataclasses.is_dataclass(d):
         return
     fields = dataclasses.fields(d)
@@ -222,9 +213,10 @@ def _mutants(d):
             for bad in (value + 1, value - 1, True, False, -1):
                 yield dataclasses.replace(d, **{f.name: bad})
         elif isinstance(value, Term):
-            for other in (_ZERO, _NIL, _polluted(value)):
+            others = (_ZERO, _NIL) if isinstance(d, Lookup) else (_ZERO, _NIL, _polluted(value))
+            for other in others:
                 yield dataclasses.replace(d, **{f.name: other})
-        elif not isinstance(value, _PAYLOADS):
+        else:
             for inner in _mutants(value):
                 yield dataclasses.replace(d, **{f.name: inner})
     premises = [f.name for f in fields if f.name == "inner" or f.name.endswith("_wt")]

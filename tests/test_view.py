@@ -15,6 +15,7 @@ from fraglang.lang import (
     enat,
     index,
     is_value,
+    lift_array,
     lift_sum,
     nil,
     none,
@@ -184,11 +185,11 @@ def test_validators_reject_a_bool_literal_that_compares_equal():
 
 
 def test_lookup_is_checked_against_the_source_array():
-    # The derivation's chain holds the bool index True, which equals the
+    # The derivation's array holds the bool index True, which equals the
     # source's index 1 under ==.  The result is computed from the source's
     # own array, so the true target is accepted and a false one is not.
     polluted = InL(InL(Pair(Slot(nil()), Pair(Slot(MALFORMED["bool literal"]), Slot(enat(0))))))
     source = index(assign(nil(), enat(1), enat(0)), enat(1))
-    d = ViaArray(Lookup(polluted, 1))
+    d = ViaArray(Lookup(lift_array(polluted), 1))
     assert validate_step(d, source, some(enat(0))) is True
     assert validate_step(d, source, none()) is False
