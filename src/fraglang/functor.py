@@ -274,7 +274,8 @@ def fmap(f: FunctorDesc, fn: Callable[[Any], Any], p: Payload) -> Payload:
             return InR(fmap(right, fn, q))
         case (Prod(left, right), Pair(a, b)):
             return Pair(fmap(left, fn, a), fmap(right, fn, b))
-    raise ShapeError(f"payload {p!r} does not inhabit descriptor {f!r}")
+    # The payload's class, not its repr: a deep payload's repr recurses too far.
+    raise ShapeError(f"{type(p).__name__} payload does not inhabit descriptor {f!r}")
 
 
 def fold(f: FunctorDesc, algebra: Callable[[Payload], Any], t: Term) -> Any:
@@ -284,5 +285,5 @@ def fold(f: FunctorDesc, algebra: Callable[[Payload], Any], t: Term) -> Any:
     the recursive result for the subterm it held.
     """
     if not isinstance(t, Term):
-        raise ShapeError(f"fold expects a Term, got {t!r}")
+        raise ShapeError(f"fold expects a Term, got {type(t).__name__}")
     return algebra(fmap(f, lambda sub: fold(f, algebra, sub), t.node))

@@ -1,8 +1,9 @@
 """The composed language: naturals, options, sums, and arrays.
 
-Each fragment is a descriptor; the whole language is their left-nested
-disjoint sum under the fixed point.  Smart constructors lift fragment
-payloads along the fragment's path, and destructors invert them.
+A sum of sums: each fragment is the left-nested sum of its cases, and the
+language is the left-nested sum of the fragments under the fixed point.
+One lifter per case wraps its payload along the case's path, and ``view``
+reads the case back, so no other module decodes a fragment's injections.
 """
 
 from __future__ import annotations
@@ -28,38 +29,54 @@ from .functor import (
 from .subobject import ContainsPath, downcast, lifter
 
 
-NAT = Atom(BaseSet.NAT)
-OPTION = Sum(Rec(), Atom(BaseSet.UNIT))
-SUM = Prod(Rec(), Rec())
-# Three cases: assignment (a, i, e), the empty array, and lookup (a, i).
-ARRAY = Sum(
-    Sum(Prod(Rec(), Prod(Rec(), Rec())), Atom(BaseSet.UNIT)),
-    Prod(Rec(), Rec()),
-)
-# The fragments in order.  The language is their left-nested sum, so a
-# payload of fragment k of n is wrapped in one InR (none for the first),
-# then in n - 1 - k InLs: a path lists its injections innermost first.
-FRAGMENTS = {"nat": NAT, "option": OPTION, "sum": SUM, "array": ARRAY}
-FEXPR = functools.reduce(Sum, FRAGMENTS.values())
+# The fragments in order, each with its cases in order.
+FRAGMENTS = {
+    "nat": {"nat": Atom(BaseSet.NAT)},
+    "option": {"some": Rec(), "none": Atom(BaseSet.UNIT)},
+    "sum": {"plus": Prod(Rec(), Rec())},
+    "array": {
+        "assign": Prod(Rec(), Prod(Rec(), Rec())),
+        "nil": Atom(BaseSet.UNIT),
+        "index": Prod(Rec(), Rec()),
+    },
+}
+
+
+def _summand_paths(n: int) -> list[tuple[type[InL] | type[InR], ...]]:
+    # Summand k of a left-nested sum of n is wrapped in one InR (none for the
+    # first), then in n - 1 - k InLs: a path lists its injections innermost first.
+    return [(InR,)[:k] + (InL,) * (n - 1 - k) for k in range(n)]
+
+
+NAT, OPTION, SUM, ARRAY = (functools.reduce(Sum, cases.values()) for cases in FRAGMENTS.values())
+FEXPR = functools.reduce(Sum, (NAT, OPTION, SUM, ARRAY))
 
 LIFT_PATHS = {
-    tag: ContainsPath((InR,)[:k] + (InL,) * (len(FRAGMENTS) - 1 - k), FEXPR)
-    for k, tag in enumerate(FRAGMENTS)
+    tag: ContainsPath(steps, FEXPR) for tag, steps in zip(FRAGMENTS, _summand_paths(len(FRAGMENTS)))
 }
 LIFT_NAT, LIFT_OPTION, LIFT_SUM, LIFT_ARRAY = LIFT_PATHS.values()
 
-# Each lifter records its fragment's view on the terms it builds.
-lift_nat, lift_option, lift_sum, lift_array = (lifter(path, tag) for tag, path in LIFT_PATHS.items())
+# Each case's path: its injections inside its fragment, then the fragment's.
+CASE_PATHS = {
+    case: ContainsPath(steps + LIFT_PATHS[tag].steps, FEXPR)
+    for tag, cases in FRAGMENTS.items()
+    for case, steps in zip(cases, _summand_paths(len(cases)))
+}
+
+# Each lifter records its case's view on the terms it builds.
+lift_nat, lift_some, lift_none, lift_plus, lift_assign, lift_nil, lift_index = (
+    lifter(path, case) for case, path in CASE_PATHS.items()
+)
 
 
 View = tuple[str, Payload]
 
 
 def view(t: Term) -> View | None:
-    """The fragment tag and payload under ``t``'s node, or None.
+    """The case of ``t``'s node and that case's payload, or None.
 
-    ``view(t) == (tag, p)`` exactly when ``downcast(LIFT_PATHS[tag], t) ==
-    p``.  The lifters above record the answer on every term they build;
+    ``view(t) == (case, q)`` exactly when ``downcast(CASE_PATHS[case], t)
+    == q``.  The lifters above record the answer on every term they build;
     any other term is read through ``downcast``, on every call, and nothing
     is written to it.
     """
@@ -67,10 +84,10 @@ def view(t: Term) -> View | None:
         return t.view_tag, t.view_payload
     except AttributeError:
         pass
-    for tag, path in LIFT_PATHS.items():
-        p = downcast(path, t)
-        if p is not None:
-            return tag, p
+    for case, path in CASE_PATHS.items():
+        q = downcast(path, t)
+        if q is not None:
+            return case, q
     return None
 
 
@@ -92,16 +109,16 @@ def enat(n: int) -> Term:
 
 def plus(e1: Term, e2: Term) -> Term:
     """Addition of two expressions."""
-    return lift_sum(Pair(Slot(e1), Slot(e2)))
+    return lift_plus(Pair(Slot(e1), Slot(e2)))
 
 
 def some(e: Term) -> Term:
     """A present optional value."""
-    return lift_option(InL(Slot(e)))
+    return lift_some(Slot(e))
 
 
-_NONE = lift_option(InR(AtomVal(BaseSet.UNIT, UNIT)))
-_NIL = lift_array(InL(InR(AtomVal(BaseSet.UNIT, UNIT))))
+_NONE = lift_none(AtomVal(BaseSet.UNIT, UNIT))
+_NIL = lift_nil(AtomVal(BaseSet.UNIT, UNIT))
 
 
 def none() -> Term:
@@ -116,12 +133,12 @@ def nil() -> Term:
 
 def assign(a: Term, i: Term, e: Term) -> Term:
     """Array a extended with e written at index i."""
-    return lift_array(InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))))
+    return lift_assign(Pair(Slot(a), Pair(Slot(i), Slot(e))))
 
 
 def index(a: Term, i: Term) -> Term:
     """Array lookup of index i in a."""
-    return lift_array(InR(Pair(Slot(a), Slot(i))))
+    return lift_index(Pair(Slot(a), Slot(i)))
 
 
 def nat_value(t: Term) -> int | None:
@@ -130,40 +147,24 @@ def nat_value(t: Term) -> int | None:
     return v[1].value if v is not None and v[0] == "nat" else None
 
 
-def array_payload(t: Term) -> Payload | None:
-    v = view(t)
-    return v[1] if v is not None and v[0] == "array" else None
-
-
 def is_value(t: Term) -> bool:
     """Normal forms the step rules treat as results.
 
-    Naturals; nil; assignment chains whose indices and elements are all
-    literals; none; and some of a value.  Lookup nodes are never values.
-    Both chains are walked in a loop, so any depth is answered.
+    Naturals; nil; assignment chains over nil whose indices and elements
+    are all literals; none; and some of a value.  Lookup nodes are never
+    values.  Both chains are walked in a loop, so any depth is answered.
     """
     v = view(t)
-    while v is not None and v[0] == "option":
-        if isinstance(v[1], InR):  # none
-            return True
-        v = view(v[1].payload.term)  # some(e) is a value when e is
-    if v is None:
-        return False
-    tag, p = v
-    if tag != "array":
-        return tag == "nat"
-    # Three array cases, read by field on a viewed payload: lookup
-    # InR(a, i) is no value, the empty array InL(InR(unit)) is one, and
-    # assignment InL(InL(a, (i, e))) is one when i and e are literals and
-    # a is a value.
-    while isinstance(p, InL):
-        if isinstance(p.payload, InR):
-            return True
-        ops = p.payload.payload
+    while v is not None and v[0] == "some":  # some(e) is a value when e is
+        v = view(v[1].term)
+    if v is not None and (v[0] == "nat" or v[0] == "none"):
+        return True
+    while v is not None and v[0] == "assign":
+        ops = v[1]
         if nat_value(ops.snd.fst.term) is None or nat_value(ops.snd.snd.term) is None:
             return False
-        p = array_payload(ops.fst.term)
-    return False
+        v = view(ops.fst.term)
+    return v is not None and v[0] == "nil"
 
 
 def array_lookup(a: Term, n: int) -> Term:
@@ -176,19 +177,15 @@ def array_lookup(a: Term, n: int) -> Term:
     array.
     """
     v = view(a) if isinstance(a, Term) else None
-    if v is None or v[0] != "array":
+    if v is None or v[0] not in FRAGMENTS["array"]:
         got = type(a).__name__ if v is None else f"a {v[0]} term"
         raise ShapeError(f"array_lookup expects an array term, got {got}")
-    # Three array cases, read by field on a viewed payload: lookup InR(a, i)
-    # and the empty array InL(InR(unit)) end the scan; assignment
-    # InL(InL(a, (i, e))) holds n or passes it on to a.
-    p = v[1]
-    while isinstance(p, InL) and isinstance(p.payload, InL):
-        ops = p.payload.payload
+    while v is not None and v[0] == "assign":
+        ops = v[1]
         stored = nat_value(ops.snd.fst.term)
         if stored is None:
             break
         if stored == n:
             return some(ops.snd.snd.term)
-        p = array_payload(ops.fst.term)
+        v = view(ops.fst.term)
     return _NONE

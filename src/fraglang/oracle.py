@@ -7,7 +7,7 @@ modular machinery is supposed to add up to, for equivalence testing.
 
 from __future__ import annotations
 
-from .functor import InL, InR, ShapeError, Term, record
+from .functor import ShapeError, Term, record
 from .lang import SHARED_NATS, assign, enat, index, nil, none, plus, some, view
 from .typecheck import LangType
 
@@ -64,30 +64,28 @@ _NIL = Nil()
 def embed(t: Term) -> MonoExpr:
     """Transliterate a composed term into the flat type.
 
-    ``view`` checked each payload against its fragment's descriptor, so
-    the payload is read by field: one ``isinstance`` picks the case.
+    ``view`` checked each case's payload against its descriptor, so the
+    payload is read by field.
     """
     v = view(t)
     if v is None:
         # The node's class, not its repr: a deep term's repr recurses too far.
         raise ShapeError(f"not a term of the composed language: a Term over {type(t.node).__name__}")
-    tag, p = v
-    if tag == "nat":
-        n = p.value  # a natural, so only the upper bound needs checking
+    case, q = v
+    if case == "nat":
+        n = q.value  # a natural, so only the upper bound needs checking
         return _ENATS[n] if type(n) is int and n < SHARED_NATS else ENat(n)
-    if tag == "sum":
-        return Plus(embed(p.fst.term), embed(p.snd.term))
-    if tag == "option":
-        return ESome(embed(p.payload.term)) if isinstance(p, InL) else _ENONE
-    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
-    # and assignment InL(InL(a, (i, e))); view checked the shape.
-    if isinstance(p, InR):
-        ops = p.payload
-        return ELookup(embed(ops.fst.term), embed(ops.snd.term))
-    if isinstance(p.payload, InR):
+    if case == "plus":
+        return Plus(embed(q.fst.term), embed(q.snd.term))
+    if case == "some":
+        return ESome(embed(q.term))
+    if case == "none":
+        return _ENONE
+    if case == "index":
+        return ELookup(embed(q.fst.term), embed(q.snd.term))
+    if case == "nil":
         return _NIL
-    ops = p.payload.payload
-    return Ins(embed(ops.fst.term), embed(ops.snd.fst.term), embed(ops.snd.snd.term))
+    return Ins(embed(q.fst.term), embed(q.snd.fst.term), embed(q.snd.snd.term))
 
 
 def project(m: MonoExpr) -> Term:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .functor import Term, record
-from .lang import array_lookup, enat
+from .functor import Term, is_natural, record
+from .lang import array_lookup, nat_value
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -43,6 +43,11 @@ class SubjectMismatchError(Exception):
     """A step and a typing derivation disagree about their subject term."""
 
 
+def _is_literal(t: Term, n: int) -> bool:
+    # Read through nat_value: a non-natural n builds no literal and matches no term.
+    return is_natural(n) and isinstance(t, Term) and nat_value(t) == n
+
+
 @record
 class PreservationHooks:
     """What a fragment transformer assumes about the composed language."""
@@ -67,14 +72,12 @@ def preservation_sum(
             rewritten = hooks.induction(inner, wt.left_wt)
             return hooks.lift_sum_wt(OkSum(rewritten, wt.right_wt, left_after, right))
         case StepR(inner, left_nat, right, right_after):
-            if wt.left != enat(left_nat) or wt.right != right:
+            if not _is_literal(wt.left, left_nat) or wt.right != right:
                 raise SubjectMismatchError("right-congruence subject mismatch")
             rewritten = hooks.induction(inner, wt.right_wt)
-            return hooks.lift_sum_wt(
-                OkSum(wt.left_wt, rewritten, enat(left_nat), right_after)
-            )
+            return hooks.lift_sum_wt(OkSum(wt.left_wt, rewritten, wt.left, right_after))
         case StepV(n, m):
-            if wt.left != enat(n) or wt.right != enat(m):
+            if not _is_literal(wt.left, n) or not _is_literal(wt.right, m):
                 raise SubjectMismatchError("literal-reduction subject mismatch")
             return hooks.wt_nat(n + m)
     raise SubjectMismatchError(f"not a sum step: {step!r}")
@@ -93,7 +96,7 @@ def preservation_array(
                 OkLookup(wt.array_wt, rewritten, array, idx_after)
             )
         case Lookup(array, idx):
-            if not isinstance(wt, OkLookup) or wt.array != array or wt.index != enat(idx):
+            if not isinstance(wt, OkLookup) or wt.array != array or not _is_literal(wt.index, idx):
                 raise SubjectMismatchError("lookup subject mismatch")
             return hooks.wt_option(array_lookup(array, idx))
     raise SubjectMismatchError(f"not an array step: {step!r}")

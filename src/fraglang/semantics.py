@@ -7,16 +7,8 @@ be checked against a claimed (source, target) pair with no extra context.
 
 from __future__ import annotations
 
-from .functor import InR, Pair, Payload, Slot, Term, is_natural, record
-from .lang import (
-    View,
-    array_lookup,
-    enat,
-    lift_array,
-    lift_sum,
-    nat_value,
-    view,
-)
+from .functor import Pair, Payload, Slot, Term, is_natural, record
+from .lang import FRAGMENTS, View, array_lookup, enat, lift_index, lift_plus, nat_value, view
 
 
 class FuelExhaustedError(Exception):
@@ -102,9 +94,9 @@ def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
     if sv is None or tv is None:
         return False
     if isinstance(d, ViaSum):
-        return sv[0] == "sum" and _valid_sum(d.step, sv[1], tv)
+        return sv[0] == "plus" and _valid_sum(d.step, sv[1], tv)
     if isinstance(d, ViaArray):
-        return sv[0] == "array" and _valid_array(d.step, sv[1], tv)
+        return sv[0] == "index" and _valid_array(d.step, sv[1], tv)
     return False
 
 
@@ -119,7 +111,7 @@ def _valid_sum(s: SumStep, p: Payload, tv: View) -> bool:
             and tv[0] == "nat"
             and tv[1].value == s.n + s.m
         )
-    if tv[0] != "sum":
+    if tv[0] != "plus":
         return False
     left_after, right_after = tv[1].fst.term, tv[1].snd.term
     if isinstance(s, StepL):
@@ -144,13 +136,11 @@ def _valid_sum(s: SumStep, p: Payload, tv: View) -> bool:
 
 
 def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
-    if not isinstance(p, InR):
-        return False
-    array, idx = p.payload.fst.term, p.payload.snd.term
+    array, idx = p.fst.term, p.snd.term
     if isinstance(s, StepI):
-        if tv[0] != "array" or not isinstance(tv[1], InR):
+        if tv[0] != "index":
             return False
-        array_after, idx_after = tv[1].payload.fst.term, tv[1].payload.snd.term
+        array_after, idx_after = tv[1].fst.term, tv[1].snd.term
         return (
             s.array == array
             and s.array == array_after
@@ -165,7 +155,7 @@ def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
             and nat_value(idx) == s.idx
             and s.array == array
             and array_v is not None
-            and array_v[0] == "array"
+            and array_v[0] in FRAGMENTS["array"]
             and tv == view(array_lookup(array, s.idx))
         )
     return False
@@ -185,11 +175,11 @@ def _drive(v: View | None) -> tuple[Term, ComposedStep] | None:
     # Steps the term whose view is v; each operand is viewed once, and the
     # view both tests for a literal and drives the operand's own step.  The
     # target shares the Slot of the operand a congruence leaves alone, and
-    # is still built by its fragment's lifter, shape check included.
+    # is still built by its case's lifter, shape check included.
     if v is None:
         return None
-    tag, p = v
-    if tag == "sum":
+    case, p = v
+    if case == "plus":
         left, right = p.fst.term, p.snd.term
         left_v = view(left)
         if left_v is None or left_v[0] != "nat":
@@ -197,7 +187,7 @@ def _drive(v: View | None) -> tuple[Term, ComposedStep] | None:
             if inner is None:
                 return None
             left_after, d = inner
-            target = lift_sum(Pair(Slot(left_after), p.snd))
+            target = lift_plus(Pair(Slot(left_after), p.snd))
             return target, ViaSum(StepL(d, left, left_after, right))
         n1 = left_v[1].value
         right_v = view(right)
@@ -206,24 +196,23 @@ def _drive(v: View | None) -> tuple[Term, ComposedStep] | None:
             if inner is None:
                 return None
             right_after, d = inner
-            target = lift_sum(Pair(p.fst, Slot(right_after)))
+            target = lift_plus(Pair(p.fst, Slot(right_after)))
             return target, ViaSum(StepR(d, n1, right, right_after))
         n2 = right_v[1].value
         return enat(n1 + n2), ViaSum(StepV(n1, n2))
-    if tag == "array" and isinstance(p, InR):
-        operands = p.payload
-        array, idx = operands.fst.term, operands.snd.term
+    if case == "index":
+        array, idx = p.fst.term, p.snd.term
         idx_v = view(idx)
         if idx_v is None or idx_v[0] != "nat":
             inner = _drive(idx_v)
             if inner is None:
                 return None
             idx_after, d = inner
-            target = lift_array(InR(Pair(operands.fst, Slot(idx_after))))
+            target = lift_index(Pair(p.fst, Slot(idx_after)))
             return target, ViaArray(StepI(d, array, idx, idx_after))
         n = idx_v[1].value
         array_v = view(array)
-        if array_v is None or array_v[0] != "array":
+        if array_v is None or array_v[0] not in FRAGMENTS["array"]:
             return None
         return array_lookup(array, n), ViaArray(Lookup(array, n))
     return None

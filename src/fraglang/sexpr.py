@@ -19,7 +19,7 @@ import sys
 from typing import NoReturn, get_args
 
 from .functor import Term, record
-from .lang import SHARED_NATS, assign, enat, index, nil, plus, view
+from .lang import FRAGMENTS, SHARED_NATS, assign, enat, index, nil, plus, view
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -271,7 +271,7 @@ def _lift_wt_option(name, quoted) -> tuple:
         t = parse(quoted.text)
     except ParseError as exc:
         raise SexprError(f"not a term: {quoted.text!r} ({exc})") from None
-    if view(t)[0] != "option":
+    if view(t)[0] not in FRAGMENTS["option"]:
         raise SexprError(f"not an option term: {quoted.text!r}")
     return LiftWtOption(t), t
 

@@ -62,8 +62,9 @@ def lifter(path: ContainsPath, tag: str | None = None) -> Callable[[Payload], Te
 
     def lift(p: Payload) -> Term:
         if not check(p):
+            # The payload's class, not its repr: a deep payload's repr recurses too far.
             raise ShapeError(
-                f"payload {p!r} does not inhabit the target of path {path.steps!r}"
+                f"{type(p).__name__} payload does not inhabit the target of path {path.steps!r}"
             )
         node = p
         for wrap in wraps:

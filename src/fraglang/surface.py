@@ -16,7 +16,7 @@ import re
 import sys
 from itertools import takewhile
 
-from .functor import InL, InR, ShapeError, Term
+from .functor import ShapeError, Term
 from .lang import assign, enat, index, nil, none, plus, some, view
 
 
@@ -167,23 +167,21 @@ def _render(t: Term, level: int) -> str:
     if v is None:
         # The node's class, not its repr: a deep term's repr recurses too far.
         raise ShapeError(f"not a term of the composed language: a Term over {type(t.node).__name__}")
-    tag, p = v
-    if tag == "nat":
-        return literal_text(p.value)
-    if tag == "option":
-        return f"some({_render(p.payload.term, _SUM)})" if isinstance(p, InL) else "none"
-    if tag == "sum":
-        text = f"{_render(p.fst.term, _SUM)} + {_render(p.snd.term, _POSTFIX)}"
-        return text if level == _SUM else f"({text})"
-    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
-    # and assignment InL(InL(a, (i, e))); view checked the shape.
-    if isinstance(p, InR):
-        ops = p.payload
-        text = f"{_render(ops.fst.term, _POSTFIX)} ! {_render(ops.snd.term, _PRIMARY)}"
-    elif isinstance(p.payload, InR):
+    case, q = v
+    if case == "nat":
+        return literal_text(q.value)
+    if case == "some":
+        return f"some({_render(q.term, _SUM)})"
+    if case == "none":
+        return "none"
+    if case == "nil":
         return "nil"
+    if case == "plus":
+        text = f"{_render(q.fst.term, _SUM)} + {_render(q.snd.term, _POSTFIX)}"
+        return text if level == _SUM else f"({text})"
+    if case == "index":
+        text = f"{_render(q.fst.term, _POSTFIX)} ! {_render(q.snd.term, _PRIMARY)}"
     else:
-        ops = p.payload.payload
-        a, i, e = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+        a, i, e = q.fst.term, q.snd.fst.term, q.snd.snd.term
         text = f"{_render(a, _POSTFIX)}[{_render(i, _SUM)}] := {_render(e, _PRIMARY)}"
     return text if level <= _POSTFIX else f"({text})"

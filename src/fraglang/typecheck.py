@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .functor import InR, Term, is_natural, record
-from .lang import SHARED_NATS, view
+from .functor import Term, is_natural, record
+from .lang import FRAGMENTS, SHARED_NATS, view
 
 
 class LangType(Enum):
@@ -109,15 +109,15 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     v = view(t) if isinstance(t, Term) else None
     if v is None:
         return False
-    tag, p = v
-    if tag == "nat":
+    case, q = v
+    if case == "nat":
         return (
             isinstance(d, LiftWtNat)
             and ty is LangType.NAT
             and is_natural(d.n)
-            and d.n == p.value
+            and d.n == q.value
         )
-    if tag == "option":
+    if case in FRAGMENTS["option"]:
         # What the option holds is deliberately unconstrained; view
         # shape-checks the stored term.
         return (
@@ -126,9 +126,9 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
             and isinstance(d.term, Term)
             and view(d.term) == v
         )
-    if tag == "sum":
+    if case == "plus":
         w = d.inner if isinstance(d, LiftWtSum) else None
-        left, right = p.fst.term, p.snd.term
+        left, right = q.fst.term, q.snd.term
         return (
             isinstance(w, OkSum)
             and ty is LangType.NAT
@@ -140,11 +140,8 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     if not isinstance(d, LiftWtArray):
         return False
     w = d.inner
-    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
-    # and assignment InL(InL(a, (i, e))); view checked the shape.
-    if isinstance(p, InR):
-        ops = p.payload
-        array, idx = ops.fst.term, ops.snd.term
+    if case == "index":
+        array, idx = q.fst.term, q.snd.term
         return (
             isinstance(w, OkLookup)
             and ty is LangType.OPTION
@@ -153,10 +150,9 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
             and validate_typing(w.array_wt, array, LangType.ARRAY)
             and validate_typing(w.index_wt, idx, LangType.NAT)
         )
-    if isinstance(p.payload, InR):
+    if case == "nil":
         return isinstance(w, OkNil) and ty is LangType.ARRAY
-    ops = p.payload.payload
-    array, idx, value = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+    array, idx, value = q.fst.term, q.snd.fst.term, q.snd.snd.term
     return (
         isinstance(w, OkIns)
         and ty is LangType.ARRAY
@@ -172,21 +168,21 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
 def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
     """The unique type and derivation for t, or None.
 
-    The rules are syntax-directed, so no search is needed: the injection
-    spine of the term picks the rule.  A rule's premises are inferred in
-    order, and the first one that fails ends it; infer is pure, so the
-    premises after it could not change the answer.
+    The rules are syntax-directed, so no search is needed: the term's case
+    picks the rule.  A rule's premises are inferred in order, and the first
+    one that fails ends it; infer is pure, so the premises after it could
+    not change the answer.
     """
     v = view(t)
     if v is None:
         return None
-    tag, p = v
-    if tag == "nat":
-        return LangType.NAT, wt_nat(p.value)
-    if tag == "option":
+    case, q = v
+    if case == "nat":
+        return LangType.NAT, wt_nat(q.value)
+    if case in FRAGMENTS["option"]:
         return LangType.OPTION, LiftWtOption(t)
-    if tag == "sum":
-        left, right = p.fst.term, p.snd.term
+    if case == "plus":
+        left, right = q.fst.term, q.snd.term
         left_result = infer(left)
         if left_result is None or left_result[0] is not LangType.NAT:
             return None
@@ -196,11 +192,8 @@ def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
         return LangType.NAT, LiftWtSum(
             OkSum(left_result[1], right_result[1], left, right)
         )
-    # Three array cases: lookup InR(a, i), the empty array InL(InR(unit)),
-    # and assignment InL(InL(a, (i, e))); view checked the shape.
-    if isinstance(p, InR):
-        ops = p.payload
-        array, idx = ops.fst.term, ops.snd.term
+    if case == "index":
+        array, idx = q.fst.term, q.snd.term
         wa = infer(array)
         if wa is None or wa[0] is not LangType.ARRAY:
             return None
@@ -208,10 +201,9 @@ def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
         if wn is None or wn[0] is not LangType.NAT:
             return None
         return LangType.OPTION, LiftWtArray(OkLookup(wa[1], wn[1], array, idx))
-    if isinstance(p.payload, InR):
+    if case == "nil":
         return LangType.ARRAY, WT_NIL
-    ops = p.payload.payload
-    array, idx, value = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
+    array, idx, value = q.fst.term, q.snd.fst.term, q.snd.snd.term
     wa = infer(array)
     if wa is None or wa[0] is not LangType.ARRAY:
         return None

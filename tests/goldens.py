@@ -6,8 +6,9 @@ import random
 
 from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, Slot, Term, fold
 from fraglang.generate import enumerate_terms, random_term
-from fraglang.lang import FEXPR, assign, enat, index, nil, plus, some
+from fraglang.lang import FEXPR, LIFT_PATHS, assign, enat, index, nil, plus, some
 from fraglang.semantics import StepI, StepV, ViaArray, ViaSum
+from fraglang.subobject import downcast
 from fraglang.typecheck import (
     LiftWtArray,
     LiftWtNat,
@@ -65,6 +66,20 @@ PRESERVED_SEXPR = (
     "(lift-wt-array (ok-lookup (lift-wt-array (ok-ins (lift-wt-array ok-nil)"
     " (lift-wt-nat 1) (lift-wt-nat 0))) (lift-wt-nat 1)))"
 )
+
+
+def fragment_view(t):
+    """The fragment tag and payload under ``t``'s node, or None.
+
+    Read by ``downcast`` along each fragment's path, so a reference that
+    decodes the fragment's injections by hand stays independent of
+    ``view``.
+    """
+    for tag, path in LIFT_PATHS.items():
+        p = downcast(path, t)
+        if p is not None:
+            return tag, p
+    return None
 
 
 class _SubInR(InR):

@@ -106,6 +106,20 @@ def test_fmap_rejects_an_atom_outside_its_set(desc, p):
     assert fmap(desc, lambda t: t, ok) is ok
 
 
+def _chain(n=100):
+    # 1 + 1 + ... + 1, left-nested: the repr of its node is past the
+    # recursion limit.
+    t = enat(1)
+    for _ in range(n - 1):
+        t = plus(t, enat(1))
+    return t
+
+
+def test_fmap_error_names_the_class_not_the_value():
+    with pytest.raises(ShapeError, match="^InL payload does not inhabit descriptor Prod"):
+        fmap(SUM, lambda t: t, _chain().node)
+
+
 def _size_algebra(p):
     # one per term node; atoms contribute nothing
     match p:
@@ -163,6 +177,11 @@ def test_fold_depth_algebra_on_worked_example():
 def test_fold_rebuild_is_identity():
     for t in [enat(0), some(nil()), exp_term()]:
         assert fold(FEXPR, Term, t) == t
+
+
+def test_fold_error_names_the_class_not_the_value():
+    with pytest.raises(ShapeError, match="^fold expects a Term, got InL$"):
+        fold(SUM, lambda p: p, _chain().node)
 
 
 DESCRIPTORS = [NAT, OPTION, SUM, ARRAY, FEXPR]

@@ -2,16 +2,35 @@ import itertools
 
 import pytest
 
-from fraglang.functor import AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, UNIT, valid_term
+from fraglang.functor import (
+    UNIT,
+    Atom,
+    AtomVal,
+    BaseSet,
+    InL,
+    InR,
+    Pair,
+    Prod,
+    Rec,
+    ShapeError,
+    Slot,
+    Sum,
+    valid_term,
+)
 from fraglang.lang import (
+    ARRAY,
+    CASE_PATHS,
     FEXPR,
     LIFT_ARRAY,
     LIFT_NAT,
     LIFT_OPTION,
+    LIFT_PATHS,
     LIFT_SUM,
+    NAT,
+    OPTION,
     SHARED_NATS,
+    SUM,
     array_lookup,
-    array_payload,
     assign,
     enat,
     index,
@@ -25,7 +44,7 @@ from fraglang.lang import (
 )
 from fraglang.semantics import drive_step
 from fraglang.subobject import downcast
-from goldens import differential_terms
+from goldens import differential_terms, fragment_view
 
 
 def test_enat_spine():
@@ -60,6 +79,26 @@ def test_assign_spine_triple_is_right_nested():
     assert assign(a, i, e).node == InR(InL(InL(Pair(Slot(a), Pair(Slot(i), Slot(e))))))
 
 
+def test_fragments_are_the_sums_of_their_cases():
+    pair = Prod(Rec(), Rec())
+    assert NAT == Atom(BaseSet.NAT)
+    assert OPTION == Sum(Rec(), Atom(BaseSet.UNIT))
+    assert SUM == pair
+    assert ARRAY == Sum(Sum(Prod(Rec(), pair), Atom(BaseSet.UNIT)), pair)
+    assert FEXPR == Sum(Sum(Sum(NAT, OPTION), SUM), ARRAY)
+    assert [path.steps for path in LIFT_PATHS.values()] == [(InL, InL, InL), (InR, InL, InL), (InR, InL), (InR,)]
+    # A case's path is its injections inside its fragment, then the fragment's.
+    assert {case: path.steps for case, path in CASE_PATHS.items()} == {
+        "nat": (InL, InL, InL),
+        "some": (InL, InR, InL, InL),
+        "none": (InR, InR, InL, InL),
+        "plus": (InR, InL),
+        "assign": (InL, InL, InR),
+        "nil": (InR, InL, InR),
+        "index": (InR, InR),
+    }
+
+
 def test_constructors_validate_and_downcast_back():
     cases = [
         (LIFT_NAT, enat(5), AtomVal(BaseSet.NAT, 5)),
@@ -89,13 +128,15 @@ def test_is_value():
     assert not is_value(assign(nil(), enat(0), plus(enat(0), enat(1))))
     assert not is_value(index(nil(), enat(0)))
     assert not is_value(some(plus(enat(0), enat(0))))
-    # the array operand must itself be a literal chain
+    # the array operand must itself be a literal chain, ending at nil
     assert not is_value(assign(index(nil(), enat(0)), enat(0), enat(1)))
+    assert not is_value(assign(enat(1), enat(0), enat(1)))
+    assert not is_value(some(assign(enat(1), enat(0), enat(1))))
 
 
 def _reference_is_value(t):
     # The recursive definition is_value walks in loops.
-    v = view(t)
+    v = fragment_view(t)
     if v is None:
         return False
     tag, p = v
@@ -108,7 +149,7 @@ def _reference_is_value(t):
     ops = p.payload.payload
     a, i, e = ops.fst.term, ops.snd.fst.term, ops.snd.snd.term
     literals = nat_value(i) is not None and nat_value(e) is not None
-    return literals and array_payload(a) is not None and _reference_is_value(a)
+    return literals and downcast(LIFT_ARRAY, a) is not None and _reference_is_value(a)
 
 
 def test_is_value_reference_differential():
@@ -165,6 +206,8 @@ def test_array_lookup_rejects_non_array_payload():
         array_lookup(AtomVal(BaseSet.NAT, 0), 0)
     with pytest.raises(ShapeError, match="got a nat term"):
         array_lookup(enat(0), 0)
+    with pytest.raises(ShapeError, match="got a plus term"):
+        array_lookup(plus(nil(), nil()), 0)
 
 
 def test_array_lookup_error_names_the_class_not_the_value():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import pkgutil
@@ -9,6 +10,20 @@ from typing import get_args
 import pytest
 
 import fraglang
+from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, Slot
+from fraglang.lang import (
+    CASE_PATHS,
+    FRAGMENTS,
+    enat,
+    lift_assign,
+    lift_index,
+    lift_nat,
+    lift_nil,
+    lift_none,
+    lift_plus,
+    lift_some,
+    nil,
+)
 from fraglang.preservation import PreservationHooks
 from fraglang.semantics import ArrayStep, ComposedStep, SumStep
 from fraglang.typecheck import ArrayTyping, ComposedTyping, SumTyping
@@ -91,3 +106,54 @@ def test_derivations_hold_terms_not_payloads():
         if "Payload" in str(f.type)
     ]
     assert holders == []
+
+
+# The modules that may name an injection: the functor and path machinery,
+# the language that declares each case's injections, and the generator of
+# arbitrary payloads.  Every other module reads a node through its case.
+INJECTORS = {"functor", "subobject", "lang", "generate"}
+
+
+def _imported_names(module):
+    tree = ast.parse(Path(fraglang.__path__[0], f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+
+
+def test_only_the_language_layers_import_injections():
+    importers = sorted(m for m in MODULES if {"InL", "InR"} & set(_imported_names(m)))
+    assert set(importers) <= INJECTORS, importers
+
+
+def test_each_case_lifter_builds_its_spine():
+    # The spines the acceptance gate's criterion 6 lists, one per case.
+    a, i, e = nil(), enat(0), enat(1)
+    unit = AtomVal(BaseSet.UNIT, UNIT)
+    payloads = {
+        "nat": AtomVal(BaseSet.NAT, 6),
+        "some": Slot(e),
+        "none": unit,
+        "plus": Pair(Slot(a), Slot(i)),
+        "assign": Pair(Slot(a), Pair(Slot(i), Slot(e))),
+        "nil": unit,
+        "index": Pair(Slot(a), Slot(i)),
+    }
+    spines = {
+        "nat": InL(InL(InL(payloads["nat"]))),
+        "some": InL(InL(InR(InL(payloads["some"])))),
+        "none": InL(InL(InR(InR(unit)))),
+        "plus": InL(InR(payloads["plus"])),
+        "assign": InR(InL(InL(payloads["assign"]))),
+        "nil": InR(InL(InR(unit))),
+        "index": InR(InR(payloads["index"])),
+    }
+    cases = [case for fragment in FRAGMENTS.values() for case in fragment]
+    assert cases == list(CASE_PATHS) == ["nat", "some", "none", "plus", "assign", "nil", "index"]
+    lifters = [lift_nat, lift_some, lift_none, lift_plus, lift_assign, lift_nil, lift_index]
+    for case, lift in zip(cases, lifters):
+        t = lift(payloads[case])
+        assert t.node == spines[case], case
+        assert (t.view_tag, t.view_payload) == (case, payloads[case])

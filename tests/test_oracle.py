@@ -4,7 +4,7 @@ import pytest
 
 from fraglang.functor import InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import enumerate_terms, random_term
-from fraglang.lang import SHARED_NATS, enat, nil, none, plus, some, view
+from fraglang.lang import SHARED_NATS, enat, nil, none, plus, some
 from fraglang.oracle import (
     ELookup,
     ENat,
@@ -20,7 +20,7 @@ from fraglang.oracle import (
 )
 from fraglang.sweeps import oracle_sweep, sweep, trace_sweep
 from fraglang.typecheck import LangType
-from goldens import differential_terms, exp_term
+from goldens import differential_terms, exp_term, fragment_view
 
 EXP_MONO = ELookup(Ins(Nil(), ENat(0), ENat(1)), Plus(ENat(0), ENat(1)))
 
@@ -75,13 +75,14 @@ def test_embed_shares_its_leaves():
 
 
 # -- the reference embed ----------------------------------------------------
-# The embed that reading viewed payloads by field replaced: one nested class
-# pattern per array case, and a fresh object for every leaf.  It is the
-# specification the field-reading embed is checked against.
+# The embed that dispatching on a viewed case replaced: it reads each
+# fragment's payload through downcast, matches one nested class pattern per
+# array case, and builds a fresh object for every leaf.  It is the
+# specification the case-reading embed is checked against.
 
 
 def reference_embed(t):
-    v = view(t)
+    v = fragment_view(t)
     if v is None:
         raise ShapeError(f"not a term of the composed language: {t!r}")
     tag, p = v

@@ -88,6 +88,7 @@ _STEP_ONE_PLUS_TWO = ViaSum(StepV(1, 2))
 _SUM_WT = OkSum(_ONE_PLUS_TWO_WT, LiftWtNat(9), _ONE_PLUS_TWO, enat(9))  # (1 + 2) + 9
 _LITERAL_SUM_WT = OkSum(LiftWtNat(4), _ONE_PLUS_TWO_WT, enat(4), _ONE_PLUS_TWO)  # 4 + (1 + 2)
 _LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), _ONE_PLUS_TWO_WT, nil(), _ONE_PLUS_TWO)  # nil ! (1 + 2)
+_LITERAL_LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), LiftWtNat(1), nil(), enat(1))  # nil ! 1
 
 
 @pytest.mark.parametrize(
@@ -132,6 +133,18 @@ _LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), _ONE_PLUS_TWO_WT, nil(), _ONE_PLUS_T
             "index-congruence subject mismatch",
         ),
         (preservation_array, StepV(1, 2), _LOOKUP_WT, "not an array step: StepV"),
+        # A step that claims a non-natural literal, True posing as 1 among
+        # them, mismatches every typing.
+        (preservation_sum, StepV(-1, 2), _ONE_PLUS_TWO_WT.inner, "literal-reduction subject mismatch"),
+        (preservation_sum, StepV(True, 2), _ONE_PLUS_TWO_WT.inner, "literal-reduction subject mismatch"),
+        (
+            preservation_sum,
+            StepR(_STEP_ONE_PLUS_TWO, -1, _ONE_PLUS_TWO, enat(3)),
+            _LITERAL_SUM_WT,
+            "right-congruence subject mismatch",
+        ),
+        (preservation_array, Lookup(nil(), -1), _LITERAL_LOOKUP_WT, "lookup subject mismatch"),
+        (preservation_array, Lookup(nil(), True), _LITERAL_LOOKUP_WT, "lookup subject mismatch"),
     ],
     ids=[
         "sum-against-lookup",
@@ -143,6 +156,11 @@ _LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), _ONE_PLUS_TWO_WT, nil(), _ONE_PLUS_T
         "stepi-against-ins",
         "stepi-other-index",
         "stepv-to-array",
+        "stepv-negative-literal",
+        "stepv-bool-literal",
+        "stepr-negative-literal",
+        "lookup-negative-index",
+        "lookup-bool-index",
     ],
 )
 def test_transformers_reject_a_subject_the_typing_does_not_type(transformer, step, wt, message):

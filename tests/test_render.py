@@ -164,7 +164,7 @@ def test_congruence_targets_share_the_operand_left_alone():
     for target, step in trace(source, 8):
         assert_target_is_rebuild(source, target, step)
         if isinstance(step.step, StepI):
-            assert view(target)[1].payload.fst is view(source)[1].payload.fst
+            assert view(target)[1].fst is view(source)[1].fst
         source = target
 
 

@@ -5,7 +5,7 @@ import pytest
 from fraglang.functor import InR, Pair, Slot
 from fraglang.generate import enumerate_terms, random_term
 from fraglang.lang import (
-    array_payload,
+    LIFT_ARRAY,
     assign,
     enat,
     index,
@@ -29,6 +29,7 @@ from fraglang.semantics import (
     trace,
     validate_step,
 )
+from fraglang.subobject import downcast
 from goldens import eval_exp_derivation, exp_after_one_step, exp_term
 
 
@@ -195,7 +196,7 @@ def test_congruence_leaves_frozen_operand_alone():
 
 
 def _index_array(t):
-    match array_payload(t):
+    match downcast(LIFT_ARRAY, t):
         case InR(Pair(Slot(a), Slot(_))):
             return a
     return None

@@ -8,7 +8,7 @@ import pytest
 from fraglang import sexpr
 from fraglang.functor import AtomVal, BaseSet, InL, Term
 from fraglang.generate import enumerate_terms, random_typed_term
-from fraglang.lang import SHARED_NATS, assign, enat, index, nil, plus, some, view
+from fraglang.lang import SHARED_NATS, assign, enat, index, nil, plus, some
 from fraglang.semantics import drive_step, trace
 from fraglang.sexpr import (
     SexprError,
@@ -37,6 +37,7 @@ from goldens import (
     WT_EXP_SEXPR,
     eval_exp_derivation,
     exp_term,
+    fragment_view,
     preserved_wt_exp,
     wt_exp,
 )
@@ -390,7 +391,7 @@ def _ref_decode(tree, allowed):
                 t = parse(text)
             except ParseError as exc:
                 raise SexprError(f"not a term: {text!r} ({exc})") from None
-            if view(t)[0] != "option":
+            if fragment_view(t)[0] != "option":
                 raise SexprError(f"not an option term: {text!r}")
             return LiftWtOption(t), t
         case ("lift-wt-sum", [inner]):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fraglang.functor import AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, Term
+from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import random_payload
 from fraglang.lang import (
     ARRAY,
@@ -23,6 +23,7 @@ from fraglang.subobject import (
     ContainsPath,
     MalformedPathError,
     downcast,
+    lifter,
     path_target,
     upcast,
 )
@@ -76,6 +77,15 @@ def test_upcast_empty_path_wraps_directly():
 def test_upcast_rejects_wrong_payload():
     with pytest.raises(ShapeError):
         upcast(LIFT_NAT, Pair(Slot(enat(0)), Slot(enat(0))))
+
+
+def test_lifter_error_names_the_class_not_the_value():
+    # The repr of a 100-term chain is past the recursion limit.
+    chain = enat(1)
+    for _ in range(99):
+        chain = plus(chain, enat(1))
+    with pytest.raises(ShapeError, match="^Pair payload does not inhabit the target of path"):
+        lifter(LIFT_SUM)(Pair(Slot(chain), UNIT))
 
 
 def test_downcast_left_inverse_on_image():

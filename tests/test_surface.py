@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from fraglang.functor import InL, ShapeError, Slot, Term
 from fraglang.generate import random_term
-from fraglang.lang import assign, enat, index, nil, none, plus, some, view
+from fraglang.lang import assign, enat, index, nil, none, plus, some
 from fraglang.surface import LiteralLimitError, ParseError, parse, render
-from goldens import EXP_TEXT, exp_term
+from goldens import EXP_TEXT, exp_term, fragment_view
 
 # CPython's integer-string limit; 0 (or no such function) means none.
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -216,7 +216,7 @@ def test_deep_some_parses():
     t = parse("some(" * n + "1" + ")" * n)
     # Peeled one level at a time: == on terms this deep would overflow.
     for _ in range(n):
-        tag, p = view(t)
+        tag, p = fragment_view(t)
         assert tag == "option" and isinstance(p, InL)
         t = p.payload.term
     assert t == enat(1)

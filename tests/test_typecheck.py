@@ -4,7 +4,7 @@ import random
 from fraglang import typecheck
 from fraglang.generate import enumerate_terms, random_term, random_typed_term
 from fraglang.lang import (
-    array_payload,
+    LIFT_ARRAY,
     assign,
     enat,
     index,
@@ -13,7 +13,6 @@ from fraglang.lang import (
     none,
     plus,
     some,
-    view,
 )
 from fraglang.typecheck import (
     LangType,
@@ -29,7 +28,8 @@ from fraglang.typecheck import (
     validate_typing,
 )
 from fraglang.functor import InL, InR, Pair, ShapeError, Slot
-from goldens import differential_terms, exp_term, wt_exp
+from fraglang.subobject import downcast
+from goldens import differential_terms, exp_term, fragment_view, wt_exp
 
 
 def test_validate_worked_example():
@@ -82,7 +82,7 @@ def _all_typings(t):
     n = nat_value(t)
     if n is not None:
         yield LangType.NAT, LiftWtNat(n)
-    v = view(t)
+    v = fragment_view(t)
     if v is not None and v[0] == "option":
         yield LangType.OPTION, LiftWtOption(t)
     if v is not None and v[0] == "sum":
@@ -91,7 +91,7 @@ def _all_typings(t):
             for rty, rw in _all_typings(right):
                 if lty is LangType.NAT and rty is LangType.NAT:
                     yield LangType.NAT, LiftWtSum(OkSum(lw, rw, left, right))
-    ap = array_payload(t)
+    ap = downcast(LIFT_ARRAY, t)
     if ap is not None:
         match ap:
             case InL(InR(_)):
@@ -145,7 +145,7 @@ def test_derivations_store_their_terms():
 
 def _eager_infer(t):
     # Reference: every premise of a rule is inferred before any is checked.
-    v = view(t)
+    v = fragment_view(t)
     if v is None:
         return None
     tag, p = v
@@ -210,14 +210,14 @@ def test_ill_typed_left_operand_hides_a_deep_right_operand():
 
 
 # -- the reference infer ----------------------------------------------------
-# The infer that reading viewed payloads by field replaced: one nested class
-# pattern per array case, with the same premise order and the same stop at
-# the first failing premise.  It is the specification infer is checked
-# against.
+# The infer that dispatching on a viewed case replaced: it reads each
+# fragment's payload through downcast and matches one nested class pattern
+# per array case, with the same premise order and the same stop at the
+# first failing premise.  It is the specification infer is checked against.
 
 
 def reference_infer(t):
-    v = view(t)
+    v = fragment_view(t)
     if v is None:
         return None
     tag, p = v

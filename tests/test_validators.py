@@ -44,7 +44,6 @@ from fraglang.lang import (
     index,
     nil,
     plus,
-    view,
 )
 from fraglang.semantics import (
     Lookup,
@@ -71,6 +70,7 @@ from fraglang.typecheck import (
     infer,
     validate_typing,
 )
+from goldens import fragment_view
 
 
 class MalformedDerivationError(Exception):
@@ -237,7 +237,7 @@ _SUMMAND = {"sum": SUM, "array": ARRAY}
 
 def _inspected_ok(t):
     """``valid_term(FEXPR, t)``, except that option payloads go unread."""
-    v = view(t)
+    v = fragment_view(t)
     if v is None:
         return False
     tag, p = v

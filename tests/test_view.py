@@ -6,17 +6,18 @@ import threading
 
 import pytest
 
-from fraglang.functor import AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, Term
+from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import enumerate_terms, random_payload, random_typed_term
 from fraglang.lang import (
+    CASE_PATHS,
     FEXPR,
     LIFT_PATHS,
     assign,
     enat,
     index,
     is_value,
-    lift_array,
-    lift_sum,
+    lift_assign,
+    lift_plus,
     nil,
     none,
     plus,
@@ -42,30 +43,36 @@ MALFORMED = {
 
 
 def _downcast_view(t):
-    # Reference: the four per-path downcasts view replaces.
-    hits = [(tag, p) for tag, path in LIFT_PATHS.items() if (p := downcast(path, t)) is not None]
+    # Reference: the seven per-case downcasts view replaces.
+    hits = [(case, q) for case, path in CASE_PATHS.items() if (q := downcast(path, t)) is not None]
     assert len(hits) <= 1
     return hits[0] if hits else None
 
 
 def test_view_tags_each_constructor():
     a = assign(nil(), enat(0), enat(1))
+    unit = AtomVal(BaseSet.UNIT, UNIT)
     assert view(enat(4)) == ("nat", AtomVal(BaseSet.NAT, 4))
-    assert view(some(enat(1)))[0] == view(none())[0] == "option"
-    assert view(plus(enat(1), nil())) == ("sum", Pair(Slot(enat(1)), Slot(nil())))
-    assert [view(x)[0] for x in (nil(), a, index(a, enat(0)))] == ["array"] * 3
+    assert view(some(enat(1))) == ("some", Slot(enat(1)))
+    assert view(none()) == ("none", unit)
+    assert view(plus(enat(1), nil())) == ("plus", Pair(Slot(enat(1)), Slot(nil())))
+    assert view(nil()) == ("nil", unit)
+    assert view(a) == ("assign", Pair(Slot(nil()), Pair(Slot(enat(0)), Slot(enat(1)))))
+    assert view(index(a, enat(0))) == ("index", Pair(Slot(a), Slot(enat(0))))
 
 
 def test_view_agrees_with_downcast():
     terms = list(enumerate_terms(1, (0, 1))) + list(MALFORMED.values())
     rng = random.Random(5)
     terms += [Term(random_payload(rng, FEXPR, 3)) for _ in range(500)]
-    # Every fragment's payloads under every fragment's spine, so the shape
-    # check at the end of a spine is what decides.
-    for own in LIFT_PATHS.values():
+    # Every fragment's and every case's payloads under every fragment's and
+    # every case's spine, so the shape check at the end of a spine is what
+    # decides.
+    paths = [*LIFT_PATHS.values(), *CASE_PATHS.values()]
+    for own in paths:
         for _ in range(50):
             p = random_payload(rng, path_target(own), 2)
-            for spine in LIFT_PATHS.values():
+            for spine in paths:
                 node = p
                 for step in spine.steps:
                     node = step(node)
@@ -180,7 +187,7 @@ def test_validators_reject_a_bool_literal_that_compares_equal():
     bad = MALFORMED["bool literal"]
     assert infer(bad) is None
     assert validate_typing(LiftWtNat(1), bad, LangType.NAT) is False
-    source = lift_sum(Pair(Slot(bad), Slot(enat(0))))
+    source = lift_plus(Pair(Slot(bad), Slot(enat(0))))
     assert validate_step(ViaSum(StepV(1, 0)), source, enat(1)) is False
 
 
@@ -188,8 +195,8 @@ def test_lookup_is_checked_against_the_source_array():
     # The derivation's array holds the bool index True, which equals the
     # source's index 1 under ==.  The result is computed from the source's
     # own array, so the true target is accepted and a false one is not.
-    polluted = InL(InL(Pair(Slot(nil()), Pair(Slot(MALFORMED["bool literal"]), Slot(enat(0))))))
+    polluted = Pair(Slot(nil()), Pair(Slot(MALFORMED["bool literal"]), Slot(enat(0))))
     source = index(assign(nil(), enat(1), enat(0)), enat(1))
-    d = ViaArray(Lookup(lift_array(polluted), 1))
+    d = ViaArray(Lookup(lift_assign(polluted), 1))
     assert validate_step(d, source, some(enat(0))) is True
     assert validate_step(d, source, none()) is False
