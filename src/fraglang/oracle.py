@@ -88,84 +88,84 @@ def embed(t: Term) -> MonoExpr:
     return Ins(embed(q.fst.term), embed(q.snd.fst.term), embed(q.snd.snd.term))
 
 
+# The twin dispatches by isinstance with direct field reads, as the view-reading
+# layers do: a failing class pattern costs several times an isinstance, so
+# class patterns would make the modularity tax measure match, not modularity.
+# The classes are disjoint, so each chain tests the most frequent one first.
+
+
 def project(m: MonoExpr) -> Term:
     """Inverse of embed."""
-    match m:
-        case ENat(n):
-            return enat(n)
-        case ESome(e):
-            return some(project(e))
-        case ENone():
-            return none()
-        case Nil():
-            return nil()
-        case ELookup(a, i):
-            return index(project(a), project(i))
-        case Ins(a, i, e):
-            return assign(project(a), project(i), project(e))
-        case Plus(e1, e2):
-            return plus(project(e1), project(e2))
+    if isinstance(m, Plus):
+        return plus(project(m.e1), project(m.e2))
+    if isinstance(m, ENat):
+        return enat(m.n)
+    if isinstance(m, ESome):
+        return some(project(m.e))
+    if isinstance(m, ENone):
+        return none()
+    if isinstance(m, Nil):
+        return nil()
+    if isinstance(m, ELookup):
+        return index(project(m.a), project(m.i))
+    if isinstance(m, Ins):
+        return assign(project(m.a), project(m.i), project(m.e))
     raise ShapeError(f"not a monolithic expression: {m!r}")
 
 
 def mono_infer(m: MonoExpr) -> LangType | None:
-    match m:
-        case ENat(_):
+    if isinstance(m, Plus):
+        if mono_infer(m.e1) is LangType.NAT and mono_infer(m.e2) is LangType.NAT:
             return LangType.NAT
-        case ESome(_) | ENone():
-            # Option contents are unconstrained, matching the modular rule.
+        return None
+    if isinstance(m, ENat):
+        return LangType.NAT
+    if isinstance(m, (ESome, ENone)):
+        # Option contents are unconstrained, matching the modular rule.
+        return LangType.OPTION
+    if isinstance(m, Nil):
+        return LangType.ARRAY
+    if isinstance(m, ELookup):
+        if mono_infer(m.a) is LangType.ARRAY and mono_infer(m.i) is LangType.NAT:
             return LangType.OPTION
-        case Nil():
+        return None
+    if isinstance(m, Ins):
+        if (
+            mono_infer(m.a) is LangType.ARRAY
+            and mono_infer(m.i) is LangType.NAT
+            and mono_infer(m.e) is LangType.NAT
+        ):
             return LangType.ARRAY
-        case Plus(e1, e2):
-            if mono_infer(e1) is LangType.NAT and mono_infer(e2) is LangType.NAT:
-                return LangType.NAT
-            return None
-        case Ins(a, i, e):
-            if (
-                mono_infer(a) is LangType.ARRAY
-                and mono_infer(i) is LangType.NAT
-                and mono_infer(e) is LangType.NAT
-            ):
-                return LangType.ARRAY
-            return None
-        case ELookup(a, i):
-            if mono_infer(a) is LangType.ARRAY and mono_infer(i) is LangType.NAT:
-                return LangType.OPTION
-            return None
     return None
 
 
 def _chain_lookup(a: MonoExpr, n: int) -> MonoExpr:
     # Mirrors array_lookup: outermost write wins, fail closed to ENone.
-    while True:
-        match a:
-            case Nil():
-                return ENone()
-            case Ins(rest, ENat(stored), e):
-                if stored == n:
-                    return ESome(e)
-                a = rest
-            case _:
-                return ENone()
+    while isinstance(a, Ins) and isinstance(a.i, ENat):
+        if a.i.n == n:
+            return ESome(a.e)
+        a = a.a
+    return _ENONE
 
 
 def mono_step(m: MonoExpr) -> MonoExpr | None:
     """One deterministic step mirroring the modular driver's strategy."""
-    match m:
-        case Plus(ENat(n1), ENat(n2)):
-            return ENat(n1 + n2)
-        case Plus(ENat(n1), e2):
-            stepped = mono_step(e2)
-            return None if stepped is None else Plus(ENat(n1), stepped)
-        case Plus(e1, e2):
+    if isinstance(m, Plus):
+        e1, e2 = m.e1, m.e2
+        if not isinstance(e1, ENat):
             stepped = mono_step(e1)
             return None if stepped is None else Plus(stepped, e2)
-        case ELookup(a, ENat(n)):
-            if isinstance(a, (Nil, Ins, ELookup)):
-                return _chain_lookup(a, n)
-            return None
-        case ELookup(a, i):
+        if isinstance(e2, ENat):
+            # Shared as embed shares; an operand outside the language may be negative.
+            n = e1.n + e2.n
+            return _ENATS[n] if type(n) is int and 0 <= n < SHARED_NATS else ENat(n)
+        stepped = mono_step(e2)
+        return None if stepped is None else Plus(e1, stepped)
+    if isinstance(m, ELookup):
+        a, i = m.a, m.i
+        if not isinstance(i, ENat):
             stepped = mono_step(i)
             return None if stepped is None else ELookup(a, stepped)
+        if isinstance(a, (Nil, Ins, ELookup)):
+            return _chain_lookup(a, i.n)
     return None

@@ -65,21 +65,20 @@ def preservation_sum(
     """Rewrite a sum typing across a sum step."""
     if not isinstance(wt, OkSum):
         raise SubjectMismatchError(f"sum step against non-sum typing {wt!r}")
-    match step:
-        case StepL(inner, left, left_after, right):
-            if wt.left != left or wt.right != right:
-                raise SubjectMismatchError("left-congruence subject mismatch")
-            rewritten = hooks.induction(inner, wt.left_wt)
-            return hooks.lift_sum_wt(OkSum(rewritten, wt.right_wt, left_after, right))
-        case StepR(inner, left_nat, right, right_after):
-            if not _is_literal(wt.left, left_nat) or wt.right != right:
-                raise SubjectMismatchError("right-congruence subject mismatch")
-            rewritten = hooks.induction(inner, wt.right_wt)
-            return hooks.lift_sum_wt(OkSum(wt.left_wt, rewritten, wt.left, right_after))
-        case StepV(n, m):
-            if not _is_literal(wt.left, n) or not _is_literal(wt.right, m):
-                raise SubjectMismatchError("literal-reduction subject mismatch")
-            return hooks.wt_nat(n + m)
+    if isinstance(step, StepL):
+        if wt.left != step.left or wt.right != step.right:
+            raise SubjectMismatchError("left-congruence subject mismatch")
+        rewritten = hooks.induction(step.inner, wt.left_wt)
+        return hooks.lift_sum_wt(OkSum(rewritten, wt.right_wt, step.left_after, step.right))
+    if isinstance(step, StepR):
+        if not _is_literal(wt.left, step.left_nat) or wt.right != step.right:
+            raise SubjectMismatchError("right-congruence subject mismatch")
+        rewritten = hooks.induction(step.inner, wt.right_wt)
+        return hooks.lift_sum_wt(OkSum(wt.left_wt, rewritten, wt.left, step.right_after))
+    if isinstance(step, StepV):
+        if not _is_literal(wt.left, step.n) or not _is_literal(wt.right, step.m):
+            raise SubjectMismatchError("literal-reduction subject mismatch")
+        return hooks.wt_nat(step.n + step.m)
     raise SubjectMismatchError(f"not a sum step: {step!r}")
 
 
@@ -87,18 +86,15 @@ def preservation_array(
     hooks: PreservationHooks, step: ArrayStep, wt: ArrayTyping
 ) -> ComposedTyping:
     """Rewrite an array typing across an array step."""
-    match step:
-        case StepI(inner, array, idx, idx_after):
-            if not isinstance(wt, OkLookup) or wt.array != array or wt.index != idx:
-                raise SubjectMismatchError("index-congruence subject mismatch")
-            rewritten = hooks.induction(inner, wt.index_wt)
-            return hooks.lift_array_wt(
-                OkLookup(wt.array_wt, rewritten, array, idx_after)
-            )
-        case Lookup(array, idx):
-            if not isinstance(wt, OkLookup) or wt.array != array or not _is_literal(wt.index, idx):
-                raise SubjectMismatchError("lookup subject mismatch")
-            return hooks.wt_option(array_lookup(array, idx))
+    if isinstance(step, StepI):
+        if not isinstance(wt, OkLookup) or wt.array != step.array or wt.index != step.idx:
+            raise SubjectMismatchError("index-congruence subject mismatch")
+        rewritten = hooks.induction(step.inner, wt.index_wt)
+        return hooks.lift_array_wt(OkLookup(wt.array_wt, rewritten, step.array, step.idx_after))
+    if isinstance(step, Lookup):
+        if not isinstance(wt, OkLookup) or wt.array != step.array or not _is_literal(wt.index, step.idx):
+            raise SubjectMismatchError("lookup subject mismatch")
+        return hooks.wt_option(array_lookup(step.array, step.idx))
     raise SubjectMismatchError(f"not an array step: {step!r}")
 
 
@@ -108,11 +104,10 @@ def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
     Recursion is structural on the step derivation, so the knot-tied
     induction terminates.
     """
-    match (step, wt):
-        case (ViaSum(s), LiftWtSum(w)):
-            return preservation_sum(COMPOSED_HOOKS, s, w)
-        case (ViaArray(s), LiftWtArray(w)):
-            return preservation_array(COMPOSED_HOOKS, s, w)
+    if isinstance(step, ViaSum) and isinstance(wt, LiftWtSum):
+        return preservation_sum(COMPOSED_HOOKS, step.step, wt.inner)
+    if isinstance(step, ViaArray) and isinstance(wt, LiftWtArray):
+        return preservation_array(COMPOSED_HOOKS, step.step, wt.inner)
     raise SubjectMismatchError(
         f"step {type(step).__name__} cannot pair with typing {type(wt).__name__}"
     )

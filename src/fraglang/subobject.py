@@ -56,6 +56,8 @@ def lifter(path: ContainsPath, tag: str | None = None) -> Callable[[Payload], Te
 
     Given a ``tag``, each new term records ``(tag, p)`` as its view (see
     ``lang.view``): the shape check just passed and the spine is the path's.
+    A payload that fails the check is reported against the tag's case, and
+    without a tag against the path.
     """
     check = validator(path_target(path))
     wraps = path.steps
@@ -63,9 +65,8 @@ def lifter(path: ContainsPath, tag: str | None = None) -> Callable[[Payload], Te
     def lift(p: Payload) -> Term:
         if not check(p):
             # The payload's class, not its repr: a deep payload's repr recurses too far.
-            raise ShapeError(
-                f"{type(p).__name__} payload does not inhabit the target of path {path.steps!r}"
-            )
+            where = f"the {tag} case" if tag is not None else f"the target of path {path.steps!r}"
+            raise ShapeError(f"{type(p).__name__} payload does not inhabit {where}")
         node = p
         for wrap in wraps:
             node = wrap(node)

@@ -114,9 +114,12 @@ def test_derivations_hold_terms_not_payloads():
 INJECTORS = {"functor", "subobject", "lang", "generate"}
 
 
+def _tree(module):
+    return ast.parse(Path(fraglang.__path__[0], f"{module}.py").read_text())
+
+
 def _imported_names(module):
-    tree = ast.parse(Path(fraglang.__path__[0], f"{module}.py").read_text())
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
@@ -126,6 +129,34 @@ def _imported_names(module):
 def test_only_the_language_layers_import_injections():
     importers = sorted(m for m in MODULES if {"InL", "InR"} & set(_imported_names(m)))
     assert set(importers) <= INJECTORS, importers
+
+
+# The functions that may hold a match statement: the descriptor compiler,
+# which runs once per descriptor compiled and not per term, the generic fmap,
+# which no layer calls, and a generator of arbitrary payloads for tests.
+# Every per-term path dispatches by isinstance or on a viewed case instead,
+# because a class pattern that fails costs several times an isinstance.
+MATCH_SITES = {"functor": {"_compile", "fmap"}, "generate": {"random_payload"}}
+
+
+def _match_sites(module):
+    # The names of the functions that hold a match statement, or "<module>".
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Match):
+                sites.add(where)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(_tree(module), "<module>")
+    return sites
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_layers_dispatch_without_match(module):
+    assert _match_sites(module) == MATCH_SITES.get(module, set())
 
 
 def test_each_case_lifter_builds_its_spine():

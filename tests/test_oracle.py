@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from fraglang.functor import InL, InR, Pair, ShapeError, Slot, Term
 from fraglang.generate import enumerate_terms, random_term
-from fraglang.lang import SHARED_NATS, enat, nil, none, plus, some
+from fraglang.lang import SHARED_NATS, assign, enat, index, nil, none, plus, some
 from fraglang.oracle import (
     ELookup,
     ENat,
@@ -114,6 +115,139 @@ def test_reference_differential():
     outcomes = [_outcome(embed, t) for t in terms]
     assert outcomes == [_outcome(reference_embed, t) for t in terms]
     assert outcomes.count(ShapeError) == 20  # the malformed terms, and only they
+
+
+# -- the reference twin ------------------------------------------------------
+# The twin's per-term functions as they were written with class patterns,
+# before they dispatched by isinstance.  They are the specification the
+# rewrite is checked against; only the leaves they build are not shared.
+
+
+def reference_project(m):
+    match m:
+        case ENat(n):
+            return enat(n)
+        case ESome(e):
+            return some(reference_project(e))
+        case ENone():
+            return none()
+        case Nil():
+            return nil()
+        case ELookup(a, i):
+            return index(reference_project(a), reference_project(i))
+        case Ins(a, i, e):
+            return assign(reference_project(a), reference_project(i), reference_project(e))
+        case Plus(e1, e2):
+            return plus(reference_project(e1), reference_project(e2))
+    raise ShapeError(f"not a monolithic expression: {m!r}")
+
+
+def reference_mono_infer(m):
+    match m:
+        case ENat(_):
+            return LangType.NAT
+        case ESome(_) | ENone():
+            return LangType.OPTION
+        case Nil():
+            return LangType.ARRAY
+        case Plus(e1, e2):
+            if reference_mono_infer(e1) is LangType.NAT and reference_mono_infer(e2) is LangType.NAT:
+                return LangType.NAT
+            return None
+        case Ins(a, i, e):
+            if (
+                reference_mono_infer(a) is LangType.ARRAY
+                and reference_mono_infer(i) is LangType.NAT
+                and reference_mono_infer(e) is LangType.NAT
+            ):
+                return LangType.ARRAY
+            return None
+        case ELookup(a, i):
+            if reference_mono_infer(a) is LangType.ARRAY and reference_mono_infer(i) is LangType.NAT:
+                return LangType.OPTION
+            return None
+    return None
+
+
+def reference_chain_lookup(a, n):
+    while True:
+        match a:
+            case Nil():
+                return ENone()
+            case Ins(rest, ENat(stored), e):
+                if stored == n:
+                    return ESome(e)
+                a = rest
+            case _:
+                return ENone()
+
+
+def reference_mono_step(m):
+    match m:
+        case Plus(ENat(n1), ENat(n2)):
+            return ENat(n1 + n2)
+        case Plus(ENat(n1), e2):
+            stepped = reference_mono_step(e2)
+            return None if stepped is None else Plus(ENat(n1), stepped)
+        case Plus(e1, e2):
+            stepped = reference_mono_step(e1)
+            return None if stepped is None else Plus(stepped, e2)
+        case ELookup(a, ENat(n)):
+            if isinstance(a, (Nil, Ins, ELookup)):
+                return reference_chain_lookup(a, n)
+            return None
+        case ELookup(a, i):
+            stepped = reference_mono_step(i)
+            return None if stepped is None else ELookup(a, stepped)
+    return None
+
+
+# Values outside the twin's language, or on its edges: no expression at all,
+# a composed term, lookups whose index is no literal, assignment chains with
+# a non-literal index below a miss, and operands no embed produces.
+OFF_LANGUAGE = [
+    None,
+    enat(0),
+    ENat(True),
+    ELookup(Nil(), Nil()),
+    ELookup(Nil(), Plus(ENat(0), ENat(1))),
+    ELookup(Ins(Nil(), ENat(0), ENat(1)), ESome(ENat(0))),
+    ELookup(Ins(Ins(Nil(), Plus(ENat(0), ENat(0)), ENat(1)), ENat(1), ENat(2)), ENat(0)),
+    ELookup(Ins(Ins(Nil(), ENat(0), ENat(5)), Plus(ENat(0), ENat(0)), ENat(1)), ENat(0)),
+    ELookup(Ins(ENat(3), ENat(1), ENat(2)), ENat(0)),
+    ELookup(ELookup(Nil(), ENat(0)), ENat(0)),
+    ELookup(ENat(0), ENat(0)),
+    Ins(Nil(), Plus(ENat(0), ENat(1)), ENat(2)),
+    Plus(ENat(-2), ENat(1)),
+    Plus(ENat(1), Plus(Nil(), ENat(0))),
+    Plus(ENat(1), enat(0)),
+    Plus(enat(0), ENat(1)),
+]
+
+
+def test_reference_twin_differential():
+    prefix = list(itertools.islice(enumerate_terms(2, (0, 1)), 4000))
+    rng = random.Random(2101)
+    draws = [random_term(rng, 1 + k % 12, (0, 1, 255, 256)) for k in range(1000)]
+    values = [embed(t) for t in prefix + draws] + OFF_LANGUAGE
+    pairs = [
+        (mono_infer, reference_mono_infer),
+        (mono_step, reference_mono_step),
+        (project, reference_project),
+    ]
+    for fn, reference in pairs:
+        for m in values:
+            assert _outcome(fn, m) == _outcome(reference, m), (fn.__name__, m)
+    assert [_outcome(project, m) for m in OFF_LANGUAGE[:2]] == [ShapeError, ShapeError]
+
+
+def test_mono_step_shares_its_leaves():
+    for n in range(SHARED_NATS):
+        assert mono_step(Plus(ENat(n), ENat(0))) is embed(enat(n))
+    assert mono_step(Plus(ENat(SHARED_NATS), ENat(0))) == ENat(SHARED_NATS)
+    assert mono_step(Plus(ENat(-2), ENat(1))) == ENat(-1)  # outside the language: no table entry
+    for miss in (ELookup(Nil(), ENat(0)), ELookup(Ins(Nil(), ENat(0), ENat(1)), ENat(2))):
+        assert mono_step(miss) is embed(none())
 
 
 def test_mono_infer_examples():

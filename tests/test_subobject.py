@@ -7,6 +7,7 @@ from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, ShapeError,
 from fraglang.generate import random_payload
 from fraglang.lang import (
     ARRAY,
+    CASE_PATHS,
     FEXPR,
     LIFT_ARRAY,
     LIFT_NAT,
@@ -86,6 +87,13 @@ def test_lifter_error_names_the_class_not_the_value():
         chain = plus(chain, enat(1))
     with pytest.raises(ShapeError, match="^Pair payload does not inhabit the target of path"):
         lifter(LIFT_SUM)(Pair(Slot(chain), UNIT))
+
+
+def test_tagged_lifter_error_names_its_case():
+    with pytest.raises(ShapeError, match="^AtomVal payload does not inhabit the nat case$"):
+        enat(-1)
+    with pytest.raises(ShapeError, match="^Pair payload does not inhabit the plus case$"):
+        lifter(CASE_PATHS["plus"], "plus")(Pair(Slot(enat(1)), UNIT))
 
 
 def test_downcast_left_inverse_on_image():
