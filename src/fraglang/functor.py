@@ -21,6 +21,13 @@ class ShapeError(Exception):
 _C = TypeVar("_C", bound=type)
 
 
+def define(name: str, params: str, lines: list[str], names: dict[str, Any]) -> Callable:
+    """The function ``def name(params)`` whose body is ``lines``, with ``names`` as its globals."""
+    body = "".join("\n    " + line for line in lines) or "\n    pass"
+    exec(f"def {name}({params}):{body}", names)
+    return names[name]
+
+
 def record(cls: _C) -> _C:
     """``dataclass(frozen=True, slots=True)``, built through its slots.
 
@@ -28,9 +35,11 @@ def record(cls: _C) -> _C:
     ``object.__setattr__``, which looks the field up by name and costs about
     twice what writing through the field's slot descriptor does.  The
     replacement writes through the descriptors and keeps the generated
-    signature, defaults and annotations; ``==``, ``hash``, ``repr`` and
-    ``__match_args__`` are the dataclass's own.  Assignment and deletion
-    raise ``FrozenInstanceError``, as a frozen dataclass's do.
+    signature, defaults and annotations.  ``hash``, ``repr`` and
+    ``__match_args__`` are the dataclass's own, and so is ``==`` unless the
+    class defines its own: ``Term``'s reads the views its lifters record.
+    Assignment and deletion raise ``FrozenInstanceError``, as a frozen
+    dataclass's do.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     # What the generated __init__ would do beyond storing its arguments.
@@ -41,9 +50,8 @@ def record(cls: _C) -> _C:
     names = [f.name for f in fields(cls)]
     generated = cls.__init__
     setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names) or "\n    pass"
-    exec(f"def __init__(self{''.join(', ' + name for name in names)}):{body}", setters)
-    init = setters["__init__"]
+    params = "".join(", " + name for name in names)
+    init = define("__init__", "self" + params, [f"_set_{name}(self, {name})" for name in names], setters)
     init.__qualname__ = generated.__qualname__
     init.__module__ = generated.__module__
     init.__defaults__ = generated.__defaults__
@@ -179,6 +187,22 @@ class Term(_ViewSlots):
 
     node: Payload
 
+    def __eq__(self, other: object) -> bool:
+        # The dataclass's rule, equal nodes, read off the recorded views
+        # where both terms carry one: a tag names one spine
+        # (``subobject.lifter``), so two lifted terms have equal nodes exactly
+        # when their tags and their view payloads are equal, and comparing
+        # those skips the spine.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        try:
+            tag, other_tag = self.view_tag, other.view_tag
+        except AttributeError:
+            return (self.node,) == (other.node,)
+        return tag == other_tag and self.view_payload == other.view_payload
+
 
 # Writers for the view slots, which are no fields, so no __init__ fills them.
 set_view_tag = _ViewSlots.view_tag.__set__
@@ -192,51 +216,75 @@ def is_natural(value: Any) -> bool:
 
 Validator = Callable[[Any], bool]
 
+# What the compiled checks refer to, by the names they use.
+_CHECK_NAMES = {cls.__name__: cls for cls in (Slot, AtomVal, InL, InR, Pair, Term)} | {"UNIT": UNIT}
 
-def _compile(f: Any, check_slot: Callable[[Any], bool] | None) -> Validator:
-    # One closure per descriptor node; the payload walk below it does no
-    # descriptor matching.  A value that is no descriptor accepts nothing.
+
+def _compile(f: Any, p: str, slot: str, names: dict[str, Any]) -> str:
+    # One expression over the payload source ``p`` that is true exactly when
+    # the payload inhabits ``f``; ``slot`` checks a slot's term, put for its
+    # ``{}``.  ``names`` receives the atom sets it names.  The walk does no
+    # descriptor matching; a value that is no descriptor accepts nothing.
     match f:
         case Rec():
-            if check_slot is None:
-                return lambda p: isinstance(p, Slot) and isinstance(p.term, Term)
-            return lambda p: isinstance(p, Slot) and check_slot(p.term)
-        case Atom(base) if base is BaseSet.NAT:
-            return lambda p: isinstance(p, AtomVal) and p.set is base and is_natural(p.value)
+            return f"isinstance({p}, Slot) and {slot.format(p + '.term')}"
         case Atom(base):
-            return lambda p: isinstance(p, AtomVal) and p.set is base and p.value == UNIT
+            names[f"_set{id(base)}"] = base
+            head = f"isinstance({p}, AtomVal) and {p}.set is _set{id(base)}"
+            v = p + ".value"
+            if base is BaseSet.NAT:  # is_natural, inline
+                return f"{head} and isinstance({v}, int) and not isinstance({v}, bool) and {v} >= 0"
+            return f"{head} and {v} == UNIT"
         case Sum(left, right):
-            left_ok, right_ok = _compile(left, check_slot), _compile(right, check_slot)
-
-            def check_sum(p: Any) -> bool:
-                if isinstance(p, InL):
-                    return left_ok(p.payload)
-                if isinstance(p, InR):
-                    return right_ok(p.payload)
-                return False
-
-            return check_sum
+            q = p + ".payload"
+            left_ok, right_ok = _compile(left, q, slot, names), _compile(right, q, slot, names)
+            return f"(({left_ok}) if isinstance({p}, InL) else isinstance({p}, InR) and ({right_ok}))"
         case Prod(left, right):
-            left_ok, right_ok = _compile(left, check_slot), _compile(right, check_slot)
-            return lambda p: isinstance(p, Pair) and left_ok(p.fst) and right_ok(p.snd)
-    return lambda p: False
+            left_ok = _compile(left, p + ".fst", slot, names)
+            return f"isinstance({p}, Pair) and ({left_ok}) and ({_compile(right, p + '.snd', slot, names)})"
+    return "False"
 
 
-_VALIDATORS: dict[FunctorDesc, Validator] = {}
+def check_source(f: FunctorDesc, p: str, names: dict[str, Any]) -> str:
+    """``validator(f)`` as one expression over the payload source ``p``.
+
+    The names the expression uses are added to ``names``.
+    """
+    names |= _CHECK_NAMES
+    return _compile(f, p, "isinstance({}, Term)", names)
+
+
+_CHECKS: dict[tuple[FunctorDesc, bool], Validator] = {}
+
+
+def _check(f: FunctorDesc, deep: bool) -> Validator:
+    # One function per descriptor, compiled from one expression: of a payload,
+    # or, deep, of a term, calling itself on the term in every slot.
+    try:
+        return _CHECKS[f, deep]
+    except KeyError:
+        pass
+    except TypeError:  # an unhashable non-descriptor: nothing to share
+        return _define_check(f, deep)
+    check = _CHECKS[f, deep] = _define_check(f, deep)
+    return check
+
+
+def _define_check(f: FunctorDesc, deep: bool) -> Validator:
+    names = dict(_CHECK_NAMES)
+    if deep:
+        expr = f"isinstance(p, Term) and ({_compile(f, 'p.node', 'check({})', names)})"
+    else:
+        expr = check_source(f, "p", names)
+    return define("check", "p", [f"return {expr}"], names)
 
 
 def validator(f: FunctorDesc) -> Validator:
-    """``f``'s shape check as a closure, compiled once per descriptor.
+    """``f``'s shape check as one expression, compiled once per descriptor.
 
     ``validator(f)(p) == validate_payload(f, p)`` for every payload.
     """
-    try:
-        return _VALIDATORS[f]
-    except KeyError:
-        check = _VALIDATORS[f] = _compile(f, None)
-        return check
-    except TypeError:  # an unhashable non-descriptor: nothing to share
-        return _compile(f, None)
+    return _check(f, False)
 
 
 def validate_payload(f: FunctorDesc, p: Payload) -> bool:
@@ -250,12 +298,7 @@ def validate_payload(f: FunctorDesc, p: Payload) -> bool:
 
 def valid_term(f: FunctorDesc, t: Any) -> bool:
     """Deep validity: every layer of ``t`` inhabits ``f``."""
-
-    def deep(sub: Any) -> bool:
-        return isinstance(sub, Term) and check(sub.node)
-
-    check = _compile(f, deep)
-    return deep(t)
+    return _check(f, True)(t)
 
 
 def fmap(f: FunctorDesc, fn: Callable[[Any], Any], p: Payload) -> Payload:

@@ -9,6 +9,7 @@ reads the case back, so no other module decodes a fragment's injections.
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 from .functor import (
     Atom,
@@ -16,17 +17,15 @@ from .functor import (
     BaseSet,
     InL,
     InR,
-    Pair,
     Payload,
     Prod,
     Rec,
     ShapeError,
-    Slot,
     Sum,
     Term,
     UNIT,
 )
-from .subobject import ContainsPath, downcast, lifter
+from .subobject import ContainsPath, builder, lifter, reader
 
 
 # The fragments in order, each with its cases in order.
@@ -56,16 +55,28 @@ LIFT_PATHS = {
 }
 LIFT_NAT, LIFT_OPTION, LIFT_SUM, LIFT_ARRAY = LIFT_PATHS.values()
 
+# Each case's path inside its fragment.
+_INNER_PATHS = {
+    tag: {case: ContainsPath(steps, desc) for case, steps in zip(cases, _summand_paths(len(cases)))}
+    for (tag, cases), desc in zip(FRAGMENTS.items(), (NAT, OPTION, SUM, ARRAY))
+}
 # Each case's path: its injections inside its fragment, then the fragment's.
 CASE_PATHS = {
-    case: ContainsPath(steps + LIFT_PATHS[tag].steps, FEXPR)
-    for tag, cases in FRAGMENTS.items()
-    for case, steps in zip(cases, _summand_paths(len(cases)))
+    case: ContainsPath(inner.steps + LIFT_PATHS[tag].steps, FEXPR)
+    for tag, cases in _INNER_PATHS.items()
+    for case, inner in cases.items()
 }
 
 # Each lifter records its case's view on the terms it builds.
 lift_nat, lift_some, lift_none, lift_plus, lift_assign, lift_nil, lift_index = (
     lifter(path, case) for case, path in CASE_PATHS.items()
+)
+
+# For a term no lifter built: each fragment's reader, then the readers of
+# its cases inside it.
+_READERS = tuple(
+    (reader(LIFT_PATHS[tag]), tuple((case, reader(inner)) for case, inner in cases.items()))
+    for tag, cases in _INNER_PATHS.items()
 )
 
 
@@ -77,17 +88,22 @@ def view(t: Term) -> View | None:
 
     ``view(t) == (case, q)`` exactly when ``downcast(CASE_PATHS[case], t)
     == q``.  The lifters above record the answer on every term they build;
-    any other term is read through ``downcast``, on every call, and nothing
-    is written to it.
+    any other term is read on every call, and nothing is written to it: its
+    fragment's injections once, then its case's inside that fragment.
     """
     try:
         return t.view_tag, t.view_payload
     except AttributeError:
         pass
-    for case, path in CASE_PATHS.items():
-        q = downcast(path, t)
+    node = t.node
+    for read_fragment, cases in _READERS:
+        q = read_fragment(node)
         if q is not None:
-            return case, q
+            # q inhabits the fragment, so exactly one case reads it.
+            for case, read_case in cases:
+                p = read_case(q)
+                if p is not None:
+                    return case, p
     return None
 
 
@@ -107,15 +123,18 @@ def enat(n: int) -> Term:
     return lift_nat(AtomVal(BaseSet.NAT, n))
 
 
-def plus(e1: Term, e2: Term) -> Term:
-    """Addition of two expressions."""
-    return lift_plus(Pair(Slot(e1), Slot(e2)))
+def _built(case: str, doc: str, *params: str) -> Callable[..., Term]:
+    # The case's smart constructor, compiled with its payload inline.
+    build = builder(CASE_PATHS[case], case, *params)
+    build.__name__ = build.__qualname__ = case
+    build.__module__, build.__doc__ = __name__, doc
+    return build
 
 
-def some(e: Term) -> Term:
-    """A present optional value."""
-    return lift_some(Slot(e))
-
+plus = _built("plus", "Addition of two expressions.", "e1", "e2")
+some = _built("some", "A present optional value.", "e")
+assign = _built("assign", "Array a extended with e written at index i.", "a", "i", "e")
+index = _built("index", "Array lookup of index i in a.", "a", "i")
 
 _NONE = lift_none(AtomVal(BaseSet.UNIT, UNIT))
 _NIL = lift_nil(AtomVal(BaseSet.UNIT, UNIT))
@@ -129,16 +148,6 @@ def none() -> Term:
 def nil() -> Term:
     """The empty array, one shared object."""
     return _NIL
-
-
-def assign(a: Term, i: Term, e: Term) -> Term:
-    """Array a extended with e written at index i."""
-    return lift_assign(Pair(Slot(a), Pair(Slot(i), Slot(e))))
-
-
-def index(a: Term, i: Term) -> Term:
-    """Array lookup of index i in a."""
-    return lift_index(Pair(Slot(a), Slot(i)))
 
 
 def nat_value(t: Term) -> int | None:

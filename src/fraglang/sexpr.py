@@ -138,11 +138,17 @@ class _Quoted:
     text: str
 
 
-# One token per match: a parenthesis, a quoted term, an atom, or a lone
-# quote (one with no closing partner).  Whitespace matches nothing.
-_TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"]+|"')
-# A literal as render_derivation prints it: ASCII digits, no leading zero.
+# The canonical typing of a literal, as render_derivation prints it: ASCII
+# digits, no leading zero.
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
+_LITERAL = f"({_NAMES[LiftWtNat]} "
+# One token per match: an opening parenthesis with a canonical literal's
+# typing after it, or else with the name after it if any; a closing one; an
+# atom; a quoted term; or a lone quote (one with no closing partner).
+# Whitespace matches nothing.
+_TOKEN = re.compile(
+    rf'\((?:{re.escape(_LITERAL[1:])}(?:{_NATURAL.pattern})\)|[^\s()"]*)|\)|[^\s()"]+|"[^"]*"|"'
+)
 
 # The rules by the premise positions they may fill, read off the unions.
 _LIFTS = frozenset(get_args(ComposedTyping))
@@ -169,7 +175,8 @@ def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | St
     # form is decoded when it closes, from premises already decoded: a
     # typing premise as (derivation, the term it types), a step premise as
     # its skeleton, a quoted term as a _Quoted, a rule with no premises as
-    # itself, and any other literal or bare name as its text.
+    # itself, and any other literal or bare name as its text.  A canonical
+    # literal's typing is one token, decoded where it stands.
     tokens = _TOKEN.findall(text)
     if len(tokens) == 1 and tokens[0] in _LEAVES:  # the whole text is one such rule
         leaf = _LEAVES[tokens[0]]
@@ -177,17 +184,24 @@ def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | St
     stack: list[list] = []  # each open form: its rule name, then its premises
     tokens = iter(tokens)
     for token in tokens:
-        if token == "(":
-            if stack and not stack[-1]:
-                raise SexprError("malformed derivation form: a form where a rule name belongs")
-            stack.append([])
-            continue
         if token == ")":
             if not stack:
                 raise SexprError("unexpected ')'")
             form = stack.pop()
             if not form:
                 raise SexprError("malformed derivation form: ()")
+        elif token[0] == "(":
+            if stack and not stack[-1]:
+                raise SexprError("malformed derivation form: a form where a rule name belongs")
+            if token[-1] != ")":
+                stack.append([token[1:]] if len(token) > 1 else [])
+            elif stack:
+                stack[-1].append(_literal(token))
+            elif next(tokens, None) is not None:
+                raise SexprError("trailing input after derivation")
+            else:
+                return _literal(token)[0]
+            continue
         else:
             if token[0] == '"':
                 if len(token) == 1:
@@ -210,7 +224,7 @@ def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | St
         size, decode = rule
         if len(form) != size:
             raise SexprError(f"malformed {form[0]} form: {size - 1} premises expected")
-        value = decode(*form)
+        value = decode(form)
         if stack:
             stack[-1].append(value)
         else:
@@ -236,35 +250,45 @@ def _misplaced(premise, kinds) -> SexprError:
     return SexprError(f"unknown constructor name {name!r}")
 
 
-def _typed(premise, kinds: frozenset) -> tuple:
-    # A decoded typing premise whose rule is one of ``kinds``.
-    if type(premise) is tuple and type(premise[0]) in kinds:
-        return premise
-    raise _misplaced(premise, kinds)
+def _untyped(premises, kinds: frozenset) -> SexprError:
+    # The error for the first premise that is no typing by one of ``kinds``.
+    premise = next(p for p in premises if type(p) is not tuple or type(p[0]) not in kinds)
+    return _misplaced(premise, kinds)
 
 
-# The small literals' typings and terms by their text, shared as enat
+# The small literals' typings and terms by their token, shared as enat
 # shares the terms.
-_LITERALS = {str(n): (wt_nat(n), enat(n)) for n in range(SHARED_NATS)}
+_LITERALS = {f"{_LITERAL}{n})": (wt_nat(n), enat(n)) for n in range(SHARED_NATS)}
 
 
-def _lift_wt_nat(name, digits) -> tuple:
-    typed = _LITERALS.get(digits) if type(digits) is str else None
+def _literal(token: str) -> tuple:
+    # A canonical literal's typing and term, from its token.
+    typed = _LITERALS.get(token)
     if typed is not None:
         return typed
-    if type(digits) is not str or not _NATURAL.fullmatch(digits):
-        raise SexprError(f"malformed {name} form")
+    digits = token[len(_LITERAL):-1]
     try:
         n = int(digits)
     except ValueError:  # past the integer-string limit
         raise SexprError(
-            f"{name} literal of {len(digits)} digits is past the"
+            f"{_NAMES[LiftWtNat]} literal of {len(digits)} digits is past the"
             f" integer-string limit of {sys.get_int_max_str_digits()}"
         ) from None
     return wt_nat(n), enat(n)
 
 
-def _lift_wt_option(name, quoted) -> tuple:
+# Each decoder takes a closed form: the rule name, then the premises.
+
+
+def _lift_wt_nat(form) -> tuple:
+    name, digits = form
+    if type(digits) is not str or not _NATURAL.fullmatch(digits):
+        raise SexprError(f"malformed {name} form")
+    return _literal(f"{_LITERAL}{digits})")
+
+
+def _lift_wt_option(form) -> tuple:
+    name, quoted = form
     if type(quoted) is not _Quoted:
         raise SexprError(f"malformed {name} form")
     try:
@@ -276,48 +300,68 @@ def _lift_wt_option(name, quoted) -> tuple:
     return LiftWtOption(t), t
 
 
-def _lift_wt_sum(_, inner) -> tuple:
-    w, t = _typed(inner, _SUMS)
-    return LiftWtSum(w), t
+def _lift_wt_sum(form) -> tuple:
+    inner = form[1]
+    if type(inner) is tuple and type(inner[0]) is SumTyping:
+        return LiftWtSum(inner[0]), inner[1]
+    raise _misplaced(inner, _SUMS)
 
 
-def _lift_wt_array(_, inner) -> tuple:
+def _lift_wt_array(form) -> tuple:
+    inner = form[1]
     if inner is _NIL_TYPED:
         return WT_NIL, _NIL_TYPED[1]
-    w, t = _typed(inner, _ARRAYS)
-    return LiftWtArray(w), t
+    if type(inner) is tuple and type(inner[0]) in _ARRAYS:
+        return LiftWtArray(inner[0]), inner[1]
+    raise _misplaced(inner, _ARRAYS)
 
 
-def _ok_sum(_, left, right) -> tuple:
-    (wl, l), (wr, r) = _typed(left, _LIFTS), _typed(right, _LIFTS)
-    return OkSum(wl, wr, l, r), plus(l, r)
+def _ok_sum(form) -> tuple:
+    _, left, right = form
+    if type(left) is type(right) is tuple and type(left[0]) in _LIFTS and type(right[0]) in _LIFTS:
+        (wl, l), (wr, r) = left, right
+        return OkSum(wl, wr, l, r), plus(l, r)
+    raise _untyped(form[1:], _LIFTS)
 
 
-def _ok_ins(_, array, value, idx) -> tuple:
-    (wa, a), (we, e), (wn, i) = _typed(array, _LIFTS), _typed(value, _LIFTS), _typed(idx, _LIFTS)
-    return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
+def _ok_ins(form) -> tuple:
+    _, array, value, idx = form
+    if (
+        type(array) is type(value) is type(idx) is tuple
+        and type(array[0]) in _LIFTS
+        and type(value[0]) in _LIFTS
+        and type(idx[0]) in _LIFTS
+    ):
+        (wa, a), (we, e), (wn, i) = array, value, idx
+        return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
+    raise _untyped(form[1:], _LIFTS)
 
 
-def _ok_lookup(_, array, idx) -> tuple:
-    (wa, a), (wn, i) = _typed(array, _LIFTS), _typed(idx, _LIFTS)
-    return OkLookup(wa, wn, a, i), index(a, i)
+def _ok_lookup(form) -> tuple:
+    _, array, idx = form
+    if type(array) is type(idx) is tuple and type(array[0]) in _LIFTS and type(idx[0]) in _LIFTS:
+        (wa, a), (wn, i) = array, idx
+        return OkLookup(wa, wn, a, i), index(a, i)
+    raise _untyped(form[1:], _LIFTS)
 
 
-def _step(name, inner) -> StepSkeleton:
+def _step(form) -> StepSkeleton:
     # Any step rule may stand under any other: elaboration checks the names.
+    name, inner = form
     if type(inner) is not StepSkeleton:
         raise _misplaced(inner, _STEPS)
     return StepSkeleton(name, inner)
 
 
-def _leaf_form(name) -> NoReturn:
-    raise SexprError(f"malformed {name} form")
+def _leaf_form(form) -> NoReturn:
+    raise SexprError(f"malformed {form[0]} form")
 
 
-# Each rule's decoder by its printed name.  A decoder takes the rule name,
-# then the premises, so its parameter count is the length of its form.
+# Each rule's decoder by its printed name, with the length of its form: the
+# rule name and one premise per field _RULES lists (one, the literal or the
+# quoted term, for the two rules rendered in place).
 _DECODERS = {
-    _NAMES[rule]: (decode.__code__.co_argcount, decode)
+    _NAMES[rule]: (1 + (len(_RULES[rule][1]) if rule in _RULES else 1), decode)
     for rule, decode in {
         LiftWtNat: _lift_wt_nat,
         LiftWtOption: _lift_wt_option,

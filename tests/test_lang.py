@@ -15,6 +15,7 @@ from fraglang.functor import (
     ShapeError,
     Slot,
     Sum,
+    Term,
     valid_term,
 )
 from fraglang.lang import (
@@ -42,8 +43,9 @@ from fraglang.lang import (
     some,
     view,
 )
+from fraglang.generate import enumerate_terms
 from fraglang.semantics import drive_step
-from fraglang.subobject import downcast
+from fraglang.subobject import downcast, upcast
 from goldens import differential_terms, fragment_view
 
 
@@ -283,3 +285,40 @@ def test_int_subclass_literal_keeps_its_value():
 
     t = enat(Nat(3))
     assert t == enat(3) and type(nat_value(t)) is Nat
+
+
+def test_case_builders_build_what_upcast_builds():
+    # Each smart constructor is compiled with its payload inline; its term
+    # must be the generic upcast of that payload, with that payload as view.
+    operands = list(itertools.islice(enumerate_terms(1, (0, 1)), 20)) + [Term(enat(1).node)]
+    unit = AtomVal(BaseSet.UNIT, UNIT)
+    built = [("none", none(), unit), ("nil", nil(), unit)]
+    built += [("nat", enat(n), AtomVal(BaseSet.NAT, n)) for n in (0, 1, SHARED_NATS, 10**30)]
+    for a in operands:
+        built.append(("some", some(a), Slot(a)))
+        for b in operands[::4]:
+            built.append(("plus", plus(a, b), Pair(Slot(a), Slot(b))))
+            built.append(("index", index(a, b), Pair(Slot(a), Slot(b))))
+            built.append(("assign", assign(a, b, a), Pair(Slot(a), Pair(Slot(b), Slot(a)))))
+    for case, t, payload in built:
+        assert t.node == upcast(CASE_PATHS[case], payload).node, case
+        assert (t.view_tag, t.view_payload) == (case, payload)
+        assert view(Term(t.node)) == (case, payload)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: plus(1, enat(0)), "Pair payload does not inhabit the plus case"),
+        (lambda: plus(enat(0), None), "Pair payload does not inhabit the plus case"),
+        (lambda: some("x"), "Slot payload does not inhabit the some case"),
+        (lambda: assign(nil(), enat(0), 1), "Pair payload does not inhabit the assign case"),
+        (lambda: index(nil(), enat(0).node), "Pair payload does not inhabit the index case"),
+        (lambda: enat(-1), "AtomVal payload does not inhabit the nat case"),
+        (lambda: enat(True), "AtomVal payload does not inhabit the nat case"),
+        (lambda: enat(1.0), "AtomVal payload does not inhabit the nat case"),
+    ],
+)
+def test_case_builders_reject_as_their_lifters_do(build, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        build()

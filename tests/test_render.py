@@ -146,9 +146,10 @@ def test_chain_derivations_render_as_reference(n):
 
 
 def test_congruence_targets_share_the_operand_left_alone():
-    # ==, hash and repr recurse several frames per node and overflow past
-    # about 90 levels, so they are compared on a short chain; the Slot
-    # sharing is checked on a long one as well.
+    # Term's == reads the recorded views, and it, hash and repr still recurse
+    # several frames per node: they overflow past about 65 to 125 levels, so
+    # they are compared on a short chain; the Slot sharing is checked on a
+    # long one as well.
     for n in (40, 400):
         source = parse(" + ".join(["1"] * n) + " + (1 + 1)")
         for target, step in trace(source, n + 1):

@@ -489,3 +489,44 @@ def test_reference_differential():
         else:
             decoded += 1
     assert decoded > 400 and rejected > 20_000
+
+
+# A canonical literal's typing, and a rule's "(" with its name, are one token
+# each; the texts around those tokens must read as they did token by token.
+FUSED_TOKEN_TEXTS = [
+    "(lift-wt-nat 01)",
+    "(lift-wt-nat  1)",
+    "( lift-wt-nat 1 )",
+    "(lift-wt-nat)",
+    "(lift-wt-nat 1 2)",
+    "((lift-wt-nat 1))",
+    "(lift-wt-nat 300)",
+    f"(lift-wt-nat {'9' * 4301})",
+]
+
+
+@pytest.mark.parametrize("text", FUSED_TOKEN_TEXTS, ids=lambda text: text[:20])
+def test_fused_tokens_decode_as_the_reference_does(text):
+    for form in (text, f"(lift-wt-sum (ok-sum {text} (lift-wt-nat 1)))", f"{text} x"):
+        assert _outcome(parse_derivation, form) == _outcome(reference_parse, form), form
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(lift-wt-nat 01)", "malformed lift-wt-nat form"),
+        ("(lift-wt-nat)", "malformed lift-wt-nat form: 1 premises expected"),
+        ("(lift-wt-nat 1 2)", "malformed lift-wt-nat form: 1 premises expected"),
+        ("((lift-wt-nat 1))", "malformed derivation form: a form where a rule name belongs"),
+        ("(lift-wt-nat 1) x", "trailing input after derivation"),
+        ("(lift-wt-nat 1))", "trailing input after derivation"),
+    ],
+)
+def test_fused_token_errors(text, message):
+    with pytest.raises(SexprError, match=f"^{re.escape(message)}$"):
+        parse_derivation(text)
+
+
+def test_fused_literal_reads_as_spaced_out():
+    assert parse_derivation("(lift-wt-nat 300)") == parse_derivation("( lift-wt-nat  300 )") == wt_nat(300)
+    assert parse_derivation("(lift-wt-nat 1)") is parse_derivation("( lift-wt-nat 1 )") is wt_nat(1)

@@ -17,6 +17,13 @@ from fraglang.lang import (
     OPTION,
     SUM,
     enat,
+    lift_assign,
+    lift_index,
+    lift_nat,
+    lift_nil,
+    lift_none,
+    lift_plus,
+    lift_some,
     nil,
     plus,
 )
@@ -94,6 +101,30 @@ def test_tagged_lifter_error_names_its_case():
         enat(-1)
     with pytest.raises(ShapeError, match="^Pair payload does not inhabit the plus case$"):
         lifter(CASE_PATHS["plus"], "plus")(Pair(Slot(enat(1)), UNIT))
+
+
+def test_a_tag_names_one_spine():
+    # Term's == trusts that equal tags mean equal spines, and back.  lang's
+    # seven lifters are bound, so asking again hands back the same one.
+    lifters = [lift_nat, lift_some, lift_none, lift_plus, lift_assign, lift_nil, lift_index]
+    for (case, path), lift in zip(CASE_PATHS.items(), lifters):
+        assert lifter(path, case) is lift
+    with pytest.raises(ValueError, match="^tag 'plus' is already bound to another path$"):
+        lifter(CASE_PATHS["index"], "plus")
+    with pytest.raises(ValueError, match="^the spine of tag 'sum' already carries tag 'plus'$"):
+        lifter(LIFT_SUM, "sum")
+    # A sum target's payload is an injection, which a longer spine reads.
+    with pytest.raises(ValueError, match="^tag 'option' would name a sum, not a case$"):
+        lifter(LIFT_OPTION, "option")
+    # The refusals bound nothing.
+    assert plus(enat(1), nil()).view_tag == "plus"
+    with pytest.raises(ValueError, match="already carries tag 'plus'"):
+        lifter(LIFT_SUM, "sum")
+
+
+def test_a_path_step_is_an_injection():
+    with pytest.raises(MalformedPathError, match="is no injection"):
+        path_target(ContainsPath((Pair,), FEXPR))
 
 
 def test_downcast_left_inverse_on_image():

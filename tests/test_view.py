@@ -27,7 +27,7 @@ from fraglang.lang import (
 from fraglang.oracle import embed
 from fraglang.semantics import Lookup, StepV, ViaArray, ViaSum, drive_step, validate_step
 from fraglang.subobject import downcast, path_target
-from fraglang.surface import render
+from fraglang.surface import parse, render
 from fraglang.typecheck import LangType, LiftWtNat, infer, validate_typing
 
 # Foreign Terms that no constructor builds; each fails the shape check
@@ -200,3 +200,64 @@ def test_lookup_is_checked_against_the_source_array():
     d = ViaArray(Lookup(lift_assign(polluted), 1))
     assert validate_step(d, source, some(enat(0))) is True
     assert validate_step(d, source, none()) is False
+
+
+def _dataclass_eq(a, b):
+    # The dataclass rule at every level, Term included: the same class, then
+    # equal fields in order, each by identity first; any other value by ==.
+    if a is b:
+        return True
+    if not dataclasses.is_dataclass(a) or not dataclasses.is_dataclass(b):
+        return a == b
+    return a.__class__ is b.__class__ and all(
+        _dataclass_eq(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
+def _equality_pairs():
+    terms = list(itertools.islice(enumerate_terms(2, (0, 1)), 4_000))
+    rng = random.Random(22)
+    for t in terms:
+        copy, rebuilt, other = Term(t.node), parse(render(t)), rng.choice(terms)
+        yield from [(t, rebuilt), (rebuilt, t), (t, copy), (copy, t), (copy, Term(rebuilt.node))]
+        yield from [(t, other), (copy, other), (other, copy)]
+    a, b = enat(1), nil()
+    bool_one = MALFORMED["bool literal"]
+    yield from [
+        (none(), nil()),  # one payload, two cases
+        (nil(), none()),
+        (plus(a, b), index(a, b)),
+        (index(a, b), plus(a, b)),
+        (bool_one, enat(1)),  # True == 1, in a foreign node
+        (enat(1), bool_one),
+        (plus(bool_one, a), plus(enat(1), a)),
+        (some(bool_one), some(Term(enat(1).node))),
+        (plus(bool_one, a), Term(plus(enat(1), a).node)),
+    ]
+
+
+def test_term_equality_is_the_dataclass_rule():
+    # Term's == reads the recorded views where both sides carry one; it must
+    # answer as the dataclass's comparison of nodes does, at every level.
+    equal = 0
+    for x, y in _equality_pairs():
+        expected = _dataclass_eq(x, y)
+        assert (x == y) is expected is (x.node == y.node), (render(x), render(y))
+        assert (x != y) is not expected
+        if expected:
+            assert hash(x) == hash(y)
+            equal += 1
+    assert equal > 20_000
+    assert none() != nil() and plus(enat(1), nil()) != index(enat(1), nil())
+    assert MALFORMED["bool literal"] == enat(1)
+
+
+def test_term_equality_leaves_other_operands_to_them():
+    class Subterm(Term):
+        pass
+
+    t = plus(enat(1), nil())
+    for x in (t, Term(t.node)):
+        for other in (3, None, "plus", t.node, Slot(t), Subterm(t.node)):
+            assert x.__eq__(other) is NotImplemented
+            assert (x == other) is False and (other == x) is False
