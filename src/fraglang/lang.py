@@ -135,6 +135,8 @@ plus = _built("plus", "Addition of two expressions.", "e1", "e2")
 some = _built("some", "A present optional value.", "e")
 assign = _built("assign", "Array a extended with e written at index i.", "a", "i", "e")
 index = _built("index", "Array lookup of index i in a.", "a", "i")
+# Those constructors by case; each takes its payload's slot terms in order.
+BUILDERS = {build.__name__: build for build in (plus, some, assign, index)}
 
 _NONE = lift_none(AtomVal(BaseSet.UNIT, UNIT))
 _NIL = lift_nil(AtomVal(BaseSet.UNIT, UNIT))

@@ -64,7 +64,7 @@ def preservation_sum(
 ) -> ComposedTyping:
     """Rewrite a sum typing across a sum step."""
     if not isinstance(wt, OkSum):
-        raise SubjectMismatchError(f"sum step against non-sum typing {wt!r}")
+        raise SubjectMismatchError(f"sum step against non-sum typing {type(wt).__name__}")
     if isinstance(step, StepL):
         if wt.left != step.left or wt.right != step.right:
             raise SubjectMismatchError("left-congruence subject mismatch")
@@ -79,7 +79,7 @@ def preservation_sum(
         if not _is_literal(wt.left, step.n) or not _is_literal(wt.right, step.m):
             raise SubjectMismatchError("literal-reduction subject mismatch")
         return hooks.wt_nat(step.n + step.m)
-    raise SubjectMismatchError(f"not a sum step: {step!r}")
+    raise SubjectMismatchError(f"not a sum step: {type(step).__name__}")
 
 
 def preservation_array(
@@ -95,7 +95,7 @@ def preservation_array(
         if not isinstance(wt, OkLookup) or wt.array != step.array or not _is_literal(wt.index, step.idx):
             raise SubjectMismatchError("lookup subject mismatch")
         return hooks.wt_option(array_lookup(step.array, step.idx))
-    raise SubjectMismatchError(f"not an array step: {step!r}")
+    raise SubjectMismatchError(f"not an array step: {type(step).__name__}")
 
 
 def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:

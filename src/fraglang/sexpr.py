@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import NoReturn, get_args
+from dataclasses import fields
+from typing import Callable, NoReturn, get_args
 
 from .functor import Term, record
-from .lang import FRAGMENTS, SHARED_NATS, assign, enat, index, nil, plus, view
+from .lang import BUILDERS, FRAGMENTS, SHARED_NATS, enat, nil, view
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -35,18 +36,15 @@ from .semantics import (
 )
 from .surface import ParseError, literal_text, parse, render
 from .typecheck import (
+    RULES as TYPING_RULES,
     WT_NIL,
     ArrayTyping,
     ComposedTyping,
-    LiftWtArray,
     LiftWtNat,
     LiftWtOption,
-    LiftWtSum,
-    OkIns,
-    OkLookup,
     OkNil,
-    OkSum,
     SumTyping,
+    TypingRule,
     wt_nat,
 )
 
@@ -66,8 +64,11 @@ class StepSkeleton:
 
 
 # Each rule's printed name and the fields that hold its premises, in the
-# order they print.  The two rules that print a value of their own are
-# named in _NAMES and rendered in place.
+# order they print.  A typing rule's come from its row: its record's class
+# name in kebab case, and its first fields, a lift's one for its rule.  The
+# two rules that print a value of their own are named in _NAMES and
+# rendered in place.
+_KEBAB = re.compile(r"(?<!^)(?=[A-Z])")
 _RULES = {
     ViaSum: ("step⁺", ("step",)),
     ViaArray: ("step[]", ("step",)),
@@ -76,15 +77,15 @@ _RULES = {
     StepV: ("stepv", ()),
     StepI: ("stepi", ("inner",)),
     Lookup: ("lookup", ()),
-    LiftWtSum: ("lift-wt-sum", ("inner",)),
-    LiftWtArray: ("lift-wt-array", ("inner",)),
-    OkSum: ("ok-sum", ("left_wt", "right_wt")),
-    OkNil: ("ok-nil", ()),
-    OkIns: ("ok-ins", ("array_wt", "value_wt", "index_wt")),
-    OkLookup: ("ok-lookup", ("array_wt", "index_wt")),
+    **{
+        record: (_KEBAB.sub("-", record.__name__).lower(), tuple(f.name for f in fields(record))[:n])
+        for row in TYPING_RULES.values()
+        if row.rule is not None
+        for record, n in ((row.lift, 1), (row.rule, len(row.premises)))
+    },
 }
 _NAMES = {rule: name for rule, (name, _) in _RULES.items()}
-_NAMES.update({LiftWtNat: "lift-wt-nat", LiftWtOption: "lift-wt-option"})
+_NAMES.update({row.lift: _KEBAB.sub("-", row.lift.__name__).lower() for row in TYPING_RULES.values()})
 
 
 class _Text(str):
@@ -150,10 +151,9 @@ _TOKEN = re.compile(
     rf'\((?:{re.escape(_LITERAL[1:])}(?:{_NATURAL.pattern})\)|[^\s()"]*)|\)|[^\s()"]+|"[^"]*"|"'
 )
 
-# The rules by the premise positions they may fill, read off the unions.
-_LIFTS = frozenset(get_args(ComposedTyping))
-_SUMS = frozenset((SumTyping,))
-_ARRAYS = frozenset(get_args(ArrayTyping))
+# The rules by the premise positions they may fill: any lift where a rule
+# has a premise, and a step rule under a step rule.
+_LIFTS = frozenset(row.lift for row in TYPING_RULES.values())
 _STEPS = frozenset(get_args(ComposedStep) + get_args(SumStep) + get_args(ArrayStep))
 _NIL_TYPED = (WT_NIL.inner, nil())
 # The rules with no premises print as their bare name, which is read as the
@@ -300,49 +300,41 @@ def _lift_wt_option(form) -> tuple:
     return LiftWtOption(t), t
 
 
-def _lift_wt_sum(form) -> tuple:
-    inner = form[1]
-    if type(inner) is tuple and type(inner[0]) is SumTyping:
-        return LiftWtSum(inner[0]), inner[1]
-    raise _misplaced(inner, _SUMS)
+def _lifted(lift: type) -> Callable:
+    # A lift's decoder: its premise is a typing by a rule its rows name.  The
+    # empty array's typing comes back as the one shared object, as in infer.
+    kinds = frozenset(row.rule for row in TYPING_RULES.values() if row.lift is lift)
+
+    def decode(form) -> tuple:
+        inner = form[1]
+        if type(inner) is tuple and type(inner[0]) in kinds:
+            return (WT_NIL if inner is _NIL_TYPED else lift(inner[0])), inner[1]
+        raise _misplaced(inner, kinds)
+
+    return decode
 
 
-def _lift_wt_array(form) -> tuple:
-    inner = form[1]
-    if inner is _NIL_TYPED:
-        return WT_NIL, _NIL_TYPED[1]
-    if type(inner) is tuple and type(inner[0]) in _ARRAYS:
-        return LiftWtArray(inner[0]), inner[1]
-    raise _misplaced(inner, _ARRAYS)
+def _ruled(case: str, row: TypingRule) -> Callable:
+    # A rule's decoder: each premise is a typing, and the term is the case's,
+    # built from the premises' terms in slot order: form[i], form[j], form[k].
+    # Of fixed arity, none, two or three, so no premise is looped over.
+    rule, build = row.rule, BUILDERS.get(case)
+    slots = [slot for slot, _ in row.premises]
+    i, j, k = [1 + slots.index(s) for s in range(len(slots))] + [0] * (3 - len(slots))
 
+    def decode2(form) -> tuple:
+        _, x, y = form
+        if type(x) is type(y) is tuple and type(x[0]) in _LIFTS and type(y[0]) in _LIFTS:
+            return rule(x[0], y[0], x[1], y[1]), build(form[i][1], form[j][1])
+        raise _untyped(form[1:], _LIFTS)
 
-def _ok_sum(form) -> tuple:
-    _, left, right = form
-    if type(left) is type(right) is tuple and type(left[0]) in _LIFTS and type(right[0]) in _LIFTS:
-        (wl, l), (wr, r) = left, right
-        return OkSum(wl, wr, l, r), plus(l, r)
-    raise _untyped(form[1:], _LIFTS)
+    def decode3(form) -> tuple:
+        _, x, y, z = form
+        if type(x) is type(y) is type(z) is tuple and {type(x[0]), type(y[0]), type(z[0])} <= _LIFTS:
+            return rule(x[0], y[0], z[0], x[1], y[1], z[1]), build(form[i][1], form[j][1], form[k][1])
+        raise _untyped(form[1:], _LIFTS)
 
-
-def _ok_ins(form) -> tuple:
-    _, array, value, idx = form
-    if (
-        type(array) is type(value) is type(idx) is tuple
-        and type(array[0]) in _LIFTS
-        and type(value[0]) in _LIFTS
-        and type(idx[0]) in _LIFTS
-    ):
-        (wa, a), (we, e), (wn, i) = array, value, idx
-        return OkIns(wa, we, wn, a, e, i), assign(a, i, e)
-    raise _untyped(form[1:], _LIFTS)
-
-
-def _ok_lookup(form) -> tuple:
-    _, array, idx = form
-    if type(array) is type(idx) is tuple and type(array[0]) in _LIFTS and type(idx[0]) in _LIFTS:
-        (wa, a), (wn, i) = array, idx
-        return OkLookup(wa, wn, a, i), index(a, i)
-    raise _untyped(form[1:], _LIFTS)
+    return {0: _leaf_form, 2: decode2, 3: decode3}[len(slots)]
 
 
 def _step(form) -> StepSkeleton:
@@ -365,12 +357,8 @@ _DECODERS = {
     for rule, decode in {
         LiftWtNat: _lift_wt_nat,
         LiftWtOption: _lift_wt_option,
-        LiftWtSum: _lift_wt_sum,
-        LiftWtArray: _lift_wt_array,
-        OkSum: _ok_sum,
-        OkNil: _leaf_form,
-        OkIns: _ok_ins,
-        OkLookup: _ok_lookup,
+        **{row.lift: _lifted(row.lift) for row in TYPING_RULES.values() if row.rule is not None},
+        **{row.rule: _ruled(case, row) for case, row in TYPING_RULES.items() if row.rule is not None},
         **{rule: _step if _RULES[rule][1] else _leaf_form for rule in _STEPS},
     }.items()
 }

@@ -3,13 +3,18 @@
 Fragment rules (sums, arrays) know nothing about the composed language;
 the lift constructors tie them to it.  The option rule is deliberately
 shallow: any option term is well-typed, with no demand on what it holds.
+Each rule is one row of ``RULES``, which ``infer``, ``validate_typing`` and
+the s-expression decoders run, the first two in a loop over a stack.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import fields
 from enum import Enum
+from operator import attrgetter
 
-from .functor import Term, is_natural, record
+from .functor import FunctorDesc, Prod, Rec, Term, is_natural, record
 from .lang import FRAGMENTS, SHARED_NATS, view
 
 
@@ -96,121 +101,125 @@ def wt_nat(n: int) -> LiftWtNat:
     return LiftWtNat(n)
 
 
-def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
-    """True iff d is recursively well-formed and claims exactly (t, ty).
+# Each case's typing rule as a row of data, in the order of lang.FRAGMENTS:
+# the type it concludes; its premises in the order they are tried, each a
+# slot of the case's payload (numbered in order through the product of
+# recursion slots lang.FRAGMENTS declares) and the type that slot's term
+# needs; its lift into ComposedTyping; and the fragment's rule record, which
+# holds the premises' derivations, then their terms.  A literal's typing and
+# an option's have no rule: the lift holds what they type.
+TypingRule = namedtuple("TypingRule", "conclusion premises lift rule", defaults=(None,))
+_NAT, _OPTION, _ARRAY = LangType
+RULES = {
+    "nat": TypingRule(_NAT, (), LiftWtNat),
+    "some": TypingRule(_OPTION, (), LiftWtOption),
+    "none": TypingRule(_OPTION, (), LiftWtOption),
+    "plus": TypingRule(_NAT, ((0, _NAT), (1, _NAT)), LiftWtSum, OkSum),
+    "assign": TypingRule(_ARRAY, ((0, _ARRAY), (2, _NAT), (1, _NAT)), LiftWtArray, OkIns),
+    "nil": TypingRule(_ARRAY, (), LiftWtArray, OkNil),
+    "index": TypingRule(_OPTION, ((0, _ARRAY), (1, _NAT)), LiftWtArray, OkLookup),
+}
 
-    Each rule is checked against one ``view`` of the term it is given:
-    literals against the view's payload, stored terms against the view's
-    slot terms, and an option's stored term by its own view.  Premises are
-    checked against those slot terms, so no claimed term is rebuilt, and a
-    term outside the language (a bool literal, say) is rejected rather than
-    compared equal.
+# The rules with no premises, by the record each builds: its derivation of
+# a term t with view v, and whether a derivation d under its lift holds
+# what t does.  What an option holds goes unchecked; view shape-checks it.
+_AXIOMS = {
+    LiftWtNat: (lambda t, v: wt_nat(v[1].value), lambda d, v: is_natural(d.n) and d.n == v[1].value),
+    LiftWtOption: (lambda t, v: LiftWtOption(t), lambda d, v: isinstance(d.term, Term) and view(d.term) == v),
+    OkNil: (lambda t, v: WT_NIL, lambda d, v: isinstance(d.inner, OkNil)),
+}
+
+
+def _slot_paths(desc: FunctorDesc, path: str = "") -> list[str]:
+    # The attribute path to the term in each recursion slot of a payload of desc.
+    if isinstance(desc, Prod):
+        return _slot_paths(desc.left, path + "fst.") + _slot_paths(desc.right, path + "snd.")
+    return [path + "term"] if isinstance(desc, Rec) else []
+
+
+def _run(desc: FunctorDesc, row: TypingRule) -> tuple:
+    # The row as the loops below read it: its conclusion, its lift, each
+    # premise as (the reader of its slot's term, the type it needs, its
+    # place), then what makes and what checks its derivation: an axiom's
+    # pair above, or a rule's record and the reader of its fields.
+    reads = [attrgetter(path) for path in _slot_paths(desc)]
+    premises = tuple((reads[slot], want, k) for k, (slot, want) in enumerate(row.premises))
+    if not premises:
+        return row.conclusion, row.lift, premises, *_AXIOMS[row.rule or row.lift]
+    return row.conclusion, row.lift, premises, row.rule, attrgetter(*(f.name for f in fields(row.rule)))
+
+
+_RUN = {case: _run(desc, RULES[case]) for cases in FRAGMENTS.values() for case, desc in cases.items()}
+
+
+def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
+    """True iff d is well-formed throughout and claims exactly (t, ty).
+
+    Each node is checked against its case's row and one ``view`` of its
+    term: literals against the view's payload, stored terms against the
+    view's slot terms, and an option's stored term by its own view.  So no
+    claimed term is rebuilt, and a term outside the language (a bool
+    literal, say) is rejected rather than compared equal.
     """
-    v = view(t) if isinstance(t, Term) else None
-    if v is None:
-        return False
-    case, q = v
-    if case == "nat":
-        return (
-            isinstance(d, LiftWtNat)
-            and ty is LangType.NAT
-            and is_natural(d.n)
-            and d.n == q.value
-        )
-    if case in FRAGMENTS["option"]:
-        # What the option holds is deliberately unconstrained; view
-        # shape-checks the stored term.
-        return (
-            isinstance(d, LiftWtOption)
-            and ty is LangType.OPTION
-            and isinstance(d.term, Term)
-            and view(d.term) == v
-        )
-    if case == "plus":
-        w = d.inner if isinstance(d, LiftWtSum) else None
-        left, right = q.fst.term, q.snd.term
-        return (
-            isinstance(w, OkSum)
-            and ty is LangType.NAT
-            and w.left == left
-            and w.right == right
-            and validate_typing(w.left_wt, left, LangType.NAT)
-            and validate_typing(w.right_wt, right, LangType.NAT)
-        )
-    if not isinstance(d, LiftWtArray):
-        return False
-    w = d.inner
-    if case == "index":
-        array, idx = q.fst.term, q.snd.term
-        return (
-            isinstance(w, OkLookup)
-            and ty is LangType.OPTION
-            and w.array == array
-            and w.index == idx
-            and validate_typing(w.array_wt, array, LangType.ARRAY)
-            and validate_typing(w.index_wt, idx, LangType.NAT)
-        )
-    if case == "nil":
-        return isinstance(w, OkNil) and ty is LangType.ARRAY
-    array, idx, value = q.fst.term, q.snd.fst.term, q.snd.snd.term
-    return (
-        isinstance(w, OkIns)
-        and ty is LangType.ARRAY
-        and w.array == array
-        and w.index == idx
-        and w.value == value
-        and validate_typing(w.array_wt, array, LangType.ARRAY)
-        and validate_typing(w.value_wt, value, LangType.NAT)
-        and validate_typing(w.index_wt, idx, LangType.NAT)
-    )
+    todo = [(d, t, ty)]
+    while todo:
+        d, t, ty = todo.pop()
+        v = view(t) if isinstance(t, Term) else None
+        if v is None:
+            return False
+        want, lift, premises, make, check = _RUN[v[0]]
+        if ty is not want or not isinstance(d, lift):
+            return False
+        if premises:
+            w = d.inner
+            if not isinstance(w, make):
+                return False
+            held, n = check(w), len(premises)  # the premises' derivations, then their terms
+            for read, need, k in reversed(premises):  # so the first is popped first
+                sub = read(v[1])
+                if not held[n + k] == sub:
+                    return False
+                todo.append((held[k], sub, need))
+        elif not check(d, v):
+            return False
+    return True
 
 
 def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
     """The unique type and derivation for t, or None.
 
-    The rules are syntax-directed, so no search is needed: the term's case
-    picks the rule.  A rule's premises are inferred in order, and the first
-    one that fails ends it; infer is pure, so the premises after it could
-    not change the answer.
+    The rules are syntax-directed, so the term's case picks its row, and
+    the premises are inferred depth-first, in order.  Each case concludes
+    one type, so a premise whose case has the wrong type fails before it is
+    descended into, and the first failure ends the inference: infer is
+    pure, so the premises after it could not change the answer.
     """
     v = view(t)
     if v is None:
         return None
-    case, q = v
-    if case == "nat":
-        return LangType.NAT, wt_nat(q.value)
-    if case in FRAGMENTS["option"]:
-        return LangType.OPTION, LiftWtOption(t)
-    if case == "plus":
-        left, right = q.fst.term, q.snd.term
-        left_result = infer(left)
-        if left_result is None or left_result[0] is not LangType.NAT:
-            return None
-        right_result = infer(right)
-        if right_result is None or right_result[0] is not LangType.NAT:
-            return None
-        return LangType.NAT, LiftWtSum(
-            OkSum(left_result[1], right_result[1], left, right)
-        )
-    if case == "index":
-        array, idx = q.fst.term, q.snd.term
-        wa = infer(array)
-        if wa is None or wa[0] is not LangType.ARRAY:
-            return None
-        wn = infer(idx)
-        if wn is None or wn[0] is not LangType.NAT:
-            return None
-        return LangType.OPTION, LiftWtArray(OkLookup(wa[1], wn[1], array, idx))
-    if case == "nil":
-        return LangType.ARRAY, WT_NIL
-    array, idx, value = q.fst.term, q.snd.fst.term, q.snd.snd.term
-    wa = infer(array)
-    if wa is None or wa[0] is not LangType.ARRAY:
-        return None
-    we = infer(value)
-    if we is None or we[0] is not LangType.NAT:
-        return None
-    wn = infer(idx)
-    if wn is None or wn[0] is not LangType.NAT:
-        return None
-    return LangType.ARRAY, LiftWtArray(OkIns(wa[1], we[1], wn[1], array, value, idx))
+    ty, lift, premises, make, _ = _RUN[v[0]]
+    if not premises:
+        return ty, make(t, v)
+    q, wts, terms, stack = v[1], [], [], []
+    while True:
+        if len(wts) < len(premises):
+            read, need, _ = premises[len(wts)]
+            sub = read(q)
+            sv = view(sub)
+            if sv is None:
+                return None
+            got, sub_lift, sub_premises, sub_make, _ = _RUN[sv[0]]
+            if got is not need:
+                return None
+            terms.append(sub)
+            if not sub_premises:
+                wts.append(sub_make(sub, sv))
+                continue
+            stack.append((q, premises, lift, make, wts, terms))
+            q, premises, lift, make, wts, terms = sv[1], sub_premises, sub_lift, sub_make, [], []
+            continue
+        d = lift(make(*wts, *terms))
+        if not stack:
+            return ty, d
+        q, premises, lift, make, wts, terms = stack.pop()
+        wts.append(d)

@@ -159,12 +159,20 @@ def test_deep_input_exits_without_traceback(capsys):
     code, out, _ = run(capsys, "check", "(" * 3000 + "1" + ")" * 3000)
     assert code == 0
     assert out.splitlines()[0] == "TNat"
-    # A chain this long still overflows the recursion in infer.
-    code, _, err = run(capsys, "check", " + ".join(["1"] * 1500))
+    # Options nested this deep still overflow the recursion in render.
+    code, _, err = run(capsys, "check", "some(" * 1500 + "1" + ")" * 1500)
     assert code in (1, 2)
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert len(err.encode()) < 400
+
+
+def test_check_takes_a_10000_term_chain():
+    # infer runs the typing rows in a loop, and parse and render_derivation
+    # keep explicit stacks, so check reaches no recursion limit on a chain.
+    code, out, err = _run_first(["check", " + ".join(["1"] * 10_000)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "TNat"
 
 
 def test_preserve_takes_a_400_term_chain(capsys):
@@ -374,8 +382,8 @@ def test_command_runs_with_the_collector_off(capsys, monkeypatch, collector):
         (["preserve", EXP_TEXT], 0),
         (["selftest", "--depth", "1"], 0),
         (["oracle-diff", "--depth", "1"], 0),
-        # Overflows the recursion in infer: the exit-2 path.
-        (["check", " + ".join(["1"] * 1500)], 2),
+        # Overflows the recursion in render: the exit-2 path.
+        (["check", "some(" * 1500 + "1" + ")" * 1500], 2),
     ],
     ids=["check", "eval-trace", "preserve", "selftest", "oracle-diff", "recursion-error"],
 )

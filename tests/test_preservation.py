@@ -192,6 +192,35 @@ def test_preserve_rejects_cross_fragment_pairing():
         preserve(ViaSum(StepV(0, 0)), LiftWtNat(0))
 
 
+def _chain(n):
+    chain = enat(1)
+    for _ in range(n - 1):
+        chain = plus(chain, enat(1))
+    return chain
+
+
+_CHAIN = _chain(300)
+_CHAIN_WT = infer(_CHAIN)[1]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: preservation_sum(COMPOSED_HOOKS, StepV(1, 2), _CHAIN_WT),
+            "sum step against non-sum typing LiftWtSum",
+        ),
+        (lambda: preserve(ViaSum(_CHAIN), _CHAIN_WT), "not a sum step: Term"),
+        (lambda: preserve(ViaArray(_CHAIN), LiftWtArray(OkNil())), "not an array step: Term"),
+    ],
+    ids=["non-sum-typing", "not-a-sum-step", "not-an-array-step"],
+)
+def test_a_mismatch_names_a_deep_object_by_its_class(call, message):
+    # The repr of a 300-term chain recurses past the default limit.
+    with pytest.raises(SubjectMismatchError, match=f"^{message}$"):
+        call()
+
+
 def test_sum_cases_never_call_array_transformer(monkeypatch):
     calls = {"sum": 0, "array": 0}
     real_sum, real_array = preservation_sum, preservation_array

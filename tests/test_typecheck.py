@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import random
+import sys
+from typing import get_args
 
 from fraglang import typecheck
 from fraglang.generate import enumerate_terms, random_term, random_typed_term
 from fraglang.lang import (
+    FRAGMENTS,
     LIFT_ARRAY,
     assign,
     enat,
@@ -15,6 +19,9 @@ from fraglang.lang import (
     some,
 )
 from fraglang.typecheck import (
+    RULES,
+    ArrayTyping,
+    ComposedTyping,
     LangType,
     LiftWtArray,
     LiftWtNat,
@@ -24,10 +31,11 @@ from fraglang.typecheck import (
     OkLookup,
     OkNil,
     OkSum,
+    SumTyping,
     infer,
     validate_typing,
 )
-from fraglang.functor import InL, InR, Pair, ShapeError, Slot
+from fraglang.functor import InL, InR, Pair, Prod, Rec, ShapeError, Slot
 from fraglang.subobject import downcast
 from goldens import differential_terms, exp_term, fragment_view, wt_exp
 
@@ -75,6 +83,31 @@ def test_infer_array_rules():
     assert infer(index(nil(), enat(0)))[0] is LangType.OPTION
     assert infer(assign(nil(), none(), enat(1))) is None
     assert infer(index(enat(0), enat(0))) is None
+
+
+def _slot_count(desc):
+    # The recursion slots of a product tree of them, as lang declares payloads.
+    if isinstance(desc, Prod):
+        return _slot_count(desc.left) + _slot_count(desc.right)
+    return int(isinstance(desc, Rec))
+
+
+def test_rows_cover_the_cases_and_the_records():
+    cases = {case: desc for fragment in FRAGMENTS.values() for case, desc in fragment.items()}
+    assert list(RULES) == list(cases)
+    # Each fragment's cases share one lift, and no two fragments do; each
+    # rule record is built by exactly one row.
+    lifts = [{RULES[case].lift for case in fragment} for fragment in FRAGMENTS.values()]
+    assert all(len(lift) == 1 for lift in lifts)
+    assert [lift.pop() for lift in lifts] == list(get_args(ComposedTyping))
+    built = [row.rule for row in RULES.values() if row.rule is not None]
+    assert sorted(built, key=str) == sorted({SumTyping, *get_args(ArrayTyping)}, key=str)
+    for case, row in RULES.items():
+        slots = [slot for slot, _ in row.premises]
+        assert sorted(set(slots)) == sorted(slots)
+        assert all(0 <= slot < _slot_count(cases[case]) for slot in slots), case
+        if row.rule is not None:  # the premises' derivations, then their terms
+            assert len(dataclasses.fields(row.rule)) == 2 * len(slots)
 
 
 def _all_typings(t):
@@ -182,14 +215,16 @@ def test_short_circuit_agrees_with_eager_premises():
 
 
 def test_infer_stops_at_the_first_ill_typed_premise(monkeypatch):
+    # infer reads each node it reaches through one view: the term, then its
+    # premises up to the first one whose case has the wrong type.
     visited = []
-    inner = typecheck.infer
+    inner = typecheck.view
 
     def counting(t):
         visited.append(t)
         return inner(t)
 
-    monkeypatch.setattr(typecheck, "infer", counting)
+    monkeypatch.setattr(typecheck, "view", counting)
     operand = plus(enat(1), enat(2))
     for t, first_failure in [
         (plus(nil(), operand), 1),
@@ -207,6 +242,20 @@ def test_ill_typed_left_operand_hides_a_deep_right_operand():
     for _ in range(3_000):
         chain = plus(chain, enat(1))
     assert infer(plus(nil(), chain)) is None
+
+
+def test_infer_and_validate_take_100000_levels():
+    # Both run the rows over an explicit stack, so depth is bounded by
+    # memory, not by the recursion limit.
+    assert sys.getrecursionlimit() <= 1_000
+    chain, assigns = enat(1), nil()
+    for _ in range(100_000):
+        chain = plus(chain, enat(1))
+        assigns = assign(assigns, enat(0), enat(1))
+    for t, ty in [(chain, LangType.NAT), (assigns, LangType.ARRAY)]:
+        got, derivation = infer(t)
+        assert got is ty
+        assert validate_typing(derivation, t, ty)
 
 
 # -- the reference infer ----------------------------------------------------
