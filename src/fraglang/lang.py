@@ -15,6 +15,7 @@ from .functor import (
     Atom,
     AtomVal,
     BaseSet,
+    FunctorDesc,
     InL,
     InR,
     Payload,
@@ -68,9 +69,19 @@ CASE_PATHS = {
 }
 
 # Each lifter records its case's view on the terms it builds.
-lift_nat, lift_some, lift_none, lift_plus, lift_assign, lift_nil, lift_index = (
-    lifter(path, case) for case, path in CASE_PATHS.items()
-)
+LIFTERS = {case: lifter(path, case) for case, path in CASE_PATHS.items()}
+lift_nat, lift_some, lift_none, lift_plus, lift_assign, lift_nil, lift_index = LIFTERS.values()
+
+
+def _slot_paths(desc: FunctorDesc, path: str = "") -> list[str]:
+    # The attribute path to the term in each recursion slot of a payload of desc.
+    if isinstance(desc, Prod):
+        return _slot_paths(desc.left, path + "fst.") + _slot_paths(desc.right, path + "snd.")
+    return [path + "term"] if isinstance(desc, Rec) else []
+
+
+# Each case's recursion slots in order, as paths from its payload: "fst.term".
+SLOT_PATHS = {case: tuple(_slot_paths(desc)) for cases in FRAGMENTS.values() for case, desc in cases.items()}
 
 # For a term no lifter built: each fragment's reader, then the readers of
 # its cases inside it.

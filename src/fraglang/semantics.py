@@ -1,4 +1,4 @@
-"""Reified small-step derivations and the deterministic driver.
+"""Reified small-step derivations, the step rules as data, and the driver.
 
 Each fragment owns its own derivation constructors; the composed relation
 wraps them.  Derivations store the terms they mention, so a derivation can
@@ -7,8 +7,11 @@ be checked against a claimed (source, target) pair with no extra context.
 
 from __future__ import annotations
 
-from .functor import Pair, Payload, Slot, Term, is_natural, record
-from .lang import FRAGMENTS, View, array_lookup, enat, lift_index, lift_plus, nat_value, view
+from collections import namedtuple
+from dataclasses import fields
+
+from .functor import Pair, Slot, Term, define, is_natural, record
+from .lang import FRAGMENTS, LIFTERS, SLOT_PATHS, array_lookup, enat, nat_value, view
 
 
 class FuelExhaustedError(Exception):
@@ -80,142 +83,135 @@ class ViaArray:
 ComposedStep = ViaSum | ViaArray
 
 
+# Each stepping case's rule as a row of data; a case with no row never
+# steps.  A row holds its lift; its evaluation context: each payload slot
+# (as lang.SLOT_PATHS numbers them) that steps once the slots before it hold
+# literals, with its congruence record; and its axiom for when all do: its
+# record, and its reduct from the record's fields, or None.  A layout names
+# what those fields after the premise hold of a slot j: "termj" its term in
+# the source, "afterj" its term in the target, "natj" its literal.
+StepRule = namedtuple("StepRule", "lift context axiom")
+
+
+def _lookup(array: Term, n: int) -> Term | None:
+    v = view(array)  # a lookup fires on an array only
+    return array_lookup(array, n) if v is not None and v[0] in FRAGMENTS["array"] else None
+
+
+STEPS = {
+    "plus": StepRule(
+        ViaSum,
+        ((0, StepL, "term0 after0 term1"), (1, StepR, "nat0 term1 after1")),
+        (StepV, "nat0 nat1", lambda n, m: enat(n + m)),
+    ),
+    "index": StepRule(ViaArray, ((1, StepI, "term0 term1 after1"),), (Lookup, "term0 nat1", _lookup)),
+}
+
+# The rows as they run.  A Run holds a row's lift; scan(p), which gives the
+# view of payload p's first context slot that holds no literal, with its
+# Rule, or None once all do; the axiom's Rule; and each Rule by its record.
+# A Rule holds its record; check(s, p, q), false or None unless record s
+# holds what source payload p (and a congruence's target payload q) does,
+# and then the axiom's reduct, or a congruence's premise with its slot's
+# terms in p and q; and apply: a congruence's apply(p, after, d) gives the
+# target, p with its slot holding after, and the derivation; the axiom's
+# apply(p) its reduct and derivation, or None.
+Run = namedtuple("Run", "lift scan axiom rules")
+Rule = namedtuple("Rule", "record check apply")
+# Each kind of field: its record's argument (a literal's once it holds one),
+# and its check against payload {2}.
+_CODE = {
+    "term": ("p.{1}", "s.{0} == {2}.{1}"),
+    "after": ("after", "s.{0} == q.{1}"),
+    "nat": ("view(p.{1})[1].value", "is_natural(s.{0}) and nat_value({2}.{1}) == s.{0}"),
+}
+
+
+def _rebuilt(path: str, at: str = "p") -> str:
+    # The payload at ``at`` with the Slot ``path`` reaches holding ``after``.
+    head, _, rest = path.partition(".")
+    inner = rest and _rebuilt(rest, f"{at}.{head}")
+    return {"term": "Slot(after)", "fst": f"Pair({inner}, {at}.snd)", "snd": f"Pair({at}.fst, {inner})"}[head]
+
+
+def _compile(case: str, row: StepRule) -> Run:
+    paths, rules, scan = SLOT_PATHS[case], {}, []
+    names = dict(lift=LIFTERS[case], via=row.lift, reduce=row.axiom[2], Pair=Pair, Slot=Slot, view=view)
+    names.update(is_natural=is_natural, nat_value=nat_value)  # what the generated code calls
+    for slot, record, layout in (*row.context, (None, *row.axiom[:2])):
+        tokens = layout.split()  # what each field after the premise holds
+        held = [(_CODE[at[:-1]], f.name, int(at[-1])) for at, f in zip(tokens, fields(record)[-len(tokens):])]
+        args = ", ".join(code[0].format(name, paths[j]) for code, name, j in held)
+        # Each field against the source, and one in a slot a congruence leaves alone against the target.
+        checks = [code[1].format(name, paths[j], "p") for code, name, j in held]
+        checks += [code[1].format(name, paths[j], "q") for code, name, j in held if slot not in (None, j)]
+        ns, checked = dict(names, rule=record), " and ".join(checks)
+        if slot is None:
+            check = define("check", "s, p, q", [f"return {checked} and reduce({args})"], ns)
+            fire = [f"a = {args},", "reduct = reduce(*a)"]
+            fire.append("return None if reduct is None else (reduct, via(rule(*a)))")
+            rules[record] = Rule(record, check, define("fire", "p", fire, ns))
+            continue
+        premise = f"s.inner, p.{paths[slot]}, q.{paths[slot]}"
+        check = define("check", "s, p, q", [f"return ({premise}) if {checked} else None"], ns)
+        line = f"return lift({_rebuilt(paths[slot])}), via(rule(d, {args}))"
+        names[f"rule{slot}"] = rules[record] = Rule(record, check, define("apply", "p, after, d", [line], ns))
+        scan += [f"v = view(p.{paths[slot]})", 'if v is None or v[0] != "nat":', f"    return v, rule{slot}"]
+    return Run(row.lift, define("scan", "p", scan, names), rules[row.axiom[0]], rules)
+
+
+RUNS = {case: _compile(case, row) for case, row in STEPS.items()}
+
+
 def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
-    """True iff d is well-formed, recursively valid, and relates source to target.
+    """True iff d is well-formed throughout and relates source to target.
 
-    Each rule is checked against one ``view`` of the source and one of the
-    target: literals against the viewed literal values, stored terms against
-    the viewed slot terms, and a lookup's result against ``array_lookup`` on
-    the source's own array.  Premises are checked against those slot
-    terms, so no claimed endpoint is rebuilt.
+    Each node is checked by its source's row against one ``view`` of each
+    endpoint, so none is rebuilt: literals against viewed values, stored terms
+    against viewed slot terms, an axiom's reduct against the row's.
     """
-    sv = view(source) if isinstance(source, Term) else None
-    tv = view(target) if isinstance(target, Term) else None
-    if sv is None or tv is None:
-        return False
-    if isinstance(d, ViaSum):
-        return sv[0] == "plus" and _valid_sum(d.step, sv[1], tv)
-    if isinstance(d, ViaArray):
-        return sv[0] == "index" and _valid_array(d.step, sv[1], tv)
-    return False
-
-
-def _valid_sum(s: SumStep, p: Payload, tv: View) -> bool:
-    left, right = p.fst.term, p.snd.term
-    if isinstance(s, StepV):
-        return (
-            is_natural(s.n)
-            and is_natural(s.m)
-            and nat_value(left) == s.n
-            and nat_value(right) == s.m
-            and tv[0] == "nat"
-            and tv[1].value == s.n + s.m
-        )
-    if tv[0] != "plus":
-        return False
-    left_after, right_after = tv[1].fst.term, tv[1].snd.term
-    if isinstance(s, StepL):
-        return (
-            s.left == left
-            and s.left_after == left_after
-            and s.right == right
-            and s.right == right_after
-            and validate_step(s.inner, left, left_after)
-        )
-    if not isinstance(s, StepR):
-        return False
-    n = s.left_nat
-    return (
-        is_natural(n)
-        and nat_value(left) == n
-        and nat_value(left_after) == n
-        and s.right == right
-        and s.right_after == right_after
-        and validate_step(s.inner, right, right_after)
-    )
-
-
-def _valid_array(s: ArrayStep, p: Payload, tv: View) -> bool:
-    array, idx = p.fst.term, p.snd.term
-    if isinstance(s, StepI):
-        if tv[0] != "index":
+    while True:
+        sv = view(source) if isinstance(source, Term) else None
+        tv = view(target) if isinstance(target, Term) else None
+        run = RUNS.get(sv[0]) if sv is not None and tv is not None else None
+        rule = run.rules.get(type(d.step)) if run is not None and isinstance(d, run.lift) else None
+        if rule is None:
             return False
-        array_after, idx_after = tv[1].fst.term, tv[1].snd.term
-        return (
-            s.array == array
-            and s.array == array_after
-            and s.idx == idx
-            and s.idx_after == idx_after
-            and validate_step(s.inner, idx, idx_after)
-        )
-    if isinstance(s, Lookup):
-        array_v = view(array)
-        return (
-            is_natural(s.idx)
-            and nat_value(idx) == s.idx
-            and s.array == array
-            and array_v is not None
-            and array_v[0] in FRAGMENTS["array"]
-            and tv == view(array_lookup(array, s.idx))
-        )
-    return False
+        if rule is run.axiom:  # its check gives the reduct, which the target must equal
+            reduct = rule.check(d.step, sv[1], None)
+            return isinstance(reduct, Term) and reduct == target
+        premise = rule.check(d.step, sv[1], tv[1]) if tv[0] == sv[0] else None
+        if premise is None:
+            return False
+        d, source, target = premise
 
 
 def drive_step(t: Term) -> tuple[Term, ComposedStep] | None:
     """One deterministic step, or None on a normal form.
 
-    Strategy: addition reduces its left operand to a literal, then its
-    right, then the pair; lookup reduces its index to a literal, then
-    resolves when the array operand is an array.
+    The walk goes down each row's first context slot that holds no literal
+    to a node whose context slots all do; there the axiom fires, and the
+    targets and derivations are built back up the frames the walk stacked.
     """
-    return _drive(view(t))
-
-
-def _drive(v: View | None) -> tuple[Term, ComposedStep] | None:
-    # Steps the term whose view is v; each operand is viewed once, and the
-    # view both tests for a literal and drives the operand's own step.  The
-    # target shares the Slot of the operand a congruence leaves alone, and
-    # is still built by its case's lifter, shape check included.
-    if v is None:
-        return None
-    case, p = v
-    if case == "plus":
-        left, right = p.fst.term, p.snd.term
-        left_v = view(left)
-        if left_v is None or left_v[0] != "nat":
-            inner = _drive(left_v)
-            if inner is None:
-                return None
-            left_after, d = inner
-            target = lift_plus(Pair(Slot(left_after), p.snd))
-            return target, ViaSum(StepL(d, left, left_after, right))
-        n1 = left_v[1].value
-        right_v = view(right)
-        if right_v is None or right_v[0] != "nat":
-            inner = _drive(right_v)
-            if inner is None:
-                return None
-            right_after, d = inner
-            target = lift_plus(Pair(p.fst, Slot(right_after)))
-            return target, ViaSum(StepR(d, n1, right, right_after))
-        n2 = right_v[1].value
-        return enat(n1 + n2), ViaSum(StepV(n1, n2))
-    if case == "index":
-        array, idx = p.fst.term, p.snd.term
-        idx_v = view(idx)
-        if idx_v is None or idx_v[0] != "nat":
-            inner = _drive(idx_v)
-            if inner is None:
-                return None
-            idx_after, d = inner
-            target = lift_index(Pair(p.fst, Slot(idx_after)))
-            return target, ViaArray(StepI(d, array, idx, idx_after))
-        n = idx_v[1].value
-        array_v = view(array)
-        if array_v is None or array_v[0] not in FRAGMENTS["array"]:
+    v, frames = view(t), ()  # frames: (apply, payload, the frames above)
+    while True:
+        run = RUNS.get(v[0]) if v is not None else None
+        if run is None:
             return None
-        return array_lookup(array, n), ViaArray(Lookup(array, n))
-    return None
+        p = v[1]
+        found = run.scan(p)
+        if found is None:  # every context slot holds a literal
+            break
+        v, rule = found
+        frames = (rule.apply, p, frames)
+    done = run.axiom.apply(p)
+    if done is None:
+        return None
+    target, d = done
+    while frames:
+        apply, p, frames = frames
+        target, d = apply(p, target, d)
+    return target, d
 
 
 def trace(t: Term, fuel: int) -> list[tuple[Term, ComposedStep]]:

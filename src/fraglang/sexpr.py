@@ -4,9 +4,10 @@ Derivations print as s-expressions over the rule names, with the terms the
 rules mention left implicit, exactly as the proof trees are displayed.
 Typing derivations decode bottom-up: each rule builds the term it types
 once, from the terms its premises returned, so they round-trip on their
-own.  Step derivations round-trip as a skeleton of rule names; a source
-term has at most one step derivation, so elaborate_step runs the driver on
-the source and accepts its derivation when the skeleton names its rules.
+own.  Step derivations round-trip as a skeleton of rule names, which
+elaborate_step follows down a source term through the step rows of
+``semantics.STEPS``, never running the driver: each name must be the one
+the row allows at its level, and the derivation is built back up the path.
 
 Terms appear in one place only (the term of an option's typing) and are
 embedded as a double-quoted surface-syntax string.
@@ -24,15 +25,10 @@ from .lang import BUILDERS, FRAGMENTS, SHARED_NATS, enat, nil, view
 from .semantics import (
     ArrayStep,
     ComposedStep,
-    Lookup,
-    StepI,
-    StepL,
-    StepR,
-    StepV,
+    RUNS,
     SumStep,
     ViaArray,
     ViaSum,
-    drive_step,
 )
 from .surface import ParseError, literal_text, parse, render
 from .typecheck import (
@@ -64,19 +60,19 @@ class StepSkeleton:
 
 
 # Each rule's printed name and the fields that hold its premises, in the
-# order they print.  A typing rule's come from its row: its record's class
-# name in kebab case, and its first fields, a lift's one for its rule.  The
-# two rules that print a value of their own are named in _NAMES and
-# rendered in place.
+# order they print.  A rule's come from its row: a step record's class name
+# in lower case, and a congruence's inner step; a typing record's in kebab
+# case, and its first fields, a lift's one for its rule.  The two rules
+# that print a value of their own are named in _NAMES and rendered in place.
 _KEBAB = re.compile(r"(?<!^)(?=[A-Z])")
 _RULES = {
     ViaSum: ("step⁺", ("step",)),
     ViaArray: ("step[]", ("step",)),
-    StepL: ("stepl", ("inner",)),
-    StepR: ("stepr", ("inner",)),
-    StepV: ("stepv", ()),
-    StepI: ("stepi", ("inner",)),
-    Lookup: ("lookup", ()),
+    **{
+        record: (record.__name__.lower(), ("inner",) if rule is not run.axiom else ())
+        for run in RUNS.values()
+        for record, rule in run.rules.items()
+    },
     **{
         record: (_KEBAB.sub("-", record.__name__).lower(), tuple(f.name for f in fields(record))[:n])
         for row in TYPING_RULES.values()
@@ -367,27 +363,30 @@ _DECODERS = {
 def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
     """The step derivation from ``source`` whose rules ``skeleton`` names.
 
-    A source has at most one step derivation, the driver's, so elaboration
-    runs the driver and checks the skeleton against its rules.
+    The skeleton is followed down the source through ``semantics.STEPS``:
+    at each level the term's case picks its row and the row its rule, which
+    the skeleton must name after the row's lift.  The derivation is then
+    built back up the path.  SexprError names rules, never a term.
     """
-    result = drive_step(source)
-    if result is None:
-        raise SexprError(f"the source does not step, so no {skeleton.name} derivation elaborates")
-    derivation = result[1]
-    if not _names_rules_of(skeleton, derivation):
-        raise SexprError(
-            f"the source steps by {render_derivation(derivation)},"
-            f" not by the given {skeleton.name} skeleton"
-        )
-    return derivation
-
-
-def _names_rules_of(skeleton: StepSkeleton | None, d) -> bool:
-    # Walks both trees together, one rule and its one premise at a time.
-    while d is not None:
-        name, premises = _RULES[type(d)]
-        if skeleton is None or skeleton.name != name:
-            return False
-        skeleton = skeleton.inner
-        d = getattr(d, premises[0]) if premises else None  # a leaf step
-    return skeleton is None
+    frames, v, at = (), view(source), skeleton  # frames as drive_step stacks them
+    while True:
+        run = RUNS.get(v[0]) if v is not None else None
+        if run is None:
+            raise SexprError("the skeleton names a step where no rule steps the term")
+        p, found = v[1], run.scan(v[1])  # the row's congruence here, or else its axiom
+        rule = run.axiom if found is None else found[1]
+        for name in (_NAMES[run.lift], _NAMES[rule.record]):
+            if at is None or at.name != name:
+                raise SexprError(f"expected {name}, got {'nothing' if at is None else at.name}")
+            at = at.inner
+        if found is None:
+            done = None if at is not None else rule.apply(p)
+            if done is None:
+                raise SexprError(f"the term does not step by {_NAMES[rule.record]} alone")
+            break
+        frames, v = (rule.apply, p, frames), found[0]
+    target, d = done
+    while frames:
+        apply, p, frames = frames
+        target, d = apply(p, target, d)
+    return d

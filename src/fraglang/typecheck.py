@@ -14,8 +14,8 @@ from dataclasses import fields
 from enum import Enum
 from operator import attrgetter
 
-from .functor import FunctorDesc, Prod, Rec, Term, is_natural, record
-from .lang import FRAGMENTS, SHARED_NATS, view
+from .functor import Term, is_natural, record
+from .lang import SHARED_NATS, SLOT_PATHS, view
 
 
 class LangType(Enum):
@@ -103,11 +103,11 @@ def wt_nat(n: int) -> LiftWtNat:
 
 # Each case's typing rule as a row of data, in the order of lang.FRAGMENTS:
 # the type it concludes; its premises in the order they are tried, each a
-# slot of the case's payload (numbered in order through the product of
-# recursion slots lang.FRAGMENTS declares) and the type that slot's term
-# needs; its lift into ComposedTyping; and the fragment's rule record, which
-# holds the premises' derivations, then their terms.  A literal's typing and
-# an option's have no rule: the lift holds what they type.
+# slot of the case's payload (numbered as lang.SLOT_PATHS numbers them)
+# and the type that slot's term needs; its lift into ComposedTyping; and
+# the fragment's rule record, which holds the premises' derivations, then
+# their terms.  A literal's typing and an option's have no rule: the lift
+# holds what they type.
 TypingRule = namedtuple("TypingRule", "conclusion premises lift rule", defaults=(None,))
 _NAT, _OPTION, _ARRAY = LangType
 RULES = {
@@ -130,26 +130,18 @@ _AXIOMS = {
 }
 
 
-def _slot_paths(desc: FunctorDesc, path: str = "") -> list[str]:
-    # The attribute path to the term in each recursion slot of a payload of desc.
-    if isinstance(desc, Prod):
-        return _slot_paths(desc.left, path + "fst.") + _slot_paths(desc.right, path + "snd.")
-    return [path + "term"] if isinstance(desc, Rec) else []
-
-
-def _run(desc: FunctorDesc, row: TypingRule) -> tuple:
+def _run(paths: tuple[str, ...], row: TypingRule) -> tuple:
     # The row as the loops below read it: its conclusion, its lift, each
     # premise as (the reader of its slot's term, the type it needs, its
     # place), then what makes and what checks its derivation: an axiom's
     # pair above, or a rule's record and the reader of its fields.
-    reads = [attrgetter(path) for path in _slot_paths(desc)]
-    premises = tuple((reads[slot], want, k) for k, (slot, want) in enumerate(row.premises))
+    premises = tuple((attrgetter(paths[slot]), want, k) for k, (slot, want) in enumerate(row.premises))
     if not premises:
         return row.conclusion, row.lift, premises, *_AXIOMS[row.rule or row.lift]
     return row.conclusion, row.lift, premises, row.rule, attrgetter(*(f.name for f in fields(row.rule)))
 
 
-_RUN = {case: _run(desc, RULES[case]) for cases in FRAGMENTS.values() for case, desc in cases.items()}
+_RUN = {case: _run(SLOT_PATHS[case], row) for case, row in RULES.items()}
 
 
 def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:

@@ -1,10 +1,14 @@
 import random
+import sys
+from dataclasses import fields
+from typing import get_args
 
 import pytest
 
-from fraglang.functor import InR, Pair, Slot
+from fraglang.functor import InR, Pair, Prod, Rec, Slot
 from fraglang.generate import enumerate_terms, random_term
 from fraglang.lang import (
+    FRAGMENTS,
     LIFT_ARRAY,
     assign,
     enat,
@@ -17,18 +21,23 @@ from fraglang.lang import (
     view,
 )
 from fraglang.semantics import (
+    STEPS,
+    ArrayStep,
+    ComposedStep,
     FuelExhaustedError,
     Lookup,
     StepI,
     StepL,
     StepR,
     StepV,
+    SumStep,
     ViaArray,
     ViaSum,
     drive_step,
     trace,
     validate_step,
 )
+from fraglang.sexpr import elaborate_step, parse_derivation, render_derivation
 from fraglang.subobject import downcast
 from goldens import eval_exp_derivation, exp_after_one_step, exp_term
 
@@ -218,3 +227,66 @@ def test_trace_rejects_negative_fuel():
         with pytest.raises(ValueError):
             trace(t, -1)
 
+
+
+def _slot_count(desc):
+    # The recursion slots of a product tree of them, as lang declares payloads.
+    if isinstance(desc, Prod):
+        return _slot_count(desc.left) + _slot_count(desc.right)
+    return int(isinstance(desc, Rec))
+
+
+def test_step_rows_cover_the_cases_and_the_records():
+    cases = {case: desc for fragment in FRAGMENTS.values() for case, desc in fragment.items()}
+    assert list(STEPS) == [case for case in cases if case in STEPS]
+    assert {row.lift for row in STEPS.values()} == set(get_args(ComposedStep))
+    built = []
+    for case, row in STEPS.items():
+        n, context = _slot_count(cases[case]), [slot for slot, _, _ in row.context]
+        # Each context slot is a distinct recursion slot of the case.
+        assert sorted(set(context)) == sorted(context)
+        assert all(0 <= slot < n for slot in context), case
+        # A congruence's record holds its premise, then each slot in order:
+        # its own slot's term and its term after, a slot before it in the
+        # context as its literal, any other slot as its term.
+        for k, (slot, record, layout) in enumerate(row.context):
+            want = []
+            for j in range(n):
+                want += [f"term{j}", f"after{j}"] if j == slot else [f"nat{j}" if j in context[:k] else f"term{j}"]
+            assert layout.split() == want, record
+            assert [f.name for f in fields(record)][:1] == ["inner"] and len(fields(record)) == 1 + len(want)
+        # The axiom's holds each context slot as its literal, any other as its term.
+        record, layout, _ = row.axiom
+        assert layout.split() == [f"nat{j}" if j in context else f"term{j}" for j in range(n)], record
+        assert len(fields(record)) == n
+        built += [record for _, record, _ in row.context] + [record]
+    # Each step record is built by exactly one position of one row.
+    assert len(built) == len(set(built))
+    assert sorted(built, key=str) == sorted({*get_args(SumStep), *get_args(ArrayStep)}, key=str)
+
+
+def _nested(n, wrap, core):
+    t = core
+    for _ in range(n):
+        t = wrap(t)
+    return t
+
+
+def test_drive_validate_and_elaborate_take_100000_levels(gc_off):
+    # Each runs the step rows in a loop, so depth is bounded by memory, not
+    # by the recursion limit: 100,000 levels of a left-nested chain, and ten
+    # times the limit of each other congruence.  Derivations this deep are
+    # compared by their text, since == on them recurses.
+    assert sys.getrecursionlimit() <= 1_000
+    spines = [
+        (100_000, lambda t: plus(t, enat(1)), "(step⁺ (stepl "),  # 1 + 1 + … + 1
+        (10_000, lambda t: plus(enat(1), t), "(step⁺ (stepr "),  # 1 + (1 + (… + 1))
+        (10_000, lambda t: index(nil(), t), "(step[] (stepi "),  # nil ! (nil ! (… (1 + 1)))
+    ]
+    for n, wrap, level in spines:
+        t = _nested(n, wrap, plus(enat(1), enat(1)))
+        target, d = drive_step(t)
+        assert validate_step(d, t, target)
+        text = render_derivation(d)
+        assert text == level * n + "(step⁺ stepv)" + "))" * n
+        assert render_derivation(elaborate_step(parse_derivation(text), t)) == text

@@ -1,11 +1,13 @@
+import ast
 import random
 import re
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from fraglang import sexpr
+from fraglang import semantics, sexpr
 from fraglang.functor import AtomVal, BaseSet, InL, Term
 from fraglang.generate import enumerate_terms, random_typed_term
 from fraglang.lang import SHARED_NATS, assign, enat, index, nil, plus, some
@@ -215,6 +217,38 @@ def test_step_round_trip_on_random_derivations():
             source = target
             seen += 1
     assert seen > 200
+
+
+def test_sexpr_never_names_the_driver():
+    tree = ast.parse(Path(sexpr.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "drive_step" not in names
+
+
+def test_elaboration_never_calls_the_driver(monkeypatch):
+    # The population of test_step_round_trip_on_random_derivations, traced
+    # first, then elaborated with the driver made to raise wherever sexpr
+    # could reach it.
+    rng = random.Random(78)
+    steps = []
+    for _ in range(400):
+        source = random_typed_term(rng, rng.choice(list(LangType)), rng.randrange(2, 10))
+        for target, derivation in trace(source, 16):
+            steps.append((source, derivation, render_derivation(derivation)))
+            source = target
+
+    def refuse(t):
+        raise AssertionError("elaboration ran the driver")
+
+    monkeypatch.setattr(semantics, "drive_step", refuse)
+    monkeypatch.setattr(sexpr, "drive_step", refuse, raising=False)  # a name sexpr might import
+    for source, derivation, text in steps:
+        got = elaborate_step(parse_derivation(text), source)
+        assert got == derivation
+        assert render_derivation(got) == text
+    assert len(steps) > 200
 
 
 def test_lexer_tokens():

@@ -244,7 +244,7 @@ def test_ill_typed_left_operand_hides_a_deep_right_operand():
     assert infer(plus(nil(), chain)) is None
 
 
-def test_infer_and_validate_take_100000_levels():
+def test_infer_and_validate_take_100000_levels(gc_off):
     # Both run the rows over an explicit stack, so depth is bounded by
     # memory, not by the recursion limit.
     assert sys.getrecursionlimit() <= 1_000
