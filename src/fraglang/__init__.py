@@ -2,5 +2,5 @@
 
 Fragments are declared as polynomial functor shapes, combined by disjoint
 sum under a fixed point, and carry their own step rules, typing rules, and
-type-preservation transformers; the composed language inherits all three.
+type-preservation axiom cases; the composed language inherits all three.
 """

@@ -1,42 +1,22 @@
 """Derivation transformers witnessing type preservation.
 
-Each fragment's transformer rewrites its own typing derivations across
-its own step derivations.  Everything about the outside world (how to
-type literals, how to re-enter the composed relation, and the induction
-hypothesis itself) arrives as explicit hooks, and the composed
-transformer is the one-time instantiation of those hooks with the
-composed constructors.
+Each fragment supplies only its axiom case, and gets what it needs of the
+composed language (how to type a literal or an option) as explicit hooks.
+One congruence case, read off each case's step and typing rows, serves
+every fragment, and ``preserve`` runs it in one loop: the induction.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import fields
+from operator import attrgetter
 from typing import Callable
 
 from .functor import Term, is_natural, record
 from .lang import array_lookup, nat_value
-from .semantics import (
-    ArrayStep,
-    ComposedStep,
-    Lookup,
-    StepI,
-    StepL,
-    StepR,
-    StepV,
-    SumStep,
-    ViaArray,
-    ViaSum,
-)
-from .typecheck import (
-    ArrayTyping,
-    ComposedTyping,
-    LiftWtArray,
-    LiftWtOption,
-    LiftWtSum,
-    OkLookup,
-    OkSum,
-    SumTyping,
-    wt_nat,
-)
+from .semantics import STEPS, ComposedStep, Lookup, StepV
+from .typecheck import RULES, ComposedTyping, LiftWtOption, OkLookup, OkSum, wt_nat
 
 
 class SubjectMismatchError(Exception):
@@ -50,75 +30,94 @@ def _is_literal(t: Term, n: int) -> bool:
 
 @record
 class PreservationHooks:
-    """What a fragment transformer assumes about the composed language."""
+    """What a fragment's axiom case assumes about the composed language."""
 
     wt_nat: Callable[[int], ComposedTyping]
     wt_option: Callable[[Term], ComposedTyping]
-    lift_sum_wt: Callable[[SumTyping], ComposedTyping]
-    lift_array_wt: Callable[[ArrayTyping], ComposedTyping]
-    induction: Callable[[ComposedStep, ComposedTyping], ComposedTyping]
 
 
-def preservation_sum(
-    hooks: PreservationHooks, step: SumStep, wt: SumTyping
-) -> ComposedTyping:
-    """Rewrite a sum typing across a sum step."""
+def preservation_sum(hooks: PreservationHooks, step: StepV, wt: OkSum) -> ComposedTyping:
+    """The sum axiom: two literals step to their sum, a natural."""
     if not isinstance(wt, OkSum):
         raise SubjectMismatchError(f"sum step against non-sum typing {type(wt).__name__}")
-    if isinstance(step, StepL):
-        if wt.left != step.left or wt.right != step.right:
-            raise SubjectMismatchError("left-congruence subject mismatch")
-        rewritten = hooks.induction(step.inner, wt.left_wt)
-        return hooks.lift_sum_wt(OkSum(rewritten, wt.right_wt, step.left_after, step.right))
-    if isinstance(step, StepR):
-        if not _is_literal(wt.left, step.left_nat) or wt.right != step.right:
-            raise SubjectMismatchError("right-congruence subject mismatch")
-        rewritten = hooks.induction(step.inner, wt.right_wt)
-        return hooks.lift_sum_wt(OkSum(wt.left_wt, rewritten, wt.left, step.right_after))
-    if isinstance(step, StepV):
-        if not _is_literal(wt.left, step.n) or not _is_literal(wt.right, step.m):
-            raise SubjectMismatchError("literal-reduction subject mismatch")
-        return hooks.wt_nat(step.n + step.m)
-    raise SubjectMismatchError(f"not a sum step: {type(step).__name__}")
+    if not isinstance(step, StepV) or not _is_literal(wt.left, step.n) or not _is_literal(wt.right, step.m):
+        raise SubjectMismatchError("literal-reduction subject mismatch")
+    return hooks.wt_nat(step.n + step.m)
 
 
-def preservation_array(
-    hooks: PreservationHooks, step: ArrayStep, wt: ArrayTyping
-) -> ComposedTyping:
-    """Rewrite an array typing across an array step."""
-    if isinstance(step, StepI):
-        if not isinstance(wt, OkLookup) or wt.array != step.array or wt.index != step.idx:
-            raise SubjectMismatchError("index-congruence subject mismatch")
-        rewritten = hooks.induction(step.inner, wt.index_wt)
-        return hooks.lift_array_wt(OkLookup(wt.array_wt, rewritten, step.array, step.idx_after))
-    if isinstance(step, Lookup):
-        if not isinstance(wt, OkLookup) or wt.array != step.array or not _is_literal(wt.index, step.idx):
-            raise SubjectMismatchError("lookup subject mismatch")
-        return hooks.wt_option(array_lookup(step.array, step.idx))
-    raise SubjectMismatchError(f"not an array step: {type(step).__name__}")
+def preservation_array(hooks: PreservationHooks, step: Lookup, wt: OkLookup) -> ComposedTyping:
+    """The array axiom: a lookup at a literal index steps to an option."""
+    ok = isinstance(step, Lookup) and isinstance(wt, OkLookup) and _is_literal(wt.index, step.idx)
+    if not ok or wt.array != step.array:
+        raise SubjectMismatchError("lookup subject mismatch")
+    return hooks.wt_option(array_lookup(step.array, step.idx))
+
+
+# Each step row's axiom record, with the case of its fragment that rewrites it.
+AXIOMS = {StepV: preservation_sum, Lookup: preservation_array}
+
+# A congruence record's case: the typing row's lift and record, the reader of
+# that record's fields (premise derivations, then terms), where the stepped
+# slot's premise and term sit in them, the reader of the step field holding
+# that slot's target, and each premise term's place with the reader of the
+# step field holding its source and whether that field holds a literal.
+Congruence = namedtuple("Congruence", "lift rule held k at after sources")
+
+
+def _congruence(case: str, slot: int, step_record: type, layout: str) -> Congruence:
+    row, tokens = RULES[case], layout.split()
+    named = {at: f.name for at, f in zip(tokens, fields(step_record)[-len(tokens):])}
+    slots = [s for s, _ in row.premises]
+    n, k, after = len(slots), slots.index(slot), attrgetter(named.pop(f"after{slot}"))
+    sources = [(n + slots.index(int(at[-1])), attrgetter(f), at[:-1] == "nat") for at, f in named.items()]
+    held = attrgetter(*(f.name for f in fields(row.rule)))
+    return Congruence(row.lift, row.rule, held, k, n + k, after, sources)
+
+
+# Each step lift's typing lift, paired through their case; each step record's
+# lift; and each congruence record's case.  An axiom record has none: AXIOMS
+# holds its fragment's case.
+LIFTS = {row.lift: RULES[case].lift for case, row in STEPS.items()}
+STEP_LIFTS = {r: row.lift for row in STEPS.values() for r in (*(c[1] for c in row.context), row.axiom[0])}
+CONGRUENCES = {c[1]: _congruence(case, *c) for case, row in STEPS.items() for c in row.context}
 
 
 def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
     """Rewrite a composed typing across a composed step.
 
-    Recursion is structural on the step derivation, so the knot-tied
-    induction terminates.
+    The walk goes down the congruences, checking each level's subject, to
+    the axiom, which its fragment's case rewrites.  The typing is rebuilt
+    up the frames the walk stacked, each replacing the premise at its
+    stepped slot and keeping every other premise and term as it was.
     """
-    if isinstance(step, ViaSum) and isinstance(wt, LiftWtSum):
-        return preservation_sum(COMPOSED_HOOKS, step.step, wt.inner)
-    if isinstance(step, ViaArray) and isinstance(wt, LiftWtArray):
-        return preservation_array(COMPOSED_HOOKS, step.step, wt.inner)
-    raise SubjectMismatchError(
-        f"step {type(step).__name__} cannot pair with typing {type(wt).__name__}"
-    )
+    frames = []
+    while True:
+        via, lift = type(step), LIFTS.get(type(step))
+        if lift is None or not isinstance(wt, lift):
+            raise SubjectMismatchError(f"step {via.__name__} cannot pair with typing {type(wt).__name__}")
+        step, wt, kind = step.step, wt.inner, type(step.step)
+        if STEP_LIFTS.get(kind) is not via:
+            raise SubjectMismatchError(f"not a {via.__name__} step: {kind.__name__}")
+        c = CONGRUENCES.get(kind)
+        if c is None:
+            break
+        if not isinstance(wt, c.rule):
+            raise SubjectMismatchError(f"{kind.__name__} against typing {type(wt).__name__}")
+        held = list(c.held(wt))
+        for at, read, nat in c.sources:
+            have, want = held[at], read(step)
+            if not (_is_literal(have, want) if nat else have is want or have == want):
+                raise SubjectMismatchError(f"{kind.__name__} subject mismatch")
+        held[c.at] = c.after(step)
+        frames.append((c, held))
+        step, wt = step.inner, held[c.k]
+    wt = AXIOMS[kind](COMPOSED_HOOKS, step, wt)
+    while frames:
+        c, held = frames.pop()
+        held[c.k] = wt
+        wt = c.lift(c.rule(*held))
+    return wt
 
 
-# Instantiated once: the composed language supplies its own constructors
-# as every hook, closing the induction with preserve itself.
-COMPOSED_HOOKS = PreservationHooks(
-    wt_nat=wt_nat,
-    wt_option=LiftWtOption,
-    lift_sum_wt=LiftWtSum,
-    lift_array_wt=LiftWtArray,
-    induction=preserve,
-)
+# Instantiated once: the composed language supplies its own constructors as its hooks.
+COMPOSED_HOOKS = PreservationHooks(wt_nat=wt_nat, wt_option=LiftWtOption)

@@ -119,10 +119,10 @@ STEPS = {
 Run = namedtuple("Run", "lift scan axiom rules")
 Rule = namedtuple("Rule", "record check apply")
 # Each kind of field: its record's argument (a literal's once it holds one),
-# and its check against payload {2}.
+# and its check against payload {2}, a stored term by identity before ==.
 _CODE = {
-    "term": ("p.{1}", "s.{0} == {2}.{1}"),
-    "after": ("after", "s.{0} == q.{1}"),
+    "term": ("p.{1}", "(s.{0} is {2}.{1} or s.{0} == {2}.{1})"),
+    "after": ("after", "(s.{0} is q.{1} or s.{0} == q.{1})"),
     "nat": ("view(p.{1})[1].value", "is_natural(s.{0}) and nat_value({2}.{1}) == s.{0}"),
 }
 

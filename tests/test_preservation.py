@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,15 +13,21 @@ from fraglang.lang import (
     nil,
     none,
     plus,
+    some,
 )
 from fraglang.preservation import (
+    AXIOMS,
     COMPOSED_HOOKS,
+    CONGRUENCES,
+    LIFTS,
+    STEP_LIFTS,
     SubjectMismatchError,
     preservation_array,
     preservation_sum,
     preserve,
 )
 from fraglang.semantics import (
+    STEPS,
     Lookup,
     StepI,
     StepL,
@@ -30,6 +38,7 @@ from fraglang.semantics import (
     drive_step,
 )
 from fraglang.typecheck import (
+    RULES,
     LangType,
     LiftWtArray,
     LiftWtNat,
@@ -56,7 +65,7 @@ def test_preservation_sum_left_congruence_clause():
     step = StepL(inner, src, tgt, enat(9))
     wt_src = infer(src)[1].inner  # OkSum for 1 + 2
     wt = OkSum(LiftWtSum(wt_src), LiftWtNat(9), src, enat(9))
-    result = preservation_sum(COMPOSED_HOOKS, step, wt)
+    result = preserve(ViaSum(step), LiftWtSum(wt))
     assert result == LiftWtSum(OkSum(LiftWtNat(3), LiftWtNat(9), tgt, enat(9)))
 
 
@@ -78,7 +87,7 @@ def test_preservation_array_index_congruence_clause():
     src, tgt = plus(enat(0), enat(1)), enat(1)
     step = StepI(inner, nil(), src, tgt)
     wt = OkLookup(LiftWtArray(OkNil()), LiftWtSum(infer(src)[1].inner), nil(), src)
-    result = preservation_array(COMPOSED_HOOKS, step, wt)
+    result = preserve(ViaArray(step), LiftWtArray(wt))
     assert result == LiftWtArray(OkLookup(LiftWtArray(OkNil()), LiftWtNat(1), nil(), tgt))
 
 
@@ -91,60 +100,91 @@ _LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), _ONE_PLUS_TWO_WT, nil(), _ONE_PLUS_T
 _LITERAL_LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), LiftWtNat(1), nil(), enat(1))  # nil ! 1
 
 
+# A fragment's step and typing records, lifted into the composed relation
+# for preserve, or handed to the fragment's axiom case directly.
+def _via_sum(step, wt):
+    return preserve(ViaSum(step), LiftWtSum(wt))
+
+
+def _via_array(step, wt):
+    return preserve(ViaArray(step), LiftWtArray(wt))
+
+
+def _sum_axiom(step, wt):
+    return preservation_sum(COMPOSED_HOOKS, step, wt)
+
+
+def _array_axiom(step, wt):
+    return preservation_array(COMPOSED_HOOKS, step, wt)
+
+
 @pytest.mark.parametrize(
     "transformer, step, wt, message",
     [
-        (preservation_sum, StepV(1, 2), _LOOKUP_WT, "sum step against non-sum typing OkLookup"),
+        (_via_sum, StepV(1, 2), _LOOKUP_WT, "sum step against non-sum typing OkLookup"),
         (
-            preservation_sum,
+            _via_sum,
             StepL(_STEP_ONE_PLUS_TWO, plus(enat(1), enat(3)), enat(4), enat(9)),
             _SUM_WT,
-            "left-congruence subject mismatch",
+            "StepL subject mismatch",
         ),
         (
-            preservation_sum,
+            _via_sum,
             StepL(_STEP_ONE_PLUS_TWO, _ONE_PLUS_TWO, enat(3), enat(8)),
             _SUM_WT,
-            "left-congruence subject mismatch",
+            "StepL subject mismatch",
         ),
         (
-            preservation_sum,
+            _via_sum,
             StepR(_STEP_ONE_PLUS_TWO, 5, _ONE_PLUS_TWO, enat(3)),
             _LITERAL_SUM_WT,
-            "right-congruence subject mismatch",
+            "StepR subject mismatch",
         ),
         (
-            preservation_sum,
+            _via_sum,
             StepR(_STEP_ONE_PLUS_TWO, 4, plus(enat(1), enat(3)), enat(3)),
             _LITERAL_SUM_WT,
-            "right-congruence subject mismatch",
+            "StepR subject mismatch",
         ),
-        (preservation_sum, Lookup(nil(), 0), _SUM_WT, "not a sum step: Lookup"),
+        (_via_sum, Lookup(nil(), 0), _SUM_WT, "not a ViaSum step: Lookup"),
         (
-            preservation_array,
+            _via_array,
             StepI(_STEP_ONE_PLUS_TWO, nil(), _ONE_PLUS_TWO, enat(3)),
             OkIns(LiftWtArray(OkNil()), LiftWtNat(1), LiftWtNat(0), nil(), enat(1), enat(0)),
-            "index-congruence subject mismatch",
+            "StepI against typing OkIns",
         ),
         (
-            preservation_array,
+            _via_array,
             StepI(_STEP_ONE_PLUS_TWO, nil(), plus(enat(2), enat(1)), enat(3)),
             _LOOKUP_WT,
-            "index-congruence subject mismatch",
+            "StepI subject mismatch",
         ),
-        (preservation_array, StepV(1, 2), _LOOKUP_WT, "not an array step: StepV"),
+        (_via_array, StepV(1, 2), _LOOKUP_WT, "not a ViaArray step: StepV"),
         # A step that claims a non-natural literal, True posing as 1 among
         # them, mismatches every typing.
-        (preservation_sum, StepV(-1, 2), _ONE_PLUS_TWO_WT.inner, "literal-reduction subject mismatch"),
-        (preservation_sum, StepV(True, 2), _ONE_PLUS_TWO_WT.inner, "literal-reduction subject mismatch"),
+        (_sum_axiom, StepV(-1, 2), _ONE_PLUS_TWO_WT.inner, "literal-reduction subject mismatch"),
+        (_sum_axiom, StepV(True, 2), _ONE_PLUS_TWO_WT.inner, "literal-reduction subject mismatch"),
         (
-            preservation_sum,
+            _via_sum,
             StepR(_STEP_ONE_PLUS_TWO, -1, _ONE_PLUS_TWO, enat(3)),
             _LITERAL_SUM_WT,
-            "right-congruence subject mismatch",
+            "StepR subject mismatch",
         ),
-        (preservation_array, Lookup(nil(), -1), _LITERAL_LOOKUP_WT, "lookup subject mismatch"),
-        (preservation_array, Lookup(nil(), True), _LITERAL_LOOKUP_WT, "lookup subject mismatch"),
+        (_array_axiom, Lookup(nil(), -1), _LITERAL_LOOKUP_WT, "lookup subject mismatch"),
+        (_array_axiom, Lookup(nil(), True), _LITERAL_LOOKUP_WT, "lookup subject mismatch"),
+        # An axiom case rewrites its axiom only.
+        (
+            _sum_axiom,
+            StepL(_STEP_ONE_PLUS_TWO, _ONE_PLUS_TWO, enat(3), enat(9)),
+            _SUM_WT,
+            "literal-reduction subject mismatch",
+        ),
+        (
+            _array_axiom,
+            StepI(_STEP_ONE_PLUS_TWO, nil(), _ONE_PLUS_TWO, enat(3)),
+            _LOOKUP_WT,
+            "lookup subject mismatch",
+        ),
     ],
     ids=[
         "sum-against-lookup",
@@ -161,11 +201,13 @@ _LITERAL_LOOKUP_WT = OkLookup(LiftWtArray(OkNil()), LiftWtNat(1), nil(), enat(1)
         "stepr-negative-literal",
         "lookup-negative-index",
         "lookup-bool-index",
+        "stepl-to-sum-axiom",
+        "stepi-to-array-axiom",
     ],
 )
 def test_transformers_reject_a_subject_the_typing_does_not_type(transformer, step, wt, message):
-    with pytest.raises(SubjectMismatchError, match=f"^{message}"):
-        transformer(COMPOSED_HOOKS, step, wt)
+    with pytest.raises(SubjectMismatchError, match=f"^{message}$"):
+        transformer(step, wt)
 
 
 def test_preservation_array_rejects_lookup_against_ins():
@@ -210,10 +252,18 @@ _CHAIN_WT = infer(_CHAIN)[1]
             lambda: preservation_sum(COMPOSED_HOOKS, StepV(1, 2), _CHAIN_WT),
             "sum step against non-sum typing LiftWtSum",
         ),
-        (lambda: preserve(ViaSum(_CHAIN), _CHAIN_WT), "not a sum step: Term"),
-        (lambda: preserve(ViaArray(_CHAIN), LiftWtArray(OkNil())), "not an array step: Term"),
+        (lambda: preserve(ViaSum(_CHAIN), _CHAIN_WT), "not a ViaSum step: Term"),
+        (lambda: preserve(ViaArray(_CHAIN), LiftWtArray(OkNil())), "not a ViaArray step: Term"),
+        (
+            lambda: _via_sum(StepL(_STEP_ONE_PLUS_TWO, _CHAIN, _CHAIN, _CHAIN), _CHAIN_WT),
+            "StepL against typing LiftWtSum",
+        ),
+        (
+            lambda: _via_sum(StepL(_STEP_ONE_PLUS_TWO, _CHAIN_WT.inner.left, _CHAIN, enat(2)), _CHAIN_WT.inner),
+            "StepL subject mismatch",
+        ),
     ],
-    ids=["non-sum-typing", "not-a-sum-step", "not-an-array-step"],
+    ids=["non-sum-typing", "not-a-sum-step", "not-an-array-step", "congruence-typing", "congruence-subject"],
 )
 def test_a_mismatch_names_a_deep_object_by_its_class(call, message):
     # The repr of a 300-term chain recurses past the default limit.
@@ -233,8 +283,9 @@ def test_sum_cases_never_call_array_transformer(monkeypatch):
         calls["array"] += 1
         return real_array(hooks, step, wt)
 
-    monkeypatch.setattr(preservation_module, "preservation_sum", spy_sum)
-    monkeypatch.setattr(preservation_module, "preservation_array", spy_array)
+    # Where preserve finds each fragment's axiom case.
+    monkeypatch.setitem(AXIOMS, StepV, spy_sum)
+    monkeypatch.setitem(AXIOMS, Lookup, spy_array)
 
     # a pure-sum reduction chain
     t = plus(plus(enat(1), enat(2)), plus(enat(3), enat(4)))
@@ -243,7 +294,7 @@ def test_sum_cases_never_call_array_transformer(monkeypatch):
         if step is None:
             break
         wt = infer(t)[1]
-        preservation_module.preserve(step[1], wt)
+        preserve(step[1], wt)
         t = step[0]
     assert calls["sum"] > 0 and calls["array"] == 0
 
@@ -251,7 +302,7 @@ def test_sum_cases_never_call_array_transformer(monkeypatch):
     calls["sum"] = calls["array"] = 0
     t = index(nil(), enat(0))
     target, derivation = drive_step(t)
-    preservation_module.preserve(derivation, infer(t)[1])
+    preserve(derivation, infer(t)[1])
     assert calls["array"] == 1 and calls["sum"] == 0
 
 
@@ -259,11 +310,80 @@ def test_composed_hooks_cohere():
     # every hook output validates for its lifted subject
     assert validate_typing(COMPOSED_HOOKS.wt_nat(5), enat(5), LangType.NAT)
     assert validate_typing(COMPOSED_HOOKS.wt_option(none()), none(), LangType.OPTION)
-    ok_sum = OkSum(LiftWtNat(1), LiftWtNat(2), enat(1), enat(2))
-    assert validate_typing(
-        COMPOSED_HOOKS.lift_sum_wt(ok_sum), plus(enat(1), enat(2)), LangType.NAT
-    )
-    assert validate_typing(COMPOSED_HOOKS.lift_array_wt(OkNil()), nil(), LangType.ARRAY)
+    assert validate_typing(COMPOSED_HOOKS.wt_option(some(enat(3))), some(enat(3)), LangType.OPTION)
+
+
+def test_congruence_keeps_every_premise_it_does_not_step():
+    # (1 + 2) + (3 + 4) steps on the left: the right premise and both terms
+    # the step leaves alone are the typing's own objects.
+    t = plus(_ONE_PLUS_TWO, plus(enat(3), enat(4)))
+    wt = infer(t)[1]
+    target, step = drive_step(t)
+    result = preserve(step, wt)
+    assert result.inner.right_wt is wt.inner.right_wt and result.inner.right is wt.inner.right
+    assert result.inner.left is step.step.left_after
+    assert validate_typing(result, target, LangType.NAT)
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_congruence_comes_from_the_rows():
+    # ROADMAP item 4's coverage check: each step row's context pairs with its
+    # case's typing row, each axiom has one fragment case, and each lift pairs.
+    for case, row in STEPS.items():
+        premises = [slot for slot, _ in RULES[case].premises]
+        for slot, record, layout in row.context:
+            assert slot in premises, (case, slot)
+            tokens = layout.split()
+            sources = [t for t in tokens if not t.startswith("after")]
+            assert sorted(int(t[-1]) for t in sources) == sorted(premises), (case, layout)
+            assert all(t[:-1] in ("term", "nat") for t in sources), (case, layout)
+            assert [t for t in tokens if t.startswith("after")] == [f"after{slot}"], (case, layout)
+            assert CONGRUENCES[record].lift is RULES[case].lift and CONGRUENCES[record].rule is RULES[case].rule
+            assert STEP_LIFTS[record] is row.lift
+        assert STEP_LIFTS[row.axiom[0]] is row.lift and row.axiom[0] not in CONGRUENCES
+    axioms = [row.axiom[0] for row in STEPS.values()]
+    assert sorted(AXIOMS, key=str) == sorted(axioms, key=str) and len(set(axioms)) == len(axioms)
+    for lift in {row.lift for row in STEPS.values()}:
+        assert {RULES[case].lift for case, row in STEPS.items() if row.lift is lift} == {LIFTS[lift]}
+    source = Path(preservation_module.__file__).read_text()
+    named = set(_names(ast.parse(source)))
+    assert not named & {"StepL", "StepR", "StepI", "ViaSum", "ViaArray", "LiftWtSum", "LiftWtArray"}
+
+
+def _rnest(n, leaf=enat(1)):
+    # 1 + (1 + (... + leaf)), n - 1 sums deep.
+    t = leaf
+    for _ in range(n - 1):
+        t = plus(enat(1), t)
+    return t
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _chain(100_000),
+        lambda: _rnest(10_000),
+        # A lookup yields an option and an index needs a natural, so no typed
+        # lookup nests in another's index: one stepi over a stepr chain.
+        lambda: index(nil(), _rnest(10_000)),
+    ],
+    ids=["stepl", "stepr", "stepi"],
+)
+def test_preserve_takes_100000_levels(gc_off, build):
+    # preserve walks down and rebuilds up in one loop, with no recursion.
+    t = build()
+    ty, wt = infer(t)
+    target, step = drive_step(t)
+    assert validate_typing(preserve(step, wt), target, ty)
 
 
 def test_preservation_on_random_typed_terms():

@@ -5,7 +5,7 @@ from typing import get_args
 
 import pytest
 
-from fraglang.functor import InR, Pair, Prod, Rec, Slot
+from fraglang.functor import InR, Pair, Prod, Rec, Slot, Term
 from fraglang.generate import enumerate_terms, random_term
 from fraglang.lang import (
     FRAGMENTS,
@@ -56,6 +56,20 @@ def test_validate_lookup_hit():
     d = ViaArray(Lookup(array, 0))
     source = index(array, enat(0))
     assert validate_step(d, source, some(enat(1)))
+
+
+def test_validate_compares_a_shared_stored_term_by_identity(monkeypatch):
+    # The driver's derivations store the endpoints' own slot terms, so of a
+    # stepl and a stepi node's stored terms none reaches Term.__eq__: only
+    # each axiom's computed reduct is compared with ==.
+    calls = []
+    real_eq = Term.__eq__
+    monkeypatch.setattr(Term, "__eq__", lambda self, other: calls.append(1) or real_eq(self, other))
+    for t in (plus(plus(enat(1), enat(2)), enat(3)), index(nil(), plus(enat(1), enat(2)))):
+        target, d = drive_step(t)
+        calls.clear()
+        assert validate_step(d, t, target)
+        assert len(calls) == 1
 
 
 def test_validate_rejects_invalid_inner():
