@@ -118,6 +118,17 @@ def view(t: Term) -> View | None:
     return None
 
 
+def read_view(term: str, tag: str, payload: str) -> list[str]:
+    """Lines of code that bind ``tag, payload`` to the view of ``term``.
+
+    For code generated over the rows: the view the lifter recorded, read
+    from its slots, or else ``view``'s answer, with None for both where
+    that is None.  The code calls ``view`` by that name.
+    """
+    return ["try:", f"    {tag}, {payload} = {term}.view_tag, {term}.view_payload", "except AttributeError:",
+            f"    {tag}, {payload} = view({term}) or (None, None)"]
+
+
 # Literals below this bound are shared: one Term each, built at import.
 SHARED_NATS = 256
 _NATS = tuple(lift_nat(AtomVal(BaseSet.NAT, n)) for n in range(SHARED_NATS))

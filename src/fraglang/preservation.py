@@ -15,7 +15,7 @@ from typing import Callable
 
 from .functor import Term, is_natural, record
 from .lang import array_lookup, nat_value
-from .semantics import STEPS, ComposedStep, Lookup, StepV
+from .semantics import STEPS, ComposedStep, Lookup, StepV, layout
 from .typecheck import RULES, ComposedTyping, LiftWtOption, OkLookup, OkSum, wt_nat
 
 
@@ -64,22 +64,35 @@ AXIOMS = {StepV: preservation_sum, Lookup: preservation_array}
 Congruence = namedtuple("Congruence", "lift rule held k at after sources")
 
 
-def _congruence(case: str, slot: int, step_record: type, layout: str) -> Congruence:
-    row, tokens = RULES[case], layout.split()
-    named = {at: f.name for at, f in zip(tokens, fields(step_record)[-len(tokens):])}
+def _congruence(case: str, slot: int, step_record: type, text: str) -> Congruence:
+    row, named = RULES[case], layout(step_record, text)
     slots = [s for s, _ in row.premises]
-    n, k, after = len(slots), slots.index(slot), attrgetter(named.pop(f"after{slot}"))
-    sources = [(n + slots.index(int(at[-1])), attrgetter(f), at[:-1] == "nat") for at, f in named.items()]
+    n, k = len(slots), slots.index(slot)
+    after = attrgetter(*(name for kind, name, j in named if (kind, j) == ("after", slot)))
+    sources = [(n + slots.index(j), attrgetter(name), kind == "nat") for kind, name, j in named if kind != "after"]
     held = attrgetter(*(f.name for f in fields(row.rule)))
     return Congruence(row.lift, row.rule, held, k, n + k, after, sources)
 
 
-# Each step lift's typing lift, paired through their case; each step record's
-# lift; and each congruence record's case.  An axiom record has none: AXIOMS
-# holds its fragment's case.
-LIFTS = {row.lift: RULES[case].lift for case, row in STEPS.items()}
-STEP_LIFTS = {r: row.lift for row in STEPS.values() for r in (*(c[1] for c in row.context), row.axiom[0])}
-CONGRUENCES = {c[1]: _congruence(case, *c) for case, row in STEPS.items() for c in row.context}
+# Each step record's level: its step lift, the typing lift its case pairs
+# with, and its congruence case, or None for an axiom record, whose
+# fragment's case AXIOMS holds.
+Level = namedtuple("Level", "via lift congruence")
+LEVELS = {
+    record: Level(row.lift, RULES[case].lift, None if slot is None else _congruence(case, slot, record, text))
+    for case, row in STEPS.items()
+    for slot, record, text in (*row.context, (None, *row.axiom[:2]))
+}
+
+
+def _mismatch(step: ComposedStep, wt: ComposedTyping) -> SubjectMismatchError:
+    # Why a level's step and typing do not pair: no lift of a step record
+    # is the step's, or it pairs with another typing, or the record is not its.
+    via = type(step)
+    lifts = {level.via: level.lift for level in LEVELS.values()}
+    if via not in lifts or not isinstance(wt, lifts[via]):
+        return SubjectMismatchError(f"step {via.__name__} cannot pair with typing {type(wt).__name__}")
+    return SubjectMismatchError(f"not a {via.__name__} step: {type(step.step).__name__}")
 
 
 def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
@@ -92,15 +105,13 @@ def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
     """
     frames = []
     while True:
-        via, lift = type(step), LIFTS.get(type(step))
-        if lift is None or not isinstance(wt, lift):
-            raise SubjectMismatchError(f"step {via.__name__} cannot pair with typing {type(wt).__name__}")
-        step, wt, kind = step.step, wt.inner, type(step.step)
-        if STEP_LIFTS.get(kind) is not via:
-            raise SubjectMismatchError(f"not a {via.__name__} step: {kind.__name__}")
-        c = CONGRUENCES.get(kind)
+        level = LEVELS.get(type(getattr(step, "step", None)))
+        if level is None or type(step) is not level.via or not isinstance(wt, level.lift):
+            raise _mismatch(step, wt)
+        step, wt, c = step.step, wt.inner, level.congruence
         if c is None:
             break
+        kind = type(step)
         if not isinstance(wt, c.rule):
             raise SubjectMismatchError(f"{kind.__name__} against typing {type(wt).__name__}")
         held = list(c.held(wt))
@@ -111,7 +122,7 @@ def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
         held[c.at] = c.after(step)
         frames.append((c, held))
         step, wt = step.inner, held[c.k]
-    wt = AXIOMS[kind](COMPOSED_HOOKS, step, wt)
+    wt = AXIOMS[type(step)](COMPOSED_HOOKS, step, wt)
     while frames:
         c, held = frames.pop()
         held[c.k] = wt

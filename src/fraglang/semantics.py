@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import fields
+from typing import Callable
 
 from .functor import Pair, Slot, Term, define, is_natural, record
-from .lang import FRAGMENTS, LIFTERS, SLOT_PATHS, array_lookup, enat, nat_value, view
+from .lang import FRAGMENTS, LIFTERS, SLOT_PATHS, array_lookup, enat, nat_value, read_view, view
 
 
 class FuelExhaustedError(Exception):
@@ -86,11 +87,13 @@ ComposedStep = ViaSum | ViaArray
 # Each stepping case's rule as a row of data; a case with no row never
 # steps.  A row holds its lift; its evaluation context: each payload slot
 # (as lang.SLOT_PATHS numbers them) that steps once the slots before it hold
-# literals, with its congruence record; and its axiom for when all do: its
-# record, and its reduct from the record's fields, or None.  A layout names
-# what those fields after the premise hold of a slot j: "termj" its term in
-# the source, "afterj" its term in the target, "natj" its literal.
+# literals (terms of case LITERAL), with its congruence record; and its
+# axiom for when all do: its record, and its reduct from the record's
+# fields, or None.  A layout names what those fields after the premise hold
+# of a slot j: "termj" its term in the source, "afterj" its term in the
+# target, "natj" its literal.
 StepRule = namedtuple("StepRule", "lift context axiom")
+LITERAL = "nat"
 
 
 def _lookup(array: Term, n: int) -> Term | None:
@@ -106,6 +109,13 @@ STEPS = {
     ),
     "index": StepRule(ViaArray, ((1, StepI, "term0 term1 after1"),), (Lookup, "term0 nat1", _lookup)),
 }
+
+
+def layout(record: type, text: str) -> list[tuple[str, str, int]]:
+    """What a layout names: each field of ``record`` after its premise, as (kind, field, slot)."""
+    tokens = text.split()
+    return [(at[:-1], f.name, int(at[-1])) for at, f in zip(tokens, fields(record)[-len(tokens):])]
+
 
 # The rows as they run.  A Run holds a row's lift; scan(p), which gives the
 # view of payload p's first context slot that holds no literal, with its
@@ -138,9 +148,8 @@ def _compile(case: str, row: StepRule) -> Run:
     paths, rules, scan = SLOT_PATHS[case], {}, []
     names = dict(lift=LIFTERS[case], via=row.lift, reduce=row.axiom[2], Pair=Pair, Slot=Slot, view=view)
     names.update(is_natural=is_natural, nat_value=nat_value)  # what the generated code calls
-    for slot, record, layout in (*row.context, (None, *row.axiom[:2])):
-        tokens = layout.split()  # what each field after the premise holds
-        held = [(_CODE[at[:-1]], f.name, int(at[-1])) for at, f in zip(tokens, fields(record)[-len(tokens):])]
+    for slot, record, text in (*row.context, (None, *row.axiom[:2])):
+        held = [(_CODE[kind], name, j) for kind, name, j in layout(record, text)]
         args = ", ".join(code[0].format(name, paths[j]) for code, name, j in held)
         # Each field against the source, and one in a slot a congruence leaves alone against the target.
         checks = [code[1].format(name, paths[j], "p") for code, name, j in held]
@@ -156,11 +165,37 @@ def _compile(case: str, row: StepRule) -> Run:
         check = define("check", "s, p, q", [f"return ({premise}) if {checked} else None"], ns)
         line = f"return lift({_rebuilt(paths[slot])}), via(rule(d, {args}))"
         names[f"rule{slot}"] = rules[record] = Rule(record, check, define("apply", "p, after, d", [line], ns))
-        scan += [f"v = view(p.{paths[slot]})", 'if v is None or v[0] != "nat":', f"    return v, rule{slot}"]
+        scan += [f"v = view(p.{paths[slot]})", f"if v is None or v[0] != {LITERAL!r}:", f"    return v, rule{slot}"]
     return Run(row.lift, define("scan", "p", scan, names), rules[row.axiom[0]], rules)
 
 
 RUNS = {case: _compile(case, row) for case, row in STEPS.items()}
+
+
+# What the generated driver passes an axiom for each kind of field: the
+# slot's term, or the literal in the view its scan read.
+_FIRED = {"term": "p.{path}", "nat": "p{slot}.value"}
+
+
+def _compile_driver() -> Callable:
+    # drive_step for the rows of STEPS: one loop whose body is each row's
+    # scan and axiom inline, under a test of the node's case.
+    names, lines = {"view": view}, [*read_view("t", "tag", "p"), "frames = ()", "while True:"]
+    for i, (case, row) in enumerate(STEPS.items()):
+        paths, rules, body = SLOT_PATHS[case], RUNS[case].rules, []
+        for slot, record, _ in row.context:  # each context slot that holds no literal is stepped
+            names[f"apply{i}_{slot}"] = rules[record].apply
+            body += [f"s = p.{paths[slot]}", *read_view("s", f"tag{slot}", f"p{slot}")]
+            body += [f"if tag{slot} != {LITERAL!r}:", f"    frames = apply{i}_{slot}, p, frames"]
+            body += [f"    tag, p = tag{slot}, p{slot}", "    continue"]
+        record, text, names[f"reduce{i}"] = row.axiom
+        names[f"via{i}"], names[f"rule{i}"] = row.lift, record
+        args = ", ".join(_FIRED[kind].format(path=paths[j], slot=j) for kind, _, j in layout(record, text))
+        body += [f"a = {args},", f"target = reduce{i}(*a)", "if target is None:", "    return None"]
+        body += [f"d = via{i}(rule{i}(*a))", "break"]
+        lines += [f"    if tag == {case!r}:", *("        " + line for line in body)]
+    lines += ["    return None", "while frames:", "    apply, p, frames = frames"]
+    return define("drive_step", "t", [*lines, "    target, d = apply(p, target, d)", "return target, d"], names)
 
 
 def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
@@ -186,32 +221,16 @@ def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
         d, source, target = premise
 
 
-def drive_step(t: Term) -> tuple[Term, ComposedStep] | None:
-    """One deterministic step, or None on a normal form.
+drive_step = _compile_driver()
+drive_step.__module__, drive_step.__doc__ = __name__, """One deterministic step of a term, or None on a normal form.
 
-    The walk goes down each row's first context slot that holds no literal
-    to a node whose context slots all do; there the axiom fires, and the
-    targets and derivations are built back up the frames the walk stacked.
-    """
-    v, frames = view(t), ()  # frames: (apply, payload, the frames above)
-    while True:
-        run = RUNS.get(v[0]) if v is not None else None
-        if run is None:
-            return None
-        p = v[1]
-        found = run.scan(p)
-        if found is None:  # every context slot holds a literal
-            break
-        v, rule = found
-        frames = (rule.apply, p, frames)
-    done = run.axiom.apply(p)
-    if done is None:
-        return None
-    target, d = done
-    while frames:
-        apply, p, frames = frames
-        target, d = apply(p, target, d)
-    return target, d
+The walk goes down each row's first context slot that holds no literal to
+a node whose context slots all do; there the axiom fires on the literals
+the walk read, and the targets and derivations are built back up the
+frames it stacked, by each congruence's ``Rule.apply``.  The body is
+generated from ``STEPS`` at import, with each row's case test, scan and
+axiom inline; a node's view is the one its lifter recorded, or ``view``'s.
+"""
 
 
 def trace(t: Term, fuel: int) -> list[tuple[Term, ComposedStep]]:

@@ -3,8 +3,9 @@
 Fragment rules (sums, arrays) know nothing about the composed language;
 the lift constructors tie them to it.  The option rule is deliberately
 shallow: any option term is well-typed, with no demand on what it holds.
-Each rule is one row of ``RULES``, which ``infer``, ``validate_typing`` and
-the s-expression decoders run, the first two in a loop over a stack.
+Each rule is one row of ``RULES``, which ``validate_typing`` and the
+s-expression decoders run, and from which ``infer`` is generated: each in
+a loop over a stack.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from collections import namedtuple
 from dataclasses import fields
 from enum import Enum
 from operator import attrgetter
+from typing import Callable
 
-from .functor import Term, is_natural, record
-from .lang import SHARED_NATS, SLOT_PATHS, view
+from .functor import Term, define, is_natural, record
+from .lang import SHARED_NATS, SLOT_PATHS, read_view, view
 
 
 class LangType(Enum):
@@ -121,27 +123,64 @@ RULES = {
 }
 
 # The rules with no premises, by the record each builds: its derivation of
-# a term t with view v, and whether a derivation d under its lift holds
-# what t does.  What an option holds goes unchecked; view shape-checks it.
+# a term t with payload p, and whether a derivation d under its lift holds
+# what t, with view v, does.  What an option holds goes unchecked; view
+# shape-checks it.
 _AXIOMS = {
-    LiftWtNat: (lambda t, v: wt_nat(v[1].value), lambda d, v: is_natural(d.n) and d.n == v[1].value),
-    LiftWtOption: (lambda t, v: LiftWtOption(t), lambda d, v: isinstance(d.term, Term) and view(d.term) == v),
-    OkNil: (lambda t, v: WT_NIL, lambda d, v: isinstance(d.inner, OkNil)),
+    LiftWtNat: (lambda t, p: wt_nat(p.value), lambda d, v: is_natural(d.n) and d.n == v[1].value),
+    LiftWtOption: (lambda t, p: LiftWtOption(t), lambda d, v: isinstance(d.term, Term) and view(d.term) == v),
+    OkNil: (lambda t, p: WT_NIL, lambda d, v: isinstance(d.inner, OkNil)),
 }
 
 
 def _run(paths: tuple[str, ...], row: TypingRule) -> tuple:
-    # The row as the loops below read it: its conclusion, its lift, each
+    # The row as validate_typing reads it: its conclusion, its lift, each
     # premise as (the reader of its slot's term, the type it needs, its
-    # place), then what makes and what checks its derivation: an axiom's
-    # pair above, or a rule's record and the reader of its fields.
+    # place), then an axiom's check above, or a rule's record and the
+    # reader of its fields.
     premises = tuple((attrgetter(paths[slot]), want, k) for k, (slot, want) in enumerate(row.premises))
     if not premises:
-        return row.conclusion, row.lift, premises, *_AXIOMS[row.rule or row.lift]
+        return row.conclusion, row.lift, premises, None, _AXIOMS[row.rule or row.lift][1]
     return row.conclusion, row.lift, premises, row.rule, attrgetter(*(f.name for f in fields(row.rule)))
 
 
 _RUN = {case: _run(SLOT_PATHS[case], row) for case, row in RULES.items()}
+
+
+def _premise(case: str, k: int, slot: int, need: LangType) -> list[str]:
+    # Premise k of the generated infer: its slot's term s is typed by a rule
+    # with premises, descended into, or else by an axiom; any other case
+    # fails it.  Premises before it are done where ``k`` says so.
+    lines, test = [f"s = q.{SLOT_PATHS[case][slot]}", *read_view("s", "tag_s", "q_s"), "terms.append(s)"], "if"
+    descend = ["stack.append((tag, q, wts, terms))", "tag, q, wts, terms = tag_s, q_s, [], []", "continue"]
+    for i, (sub, row) in enumerate(RULES.items()):
+        if row.conclusion is need:
+            lines += [f"{test} tag_s == {sub!r}:", *("    " + line for line in descend if row.premises)]
+            lines += [f"    wts.append(make{i}(s, q_s))"] * (not row.premises)
+            test = "elif"
+    return [f"if k <= {k}:", *("    " + line for line in [*lines, "else:", "    return None"])]
+
+
+def _compile_infer() -> Callable:
+    # infer for the rows of RULES: one loop over a stack of the nodes whose
+    # premises are under way, with each row's premises and rule inline
+    # under a test of the node's case.  A premise of an axiom's case is
+    # typed in place, so only the root reaches the axioms' tests, last.
+    names, loop, axioms = {"view": view}, [], []
+    for i, (case, row) in enumerate(RULES.items()):
+        names.update({f"ty{i}": row.conclusion, f"lift{i}": row.lift, f"rule{i}": row.rule})
+        if not row.premises:
+            names[f"make{i}"] = _AXIOMS[row.rule or row.lift][0]
+            axioms += [f"if tag == {case!r}:", f"    return ty{i}, make{i}(t, q)"]
+            continue
+        body = ["k = len(wts)"]
+        for k, (slot, need) in enumerate(row.premises):
+            body += _premise(case, k, slot, need)
+        body += [f"d = lift{i}(rule{i}(*wts, *terms))", "if not stack:", f"    return ty{i}, d"]
+        body += ["tag, q, wts, terms = stack.pop()", "wts.append(d)", "continue"]
+        loop += [f"if tag == {case!r}:", *("    " + line for line in body)]
+    lines = [*read_view("t", "tag", "q"), "stack, wts, terms = [], [], []", "while True:"]
+    return define("infer", "t", [*lines, *("    " + line for line in [*loop, *axioms, "return None"])], names)
 
 
 def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
@@ -169,7 +208,7 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
             held, n = check(w), len(premises)  # the premises' derivations, then their terms
             for read, need, k in reversed(premises):  # so the first is popped first
                 sub = read(v[1])
-                if not held[n + k] == sub:
+                if not (held[n + k] is sub or held[n + k] == sub):
                     return False
                 todo.append((held[k], sub, need))
         elif not check(d, v):
@@ -177,41 +216,15 @@ def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
     return True
 
 
-def infer(t: Term) -> tuple[LangType, ComposedTyping] | None:
-    """The unique type and derivation for t, or None.
+infer = _compile_infer()
+infer.__module__, infer.__doc__ = __name__, """The unique type and derivation for t, or None.
 
-    The rules are syntax-directed, so the term's case picks its row, and
-    the premises are inferred depth-first, in order.  Each case concludes
-    one type, so a premise whose case has the wrong type fails before it is
-    descended into, and the first failure ends the inference: infer is
-    pure, so the premises after it could not change the answer.
-    """
-    v = view(t)
-    if v is None:
-        return None
-    ty, lift, premises, make, _ = _RUN[v[0]]
-    if not premises:
-        return ty, make(t, v)
-    q, wts, terms, stack = v[1], [], [], []
-    while True:
-        if len(wts) < len(premises):
-            read, need, _ = premises[len(wts)]
-            sub = read(q)
-            sv = view(sub)
-            if sv is None:
-                return None
-            got, sub_lift, sub_premises, sub_make, _ = _RUN[sv[0]]
-            if got is not need:
-                return None
-            terms.append(sub)
-            if not sub_premises:
-                wts.append(sub_make(sub, sv))
-                continue
-            stack.append((q, premises, lift, make, wts, terms))
-            q, premises, lift, make, wts, terms = sv[1], sub_premises, sub_lift, sub_make, [], []
-            continue
-        d = lift(make(*wts, *terms))
-        if not stack:
-            return ty, d
-        q, premises, lift, make, wts, terms = stack.pop()
-        wts.append(d)
+The rules are syntax-directed, so the term's case picks its row, and the
+premises are inferred depth-first, in order, over a stack of the nodes
+whose premises are under way.  Each case concludes one type, so a premise
+whose case has the wrong type fails before it is descended into, and the
+first failure ends the inference: infer is pure, so the premises after it
+could not change the answer.  The body is generated from ``RULES`` at
+import, with each row's premises and rule inline; a node's view is the one
+its lifter recorded, or ``view``'s.
+"""

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ from fraglang.lang import (
     nil,
 )
 from fraglang.preservation import PreservationHooks
-from fraglang.semantics import ArrayStep, ComposedStep, SumStep
-from fraglang.typecheck import ArrayTyping, ComposedTyping, SumTyping
+from fraglang.semantics import LITERAL, STEPS, ArrayStep, ComposedStep, SumStep, drive_step
+from fraglang.typecheck import RULES, ArrayTyping, ComposedTyping, SumTyping, infer
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fraglang.__path__))
 
@@ -188,3 +189,39 @@ def test_each_case_lifter_builds_its_spine():
         t = lift(payloads[case])
         assert t.node == spines[case], case
         assert (t.view_tag, t.view_payload) == (case, payloads[case])
+
+
+# The functions that write code from the row tables.  Every case a generated
+# body tests comes from the rows (or, for the literal the driver's scan
+# tests for, from semantics.LITERAL beside them), so no string in these
+# names a case, alone or as a word of generated code.
+GENERATORS = {
+    "lang": {"read_view"},
+    "semantics": {"layout", "_rebuilt", "_compile", "_compile_driver"},
+    "typecheck": {"_run", "_premise", "_compile_infer"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(GENERATORS))
+def test_generators_name_no_case(module):
+    cases = {case for fragment in FRAGMENTS.values() for case in fragment}
+    defined = {node.name: node for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef)}
+    assert GENERATORS[module] <= set(defined)
+    named = [
+        (name, node.value)
+        for name in sorted(GENERATORS[module])
+        for node in ast.walk(defined[name])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        if any(re.search(rf"\b{case}\b", node.value) for case in cases)
+    ]
+    assert named == []
+
+
+def test_generated_bodies_test_the_rows_cases():
+    def tested(fn):
+        return {c for c in fn.__code__.co_consts if isinstance(c, str)} & {
+            case for fragment in FRAGMENTS.values() for case in fragment
+        }
+
+    assert tested(drive_step) == set(STEPS) | {LITERAL}
+    assert tested(infer) == set(RULES)

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from fraglang.functor import InL, InR, Pair, ShapeError, Slot, Term
+from fraglang.functor import InL, InR, Pair, ShapeError, Slot, Term, fold
 from fraglang.generate import enumerate_terms, random_term
-from fraglang.lang import SHARED_NATS, assign, enat, index, nil, none, plus, some
+from fraglang.lang import FEXPR, SHARED_NATS, assign, enat, index, nil, none, plus, some
 from fraglang.oracle import (
     ELookup,
     ENat,
@@ -20,7 +20,8 @@ from fraglang.oracle import (
     project,
 )
 from fraglang.sweeps import oracle_sweep, sweep, trace_sweep
-from fraglang.typecheck import LangType
+from fraglang.semantics import drive_step, validate_step
+from fraglang.typecheck import LangType, infer, validate_typing
 from goldens import differential_terms, exp_term, fragment_view
 
 EXP_MONO = ELookup(Ins(Nil(), ENat(0), ENat(1)), Plus(ENat(0), ENat(1)))
@@ -284,3 +285,26 @@ def test_trace_equivalence():
     (report,) = sweep(terms, {"trace-equivalence": trace_sweep})
     assert report.ok, report.offenders
     assert report.exercised == report.checked == len(terms)
+
+
+def test_generated_layers_agree_with_the_twin():
+    # drive_step and infer are generated from the rows and read each node's
+    # recorded view inline; copies with no recorded view at any node take
+    # their fallback through view, which the lifted terms never do.
+    rng = random.Random(2601)
+    draws = [random_term(rng, 1 + k % 12, (0, 1, 255, 256)) for k in range(2_000)]
+    stepped = typed = 0
+    for t in draws:
+        m, bare = embed(t), fold(FEXPR, Term, t)
+        step, typing = drive_step(t), infer(t)
+        assert (step, typing) == (drive_step(bare), infer(bare))
+        mono_target = mono_step(m)
+        assert (None if step is None else embed(step[0])) == mono_target
+        assert (None if typing is None else typing[0]) is mono_infer(m)
+        if step is not None:
+            stepped += 1
+            assert validate_step(step[1], t, step[0])
+        if typing is not None:
+            typed += 1
+            assert validate_typing(typing[1], t, typing[0])
+    assert stepped >= 100 and typed >= 800

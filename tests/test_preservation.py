@@ -18,9 +18,7 @@ from fraglang.lang import (
 from fraglang.preservation import (
     AXIOMS,
     COMPOSED_HOOKS,
-    CONGRUENCES,
-    LIFTS,
-    STEP_LIFTS,
+    LEVELS,
     SubjectMismatchError,
     preservation_array,
     preservation_sum,
@@ -347,13 +345,14 @@ def test_every_congruence_comes_from_the_rows():
             assert sorted(int(t[-1]) for t in sources) == sorted(premises), (case, layout)
             assert all(t[:-1] in ("term", "nat") for t in sources), (case, layout)
             assert [t for t in tokens if t.startswith("after")] == [f"after{slot}"], (case, layout)
-            assert CONGRUENCES[record].lift is RULES[case].lift and CONGRUENCES[record].rule is RULES[case].rule
-            assert STEP_LIFTS[record] is row.lift
-        assert STEP_LIFTS[row.axiom[0]] is row.lift and row.axiom[0] not in CONGRUENCES
+            c = LEVELS[record].congruence
+            assert c.lift is RULES[case].lift and c.rule is RULES[case].rule
+        for record in (*(c[1] for c in row.context), row.axiom[0]):
+            assert LEVELS[record][:2] == (row.lift, RULES[case].lift)
+        assert LEVELS[row.axiom[0]].congruence is None
     axioms = [row.axiom[0] for row in STEPS.values()]
     assert sorted(AXIOMS, key=str) == sorted(axioms, key=str) and len(set(axioms)) == len(axioms)
-    for lift in {row.lift for row in STEPS.values()}:
-        assert {RULES[case].lift for case, row in STEPS.items() if row.lift is lift} == {LIFTS[lift]}
+    assert len(LEVELS) == sum(1 + len(row.context) for row in STEPS.values())
     source = Path(preservation_module.__file__).read_text()
     named = set(_names(ast.parse(source)))
     assert not named & {"StepL", "StepR", "StepI", "ViaSum", "ViaArray", "LiftWtSum", "LiftWtArray"}

@@ -7,6 +7,7 @@ from typing import get_args
 from fraglang import typecheck
 from fraglang.generate import enumerate_terms, random_term, random_typed_term
 from fraglang.lang import (
+    FEXPR,
     FRAGMENTS,
     LIFT_ARRAY,
     assign,
@@ -35,7 +36,7 @@ from fraglang.typecheck import (
     infer,
     validate_typing,
 )
-from fraglang.functor import InL, InR, Pair, Prod, Rec, ShapeError, Slot
+from fraglang.functor import InL, InR, Pair, Prod, Rec, ShapeError, Slot, Term, fold
 from fraglang.subobject import downcast
 from goldens import differential_terms, exp_term, fragment_view, wt_exp
 
@@ -216,7 +217,9 @@ def test_short_circuit_agrees_with_eager_premises():
 
 def test_infer_stops_at_the_first_ill_typed_premise(monkeypatch):
     # infer reads each node it reaches through one view: the term, then its
-    # premises up to the first one whose case has the wrong type.
+    # premises up to the first one whose case has the wrong type.  The terms
+    # are copies with no recorded view at any node, so every read is a call
+    # of the view that infer's body names.
     visited = []
     inner = typecheck.view
 
@@ -224,7 +227,7 @@ def test_infer_stops_at_the_first_ill_typed_premise(monkeypatch):
         visited.append(t)
         return inner(t)
 
-    monkeypatch.setattr(typecheck, "view", counting)
+    monkeypatch.setitem(typecheck.infer.__globals__, "view", counting)
     operand = plus(enat(1), enat(2))
     for t, first_failure in [
         (plus(nil(), operand), 1),
@@ -232,9 +235,22 @@ def test_infer_stops_at_the_first_ill_typed_premise(monkeypatch):
         (assign(nil(), operand, nil()), 2),  # the array, then the element
     ]:
         visited.clear()
-        assert typecheck.infer(t) is None
+        assert typecheck.infer(fold(FEXPR, Term, t)) is None
         assert len(visited) == 1 + first_failure
-        assert not any(x is operand for x in visited)
+        assert not any(x == operand for x in visited)
+
+
+def test_validate_compares_a_premise_term_by_identity_first(monkeypatch, gc_off):
+    # infer stores each premise's term as the object its parent's slot holds,
+    # so validating its typing settles every comparison by identity.
+    chain = enat(1)
+    for _ in range(99):
+        chain = plus(chain, enat(1))
+    ty, d = infer(chain)
+    calls, real_eq = [], Term.__eq__
+    monkeypatch.setattr(Term, "__eq__", lambda self, other: calls.append(1) or real_eq(self, other))
+    assert validate_typing(d, chain, ty)
+    assert calls == []
 
 
 def test_ill_typed_left_operand_hides_a_deep_right_operand():
