@@ -345,8 +345,8 @@ def test_every_congruence_comes_from_the_rows():
             assert sorted(int(t[-1]) for t in sources) == sorted(premises), (case, layout)
             assert all(t[:-1] in ("term", "nat") for t in sources), (case, layout)
             assert [t for t in tokens if t.startswith("after")] == [f"after{slot}"], (case, layout)
-            c = LEVELS[record].congruence
-            assert c.lift is RULES[case].lift and c.rule is RULES[case].rule
+            congruence = LEVELS[record].congruence
+            assert congruence.lift is RULES[case].lift and congruence.rule is RULES[case].rule
         for record in (*(c[1] for c in row.context), row.axiom[0]):
             assert LEVELS[record][:2] == (row.lift, RULES[case].lift)
         assert LEVELS[row.axiom[0]].congruence is None
