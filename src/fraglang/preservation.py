@@ -85,16 +85,6 @@ LEVELS = {
 }
 
 
-def _mismatch(step: ComposedStep, wt: ComposedTyping) -> SubjectMismatchError:
-    # Why a level's step and typing do not pair: no lift of a step record
-    # is the step's, or it pairs with another typing, or the record is not its.
-    via = type(step)
-    lifts = {level.via: level.lift for level in LEVELS.values()}
-    if via not in lifts or not isinstance(wt, lifts[via]):
-        return SubjectMismatchError(f"step {via.__name__} cannot pair with typing {type(wt).__name__}")
-    return SubjectMismatchError(f"not a {via.__name__} step: {type(step.step).__name__}")
-
-
 def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
     """Rewrite a composed typing across a composed step.
 
@@ -105,13 +95,17 @@ def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
     """
     frames = []
     while True:
-        level = LEVELS.get(type(getattr(step, "step", None)))
+        kind = type(getattr(step, "step", None))
+        level = LEVELS.get(kind)
         if level is None or type(step) is not level.via or not isinstance(wt, level.lift):
-            raise _mismatch(step, wt)
+            via = type(step)
+            lift = next((other.lift for other in LEVELS.values() if other.via is via), None)
+            if lift is None or not isinstance(wt, lift):
+                raise SubjectMismatchError(f"step {via.__name__} cannot pair with typing {type(wt).__name__}")
+            raise SubjectMismatchError(f"not a {via.__name__} step: {kind.__name__}")
         step, wt, c = step.step, wt.inner, level.congruence
         if c is None:
             break
-        kind = type(step)
         if not isinstance(wt, c.rule):
             raise SubjectMismatchError(f"{kind.__name__} against typing {type(wt).__name__}")
         held = list(c.held(wt))
@@ -122,7 +116,7 @@ def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
         held[c.at] = c.after(step)
         frames.append((c, held))
         step, wt = step.inner, held[c.k]
-    wt = AXIOMS[type(step)](COMPOSED_HOOKS, step, wt)
+    wt = AXIOMS[kind](COMPOSED_HOOKS, step, wt)
     while frames:
         c, held = frames.pop()
         held[c.k] = wt

@@ -119,16 +119,17 @@ def layout(record: type, text: str) -> list[tuple[str, str, int]]:
 
 # The rows as they run.  A Run holds a row's lift; scan(p), which gives the
 # view of payload p's first context slot that holds no literal, with its
-# Rule, or None once all do; the axiom's Rule; and each Rule by its record.
-# A Rule holds its record; check(s, p, q), false or None unless record s
-# holds what source payload p (and a congruence's target payload q) does,
-# and then the axiom's reduct, or a congruence's premise with its slot's
-# terms in p and q; and apply: a congruence's apply(p, after, d) gives the
-# target, p with its slot holding after, and the derivation; the axiom's
-# apply(p) its reduct and derivation, or None.
+# Rule, or once all do None with the axiom's reduct and derivation, or
+# None; the axiom's Rule; and each Rule by its record.  A Rule holds its
+# record; check(s, p, q), false or None unless record s holds what source
+# payload p (and a congruence's target payload q) does, and then the
+# axiom's reduct, or a congruence's premise with its slot's terms in p and
+# q; and a congruence's apply(p, after, d), which gives the target, p with
+# its slot holding after, and the derivation (the axiom's is None).
 Run = namedtuple("Run", "lift scan axiom rules")
 Rule = namedtuple("Rule", "record check apply")
-# Each kind of field: its record's argument (a literal's once it holds one),
+# Each kind of field: its record's argument, as a congruence's apply and
+# the axiom's check read it from payload p (a literal's once it holds one),
 # and its check against payload {2}, a stored term by identity before ==.
 _CODE = {
     "term": ("p.{1}", "(s.{0} is {2}.{1} or s.{0} == {2}.{1})"),
@@ -144,8 +145,21 @@ def _rebuilt(path: str, at: str = "p") -> str:
     return {"term": "Slot(after)", "fst": f"Pair({inner}, {at}.snd)", "snd": f"Pair({at}.fst, {inner})"}[head]
 
 
+def _scanned(case: str, row: StepRule, stepped: list[str], i: str = "") -> list[str]:
+    # Lines over payload p: each context slot's view, in row order, and the
+    # lines stepped (formatted with the slot) on the first that holds no
+    # literal; past them, the axiom's arguments a, with the literals the
+    # scan read, and its reduct target, by the name reduce{i}.
+    paths, lines = SLOT_PATHS[case], []
+    for slot, _, _ in row.context:
+        lines += [f"s = p.{paths[slot]}", *read_view("s", f"tag{slot}", f"p{slot}"), f"if tag{slot} != {LITERAL!r}:"]
+        lines += ["    " + line.format(slot=slot) for line in stepped]
+    args = ", ".join(f"p.{paths[j]}" if kind == "term" else f"p{j}.value" for kind, _, j in layout(*row.axiom[:2]))
+    return [*lines, f"a = {args},", f"target = reduce{i}(*a)"]
+
+
 def _compile(case: str, row: StepRule) -> Run:
-    paths, rules, scan = SLOT_PATHS[case], {}, []
+    paths, rules = SLOT_PATHS[case], {}
     names = dict(lift=LIFTERS[case], via=row.lift, reduce=row.axiom[2], Pair=Pair, Slot=Slot, view=view)
     names.update(is_natural=is_natural, nat_value=nat_value)  # what the generated code calls
     for slot, record, text in (*row.context, (None, *row.axiom[:2])):
@@ -156,25 +170,18 @@ def _compile(case: str, row: StepRule) -> Run:
         checks += [code[1].format(name, paths[j], "q") for code, name, j in held if slot not in (None, j)]
         ns, checked = dict(names, rule=record), " and ".join(checks)
         if slot is None:
-            check = define("check", "s, p, q", [f"return {checked} and reduce({args})"], ns)
-            fire = [f"a = {args},", "reduct = reduce(*a)"]
-            fire.append("return None if reduct is None else (reduct, via(rule(*a)))")
-            rules[record] = Rule(record, check, define("fire", "p", fire, ns))
+            rules[record] = Rule(record, define("check", "s, p, q", [f"return {checked} and reduce({args})"], ns), None)
             continue
         premise = f"s.inner, p.{paths[slot]}, q.{paths[slot]}"
         check = define("check", "s, p, q", [f"return ({premise}) if {checked} else None"], ns)
         line = f"return lift({_rebuilt(paths[slot])}), via(rule(d, {args}))"
         names[f"rule{slot}"] = rules[record] = Rule(record, check, define("apply", "p, after, d", [line], ns))
-        scan += [f"v = view(p.{paths[slot]})", f"if v is None or v[0] != {LITERAL!r}:", f"    return v, rule{slot}"]
-    return Run(row.lift, define("scan", "p", scan, names), rules[row.axiom[0]], rules)
+    scan = _scanned(case, row, ["return (tag{slot}, p{slot}), rule{slot}"])
+    scan.append("return None, None if target is None else (target, via(rule(*a)))")
+    return Run(row.lift, define("scan", "p", scan, dict(names, rule=row.axiom[0])), rules[row.axiom[0]], rules)
 
 
 RUNS = {case: _compile(case, row) for case, row in STEPS.items()}
-
-
-# What the generated driver passes an axiom for each kind of field: the
-# slot's term, or the literal in the view its scan read.
-_FIRED = {"term": "p.{path}", "nat": "p{slot}.value"}
 
 
 def _compile_driver() -> Callable:
@@ -182,17 +189,13 @@ def _compile_driver() -> Callable:
     # scan and axiom inline, under a test of the node's case.
     names, lines = {"view": view}, [*read_view("t", "tag", "p"), "frames = ()", "while True:"]
     for i, (case, row) in enumerate(STEPS.items()):
-        paths, rules, body = SLOT_PATHS[case], RUNS[case].rules, []
         for slot, record, _ in row.context:  # each context slot that holds no literal is stepped
-            names[f"apply{i}_{slot}"] = rules[record].apply
-            body += [f"s = p.{paths[slot]}", *read_view("s", f"tag{slot}", f"p{slot}")]
-            body += [f"if tag{slot} != {LITERAL!r}:", f"    frames = apply{i}_{slot}, p, frames"]
-            body += [f"    tag, p = tag{slot}, p{slot}", "    continue"]
-        record, text, names[f"reduce{i}"] = row.axiom
+            names[f"apply{i}_{slot}"] = RUNS[case].rules[record].apply
+        stepped = [f"frames = apply{i}_{{slot}}, p, frames", "tag, p = tag{slot}, p{slot}", "continue"]
+        record, _, names[f"reduce{i}"] = row.axiom
         names[f"via{i}"], names[f"rule{i}"] = row.lift, record
-        args = ", ".join(_FIRED[kind].format(path=paths[j], slot=j) for kind, _, j in layout(record, text))
-        body += [f"a = {args},", f"target = reduce{i}(*a)", "if target is None:", "    return None"]
-        body += [f"d = via{i}(rule{i}(*a))", "break"]
+        body = _scanned(case, row, stepped, str(i))
+        body += ["if target is None:", "    return None", f"d = via{i}(rule{i}(*a))", "break"]
         lines += [f"    if tag == {case!r}:", *("        " + line for line in body)]
     lines += ["    return None", "while frames:", "    apply, p, frames = frames"]
     return define("drive_step", "t", [*lines, "    target, d = apply(p, target, d)", "return target, d"], names)

@@ -373,19 +373,18 @@ def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
         run = RUNS.get(v[0]) if v is not None else None
         if run is None:
             raise SexprError("the skeleton names a step where no rule steps the term")
-        p, found = v[1], run.scan(v[1])  # the row's congruence here, or else its axiom
-        rule = run.axiom if found is None else found[1]
+        p, (v, found) = v[1], run.scan(v[1])  # the row's congruence here, or else its axiom fired
+        rule = run.axiom if v is None else found
         for name in (_NAMES[run.lift], _NAMES[rule.record]):
             if at is None or at.name != name:
                 raise SexprError(f"expected {name}, got {'nothing' if at is None else at.name}")
             at = at.inner
-        if found is None:
-            done = None if at is not None else rule.apply(p)
-            if done is None:
+        if v is None:
+            if at is not None or found is None:
                 raise SexprError(f"the term does not step by {_NAMES[rule.record]} alone")
             break
-        frames, v = (rule.apply, p, frames), found[0]
-    target, d = done
+        frames = rule.apply, p, frames
+    target, d = found
     while frames:
         apply, p, frames = frames
         target, d = apply(p, target, d)

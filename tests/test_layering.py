@@ -197,7 +197,7 @@ def test_each_case_lifter_builds_its_spine():
 # names a case, alone or as a word of generated code.
 GENERATORS = {
     "lang": {"read_view"},
-    "semantics": {"layout", "_rebuilt", "_compile", "_compile_driver"},
+    "semantics": {"layout", "_rebuilt", "_scanned", "_compile", "_compile_driver"},
     "typecheck": {"_run", "_premise", "_compile_infer"},
 }
 

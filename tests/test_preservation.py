@@ -353,6 +353,8 @@ def test_every_congruence_comes_from_the_rows():
     axioms = [row.axiom[0] for row in STEPS.values()]
     assert sorted(AXIOMS, key=str) == sorted(axioms, key=str) and len(set(axioms)) == len(axioms)
     assert len(LEVELS) == sum(1 + len(row.context) for row in STEPS.values())
+    for via in {level.via for level in LEVELS.values()}:
+        assert len({level.lift for level in LEVELS.values() if level.via is via}) == 1, via
     source = Path(preservation_module.__file__).read_text()
     named = set(_names(ast.parse(source)))
     assert not named & {"StepL", "StepR", "StepI", "ViaSum", "ViaArray", "LiftWtSum", "LiftWtArray"}
