@@ -255,18 +255,25 @@ def check_source(f: FunctorDesc, p: str, names: dict[str, Any]) -> str:
 
 
 _CHECKS: dict[tuple[FunctorDesc, bool], Validator] = {}
+# The same checks by the identity of a descriptor they were asked for, one
+# table a depth, each entry keeping its descriptor alive so its id stays its
+# own: a descriptor's hash walks all of it.
+_SEEN: tuple[dict[int, tuple[FunctorDesc, Validator]], ...] = ({}, {})
 
 
 def _check(f: FunctorDesc, deep: bool) -> Validator:
     # One function per descriptor, compiled from one expression: of a payload,
     # or, deep, of a term, calling itself on the term in every slot.
+    seen = _SEEN[deep].get(id(f))
+    if seen is not None:
+        return seen[1]
     try:
-        return _CHECKS[f, deep]
+        check = _CHECKS[f, deep]
     except KeyError:
-        pass
+        check = _CHECKS[f, deep] = _define_check(f, deep)
     except TypeError:  # an unhashable non-descriptor: nothing to share
         return _define_check(f, deep)
-    check = _CHECKS[f, deep] = _define_check(f, deep)
+    _SEEN[deep][id(f)] = f, check
     return check
 
 

@@ -121,16 +121,13 @@ def layout(record: type, text: str) -> list[tuple[str, str, int]]:
 # view of payload p's first context slot that holds no literal, with its
 # Rule, or once all do None with the axiom's reduct and derivation, or
 # None; the axiom's Rule; and each Rule by its record.  A Rule holds its
-# record; check(s, p, q), false or None unless record s holds what source
-# payload p (and a congruence's target payload q) does, and then the
-# axiom's reduct, or a congruence's premise with its slot's terms in p and
-# q; and a congruence's apply(p, after, d), which gives the target, p with
-# its slot holding after, and the derivation (the axiom's is None).
+# record and a congruence's apply(p, after, d), which gives the target, p
+# with its slot holding after, and the derivation (the axiom's is None).
 Run = namedtuple("Run", "lift scan axiom rules")
-Rule = namedtuple("Rule", "record check apply")
-# Each kind of field: its record's argument, as a congruence's apply and
-# the axiom's check read it from payload p (a literal's once it holds one),
-# and its check against payload {2}, a stored term by identity before ==.
+Rule = namedtuple("Rule", "record apply")
+# Each kind of field: its record's argument, as a congruence's apply reads
+# it from payload p, and its check against payload {2}, a stored term by
+# identity before ==.
 _CODE = {
     "term": ("p.{1}", "(s.{0} is {2}.{1} or s.{0} == {2}.{1})"),
     "after": ("after", "(s.{0} is q.{1} or s.{0} == q.{1})"),
@@ -145,39 +142,48 @@ def _rebuilt(path: str, at: str = "p") -> str:
     return {"term": "Slot(after)", "fst": f"Pair({inner}, {at}.snd)", "snd": f"Pair({at}.fst, {inner})"}[head]
 
 
-def _scanned(case: str, row: StepRule, stepped: list[str], i: str = "") -> list[str]:
+# Each kind of field the axiom's record holds: the argument that fills it,
+# a slot's term in payload p or the literal the scan read from the slot's
+# view, and its check, a stored term by identity before ==.
+_AXIOM_CODE = {
+    "term": ("p.{path}", "(s.{field} is {arg} or s.{field} == {arg})"),
+    "nat": ("p{slot}.value", "is_natural(s.{field}) and s.{field} == {arg}"),
+}
+
+
+def _axiom_args(case: str, row: StepRule) -> list[tuple[str, str]]:
+    # Each field of the axiom's record, as (the argument that fills it, its check).
+    paths, args = SLOT_PATHS[case], []
+    for kind, name, j in layout(*row.axiom[:2]):
+        arg, check = _AXIOM_CODE[kind]
+        arg = arg.format(path=paths[j], slot=j)
+        args.append((arg, check.format(field=name, arg=arg)))
+    return args
+
+
+def _scanned(case: str, row: StepRule, stepped: list[str]) -> list[str]:
     # Lines over payload p: each context slot's view, in row order, and the
     # lines stepped (formatted with the slot) on the first that holds no
     # literal; past them, the axiom's arguments a, with the literals the
-    # scan read, and its reduct target, by the name reduce{i}.
+    # scan read.
     paths, lines = SLOT_PATHS[case], []
     for slot, _, _ in row.context:
-        lines += [f"s = p.{paths[slot]}", *read_view("s", f"tag{slot}", f"p{slot}"), f"if tag{slot} != {LITERAL!r}:"]
+        lines += [f"x = p.{paths[slot]}", *read_view("x", f"tag{slot}", f"p{slot}"), f"if tag{slot} != {LITERAL!r}:"]
         lines += ["    " + line.format(slot=slot) for line in stepped]
-    args = ", ".join(f"p.{paths[j]}" if kind == "term" else f"p{j}.value" for kind, _, j in layout(*row.axiom[:2]))
-    return [*lines, f"a = {args},", f"target = reduce{i}(*a)"]
+    return [*lines, f"a = {', '.join(arg for arg, _ in _axiom_args(case, row))},"]
 
 
 def _compile(case: str, row: StepRule) -> Run:
     paths, rules = SLOT_PATHS[case], {}
     names = dict(lift=LIFTERS[case], via=row.lift, reduce=row.axiom[2], Pair=Pair, Slot=Slot, view=view)
-    names.update(is_natural=is_natural, nat_value=nat_value)  # what the generated code calls
-    for slot, record, text in (*row.context, (None, *row.axiom[:2])):
-        held = [(_CODE[kind], name, j) for kind, name, j in layout(record, text)]
-        args = ", ".join(code[0].format(name, paths[j]) for code, name, j in held)
-        # Each field against the source, and one in a slot a congruence leaves alone against the target.
-        checks = [code[1].format(name, paths[j], "p") for code, name, j in held]
-        checks += [code[1].format(name, paths[j], "q") for code, name, j in held if slot not in (None, j)]
-        ns, checked = dict(names, rule=record), " and ".join(checks)
-        if slot is None:
-            rules[record] = Rule(record, define("check", "s, p, q", [f"return {checked} and reduce({args})"], ns), None)
-            continue
-        premise = f"s.inner, p.{paths[slot]}, q.{paths[slot]}"
-        check = define("check", "s, p, q", [f"return ({premise}) if {checked} else None"], ns)
+    for slot, record, text in row.context:
+        args = ", ".join(_CODE[kind][0].format(name, paths[j]) for kind, name, j in layout(record, text))
         line = f"return lift({_rebuilt(paths[slot])}), via(rule(d, {args}))"
-        names[f"rule{slot}"] = rules[record] = Rule(record, check, define("apply", "p, after, d", [line], ns))
+        apply = define("apply", "p, after, d", [line], dict(names, rule=record))
+        names[f"rule{slot}"] = rules[record] = Rule(record, apply)
+    rules[row.axiom[0]] = Rule(row.axiom[0], None)
     scan = _scanned(case, row, ["return (tag{slot}, p{slot}), rule{slot}"])
-    scan.append("return None, None if target is None else (target, via(rule(*a)))")
+    scan += ["target = reduce(*a)", "return None, None if target is None else (target, via(rule(*a)))"]
     return Run(row.lift, define("scan", "p", scan, dict(names, rule=row.axiom[0])), rules[row.axiom[0]], rules)
 
 
@@ -194,35 +200,56 @@ def _compile_driver() -> Callable:
         stepped = [f"frames = apply{i}_{{slot}}, p, frames", "tag, p = tag{slot}, p{slot}", "continue"]
         record, _, names[f"reduce{i}"] = row.axiom
         names[f"via{i}"], names[f"rule{i}"] = row.lift, record
-        body = _scanned(case, row, stepped, str(i))
+        body = [*_scanned(case, row, stepped), f"target = reduce{i}(*a)"]
         body += ["if target is None:", "    return None", f"d = via{i}(rule{i}(*a))", "break"]
         lines += [f"    if tag == {case!r}:", *("        " + line for line in body)]
     lines += ["    return None", "while frames:", "    apply, p, frames = frames"]
     return define("drive_step", "t", [*lines, "    target, d = apply(p, target, d)", "return target, d"], names)
 
 
-def validate_step(d: ComposedStep, source: Term, target: Term) -> bool:
-    """True iff d is well-formed throughout and relates source to target.
+def _compile_validate() -> Callable:
+    # validate_step for the rows of STEPS: one loop down the derivation's
+    # premises, with each row's rules inline under a test of the source's
+    # case.  A congruence's fields are checked against both endpoints'
+    # payloads; the axiom's against the literals the row's scan reads, and
+    # its reduct against the target.
+    names = {"Term": Term, "view": view, "is_natural": is_natural, "nat_value": nat_value}
+    loop = []
+    for i, (case, row) in enumerate(STEPS.items()):
+        paths, body = SLOT_PATHS[case], [f"if not isinstance(d, via{i}):", "    return False", "s = d.step"]
+        names[f"via{i}"] = row.lift
+        for slot, record, text in row.context:
+            held = layout(record, text)
+            # Each field against the source, and one in a slot the congruence leaves alone against the target.
+            checks = [_CODE[kind][1].format(name, paths[j], "p") for kind, name, j in held]
+            checks += [_CODE[kind][1].format(name, paths[j], "q") for kind, name, j in held if j != slot]
+            names[f"rule{i}_{slot}"] = record
+            body += [f"if type(s) is rule{i}_{slot}:", f"    if tag_t != tag or not ({' and '.join(checks)}):"]
+            body += ["        return False", f"    d, source, target = s.inner, p.{paths[slot]}, q.{paths[slot]}"]
+            body += ["    continue"]
+        record, _, names[f"reduce{i}"] = row.axiom
+        names[f"rule{i}"] = record
+        checks = " and ".join(check for _, check in _axiom_args(case, row))
+        axiom = [*_scanned(case, row, ["return False"]), f"if not ({checks}):", "    return False"]
+        axiom += [f"reduct = reduce{i}(*a)", "return isinstance(reduct, Term) and reduct == target"]
+        body += [f"if type(s) is rule{i}:", *("    " + line for line in axiom), "return False"]
+        loop += [f"if tag == {case!r}:", *("    " + line for line in body)]
+    lines = ["if not (isinstance(source, Term) and isinstance(target, Term)):", "    return False", "while True:"]
+    lines += ["    " + line for line in [*read_view("source", "tag", "p"), *read_view("target", "tag_t", "q")]]
+    lines += ["    if tag_t is None:", "        return False", *("    " + line for line in loop), "    return False"]
+    return define("validate_step", "d, source, target", lines, names)
 
-    Each node is checked by its source's row against one ``view`` of each
-    endpoint, so none is rebuilt: literals against viewed values, stored terms
-    against viewed slot terms, an axiom's reduct against the row's.
-    """
-    while True:
-        sv = view(source) if isinstance(source, Term) else None
-        tv = view(target) if isinstance(target, Term) else None
-        run = RUNS.get(sv[0]) if sv is not None and tv is not None else None
-        rule = run.rules.get(type(d.step)) if run is not None and isinstance(d, run.lift) else None
-        if rule is None:
-            return False
-        if rule is run.axiom:  # its check gives the reduct, which the target must equal
-            reduct = rule.check(d.step, sv[1], None)
-            return isinstance(reduct, Term) and reduct == target
-        premise = rule.check(d.step, sv[1], tv[1]) if tv[0] == sv[0] else None
-        if premise is None:
-            return False
-        d, source, target = premise
 
+validate_step = _compile_validate()
+validate_step.__module__ = __name__
+validate_step.__doc__ = """True iff d is well-formed throughout and relates source to target.
+
+Each node is checked by its source's row against one view of each endpoint,
+so none is rebuilt: literals against viewed values, stored terms against
+viewed slot terms, an axiom's reduct against the row's.  The body is
+generated from ``STEPS`` at import, with each row's rules inline; a node's
+view is the one its lifter recorded, or ``view``'s.
+"""
 
 drive_step = _compile_driver()
 drive_step.__module__, drive_step.__doc__ = __name__, """One deterministic step of a term, or None on a normal form.

@@ -18,10 +18,10 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import fields
-from typing import Callable, NoReturn, get_args
+from typing import Callable, get_args
 
-from .functor import Term, record
-from .lang import BUILDERS, FRAGMENTS, SHARED_NATS, enat, nil, view
+from .functor import Term, define, record
+from .lang import BUILDERS, SHARED_NATS, enat, nil, view
 from .semantics import (
     ArrayStep,
     ComposedStep,
@@ -34,17 +34,11 @@ from .surface import ParseError, literal_text, parse, render
 from .typecheck import (
     RULES as TYPING_RULES,
     WT_NIL,
-    ArrayTyping,
-    ComposedTyping,
     LiftWtNat,
     LiftWtOption,
     OkNil,
-    SumTyping,
-    TypingRule,
     wt_nat,
 )
-
-Derivation = ComposedStep | SumStep | ArrayStep | ComposedTyping | SumTyping | ArrayTyping
 
 
 class SexprError(Exception):
@@ -66,18 +60,18 @@ class StepSkeleton:
 # that print a value of their own are named in _NAMES and rendered in place.
 _KEBAB = re.compile(r"(?<!^)(?=[A-Z])")
 _RULES = {
+    **{
+        record: (_KEBAB.sub("-", record.__name__).lower(), tuple(f.name for f in fields(record))[:n])
+        for row in TYPING_RULES.values()
+        if row.rule is not None
+        for record, n in ((row.lift, 1), (row.rule, len(row.premises)))
+    },
     ViaSum: ("step⁺", ("step",)),
     ViaArray: ("step[]", ("step",)),
     **{
         record: (record.__name__.lower(), ("inner",) if rule is not run.axiom else ())
         for run in RUNS.values()
         for record, rule in run.rules.items()
-    },
-    **{
-        record: (_KEBAB.sub("-", record.__name__).lower(), tuple(f.name for f in fields(record))[:n])
-        for row in TYPING_RULES.values()
-        if row.rule is not None
-        for record, n in ((row.lift, 1), (row.rule, len(row.premises)))
     },
 }
 _NAMES = {rule: name for rule, (name, _) in _RULES.items()}
@@ -90,39 +84,57 @@ class _Text(str):
     __slots__ = ()
 
 
-_SPACE, _CLOSE = _Text(" "), _Text(")")
+# A literal's typing as printed, up to its digits, and the small literals'
+# whole, by their value.
+_LITERAL = f"({_NAMES[LiftWtNat]} "
+_LITERAL_TEXTS = tuple(f"{_LITERAL}{n})" for n in range(SHARED_NATS))
 
 
-def render_derivation(d: Derivation) -> str:
-    """The symbolic form of a step or typing derivation."""
-    # One pass with an explicit stack, so nesting depth is bounded by
-    # memory, not by the recursion limit, and each character is written
-    # once: the parts are joined at the end.
-    parts: list[str] = []
-    todo: list = [d]  # what is left to print, last first: derivations and text
-    while todo:
-        d = todo.pop()
-        if type(d) is _Text:
-            parts.append(d)
+def _not_a_derivation(d) -> SexprError:
+    # A str by its repr; anything else by its class, as a deep term's repr recurses too far.
+    return SexprError(f"not a derivation: {d!r}" if isinstance(d, str) else f"not a derivation: {type(d).__name__}")
+
+
+def _compile_render() -> Callable:
+    # render_derivation for the rules of _RULES: one loop that writes each
+    # record's opener and descends into its first premise, with the text
+    # after it, the other premises and the closer, stacked; the two rules
+    # rendered in place print their value.  Each test is of the record's class.
+    names = dict(Text=_Text, SPACE=_Text(" "), CLOSE=_Text(")"), not_a_derivation=_not_a_derivation)
+    names.update(LITERAL=LiftWtNat, OPTION=LiftWtOption, texts=_LITERAL_TEXTS, literal_text=literal_text, render=render)
+    option = f'({_NAMES[LiftWtOption]} "'
+    loop = [
+        "if c is LITERAL:",
+        "    n = d.n",
+        f"    small = type(n) is int and 0 <= n < {SHARED_NATS}",
+        f"    parts.append(texts[n] if small else {_LITERAL!r} + literal_text(n) + ')')",
+        "elif c is OPTION:",
+        f"    parts.append({option!r} + render(d.term) + '\")')",
+    ]
+    for i, (record, (name, premises)) in enumerate(_RULES.items()):
+        names[f"rule{i}"] = record
+        if not premises:
+            loop += [f"elif c is rule{i}:", f"    parts.append({name!r})"]
             continue
-        rule = _RULES.get(type(d))
-        if rule is not None:
-            name, premises = rule
-            if not premises:
-                parts.append(name)
-                continue
-            parts.append("(" + name)
-            todo.append(_CLOSE)
-            for field in reversed(premises):
-                todo.append(getattr(d, field))
-                todo.append(_SPACE)
-        elif type(d) is LiftWtNat:
-            parts.append(f"({_NAMES[LiftWtNat]} {literal_text(d.n)})")
-        elif type(d) is LiftWtOption:
-            parts.append(f'({_NAMES[LiftWtOption]} "{render(d.term)}")')
-        else:
-            raise SexprError(f"not a derivation: {d!r}")
-    return "".join(parts)
+        later = [f"todo.append(d.{field}); todo.append(SPACE)" for field in reversed(premises[1:])]
+        body = [f"parts.append({'(' + name + ' '!r})", "todo.append(CLOSE)", *later, f"d = d.{premises[0]}", "continue"]
+        loop += [f"elif c is rule{i}:", *("    " + line for line in body)]
+    loop += ["else:", "    raise not_a_derivation(d)"]
+    # After a premise, the text stacked above the next one is written.
+    loop += ["while todo:", "    d = todo.pop()", "    if type(d) is not Text:", "        break", "    parts.append(d)"]
+    loop += ["else:", "    return ''.join(parts)"]
+    lines = ["parts, todo = [], []", "while True:", "    c = type(d)", *("    " + line for line in loop)]
+    return define("render_derivation", "d", lines, names)
+
+
+render_derivation = _compile_render()
+render_derivation.__module__, render_derivation.__doc__ = __name__, """The symbolic form of a step or typing derivation.
+
+One pass with an explicit stack, so nesting depth is bounded by memory, not
+by the recursion limit, and each character is written once: the parts are
+joined at the end.  The body is generated from ``_RULES`` at import, with
+each record's opener and premises inline.
+"""
 
 
 # -- reading ------------------------------------------------------------
@@ -138,7 +150,6 @@ class _Quoted:
 # The canonical typing of a literal, as render_derivation prints it: ASCII
 # digits, no leading zero.
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
-_LITERAL = f"({_NAMES[LiftWtNat]} "
 # One token per match: an opening parenthesis with a canonical literal's
 # typing after it, or else with the name after it if any; a closing one; an
 # atom; a quoted term; or a lone quote (one with no closing partner).
@@ -160,74 +171,6 @@ _LEAVES = {
 }
 
 
-def parse_derivation(text: str) -> ComposedTyping | SumTyping | ArrayTyping | StepSkeleton:
-    """Read a derivation back from its symbolic form.
-
-    Typing derivations come back complete.  Step derivations come back as
-    a StepSkeleton; apply elaborate_step with the source term to finish.
-    """
-    # One pass over the tokens with an explicit stack of open forms, so
-    # nesting depth is bounded by memory, not by the recursion limit.  A
-    # form is decoded when it closes, from premises already decoded: a
-    # typing premise as (derivation, the term it types), a step premise as
-    # its skeleton, a quoted term as a _Quoted, a rule with no premises as
-    # itself, and any other literal or bare name as its text.  A canonical
-    # literal's typing is one token, decoded where it stands.
-    tokens = _TOKEN.findall(text)
-    if len(tokens) == 1 and tokens[0] in _LEAVES:  # the whole text is one such rule
-        leaf = _LEAVES[tokens[0]]
-        return leaf[0] if type(leaf) is tuple else leaf
-    stack: list[list] = []  # each open form: its rule name, then its premises
-    tokens = iter(tokens)
-    for token in tokens:
-        if token == ")":
-            if not stack:
-                raise SexprError("unexpected ')'")
-            form = stack.pop()
-            if not form:
-                raise SexprError("malformed derivation form: ()")
-        elif token[0] == "(":
-            if stack and not stack[-1]:
-                raise SexprError("malformed derivation form: a form where a rule name belongs")
-            if token[-1] != ")":
-                stack.append([token[1:]] if len(token) > 1 else [])
-            elif stack:
-                stack[-1].append(_literal(token))
-            elif next(tokens, None) is not None:
-                raise SexprError("trailing input after derivation")
-            else:
-                return _literal(token)[0]
-            continue
-        else:
-            if token[0] == '"':
-                if len(token) == 1:
-                    raise SexprError("unterminated quoted term")
-                token = _Quoted(token[1:-1])
-            elif stack and stack[-1]:  # a premise
-                token = _LEAVES.get(token, token)
-            if stack:
-                stack[-1].append(token)
-                continue
-            form = [token]  # the whole text is one bare name
-        # What follows the outermost form is an error before the form is.
-        if not stack and next(tokens, None) is not None:
-            raise SexprError("trailing input after derivation")
-        rule = _DECODERS.get(form[0])
-        if rule is None:
-            if type(form[0]) is _Quoted:
-                raise SexprError(f'a quoted term "{form[0].text}" where a rule name belongs')
-            raise SexprError(f"unknown constructor name {form[0]!r}")
-        size, decode = rule
-        if len(form) != size:
-            raise SexprError(f"malformed {form[0]} form: {size - 1} premises expected")
-        value = decode(form)
-        if stack:
-            stack[-1].append(value)
-        else:
-            return value[0] if type(value) is tuple else value
-    raise SexprError("missing ')'" if stack else "unexpected end of derivation text")
-
-
 def _misplaced(premise, kinds) -> SexprError:
     # The error for a decoded premise in a position that takes the rules ``kinds``.
     if type(premise) is str:
@@ -241,7 +184,7 @@ def _misplaced(premise, kinds) -> SexprError:
     allowed = [_NAMES[rule] for rule in kinds]
     if name in allowed:  # a bare name where its form belongs
         return SexprError(f"malformed {name} form")
-    if name in _DECODERS:
+    if name in _NAMES.values():
         return SexprError(f"expected {' or '.join(sorted(allowed))}, got {name}")
     return SexprError(f"unknown constructor name {name!r}")
 
@@ -254,7 +197,7 @@ def _untyped(premises, kinds: frozenset) -> SexprError:
 
 # The small literals' typings and terms by their token, shared as enat
 # shares the terms.
-_LITERALS = {f"{_LITERAL}{n})": (wt_nat(n), enat(n)) for n in range(SHARED_NATS)}
+_LITERALS = {text: (wt_nat(n), enat(n)) for n, text in enumerate(_LITERAL_TEXTS)}
 
 
 def _literal(token: str) -> tuple:
@@ -273,91 +216,163 @@ def _literal(token: str) -> tuple:
     return wt_nat(n), enat(n)
 
 
-# Each decoder takes a closed form: the rule name, then the premises.
+def _read(token: str, tokens, stack: list[list]) -> list | None:
+    # A token the reading loop's tables leave: an opener with no rule's name;
+    # a bare '(', whose rule name is the next token; a literal's typing past
+    # the table, or the whole text; an atom; or a quoted term.  Gives the
+    # form to decode when the token is the whole derivation, else None.
+    if token[0] == "(":
+        if token[-1] == ")":  # a canonical literal's typing
+            if not stack:
+                return [_NAMES[LiftWtNat], token[len(_LITERAL):-1]]
+            stack[-1].append(_literal(token))
+        elif len(token) > 1:
+            stack.append([token[1:]])
+        else:
+            name = next(tokens, None)
+            if name is None:
+                raise SexprError("missing ')'")
+            if name == ")":
+                raise SexprError("malformed derivation form: ()")
+            if name[0] == "(":
+                raise SexprError("malformed derivation form: a form where a rule name belongs")
+            stack.append([_atom(name)])
+        return None
+    if stack:
+        stack[-1].append(_atom(token))
+        return None
+    return [_atom(token)]
 
 
-def _lift_wt_nat(form) -> tuple:
-    name, digits = form
-    if type(digits) is not str or not _NATURAL.fullmatch(digits):
-        raise SexprError(f"malformed {name} form")
-    return _literal(f"{_LITERAL}{digits})")
+def _atom(token: str) -> str | _Quoted:
+    if token[0] != '"':
+        return token
+    if len(token) == 1:
+        raise SexprError("unterminated quoted term")
+    return _Quoted(token[1:-1])
 
 
-def _lift_wt_option(form) -> tuple:
-    name, quoted = form
-    if type(quoted) is not _Quoted:
-        raise SexprError(f"malformed {name} form")
-    try:
-        t = parse(quoted.text)
-    except ParseError as exc:
-        raise SexprError(f"not a term: {quoted.text!r} ({exc})") from None
-    if view(t)[0] not in FRAGMENTS["option"]:
-        raise SexprError(f"not an option term: {quoted.text!r}")
-    return LiftWtOption(t), t
-
-
-def _lifted(lift: type) -> Callable:
-    # A lift's decoder: its premise is a typing by a rule its rows name.  The
-    # empty array's typing comes back as the one shared object, as in infer.
-    kinds = frozenset(row.rule for row in TYPING_RULES.values() if row.lift is lift)
-
-    def decode(form) -> tuple:
-        inner = form[1]
-        if type(inner) is tuple and type(inner[0]) in kinds:
-            return (WT_NIL if inner is _NIL_TYPED else lift(inner[0])), inner[1]
-        raise _misplaced(inner, kinds)
-
-    return decode
-
-
-def _ruled(case: str, row: TypingRule) -> Callable:
-    # A rule's decoder: each premise is a typing, and the term is the case's,
-    # built from the premises' terms in slot order: form[i], form[j], form[k].
-    # Of fixed arity, none, two or three, so no premise is looped over.
-    rule, build = row.rule, BUILDERS.get(case)
+def _decoder(rule: type, name: str, i: int, names: dict) -> list[str]:
+    # The lines that decode a closed form of ``rule``, held in ``form``, to
+    # its value: a typing as (derivation, the term it types), a step as its
+    # skeleton.  ``names`` receives what they call, numbered by ``i``.
+    premises = _RULES[rule][1] if rule in _RULES else (None,)
+    size = 1 + len(premises)
+    arity = f"malformed {name} form: {size - 1} premises expected"
+    lines = [f"if len(form) != {size}:", f"    raise SexprError({arity!r})"]
+    malformed = f"raise SexprError({f'malformed {name} form'!r})"
+    if not premises:  # a rule with no premises is its bare name only
+        return [*lines, malformed]
+    xs = [f"x{k}" for k in range(len(premises))]
+    lines.append(f"_, {', '.join(xs)} = form")
+    if rule is LiftWtNat:
+        names["prefix"] = _LITERAL
+        test = "type(x0) is not str or not natural(x0)"
+        return [*lines, f"if {test}:", "    " + malformed, "value = literal(prefix + x0 + ')')"]
+    if rule is LiftWtOption:
+        names["options"] = frozenset(case for case, row in TYPING_RULES.items() if row.lift is rule)
+        return [
+            *lines, "if type(x0) is not Quoted:", "    " + malformed,
+            "try:", "    t = parse(x0.text)",
+            "except ParseError as exc:", "    raise SexprError(f'not a term: {x0.text!r} ({exc})') from None",
+            "if view(t)[0] not in options:", "    raise SexprError(f'not an option term: {x0.text!r}')",
+            f"value = rule{i}(t), t",
+        ]
+    if rule in _STEPS:  # any step rule may stand under any other: elaboration checks the names
+        stepped = ["if type(x0) is StepSkeleton:", "    value = StepSkeleton(name, x0)"]
+        return [*lines, *stepped, "else:", "    raise misplaced(x0, STEPS)"]
+    kinds = frozenset(row.rule for row in TYPING_RULES.values() if row.lift is rule)
+    if kinds:  # a lift: its premise is a typing by a rule its rows name
+        names[f"kinds{i}"] = kinds
+        # The empty array's typing comes back as the one shared object, as in infer.
+        lifted = "WT_NIL if x0 is NIL_TYPED else " * (type(_NIL_TYPED[0]) in kinds) + f"rule{i}(x0[0])"
+        test = f"type(x0) is tuple and type(x0[0]) in kinds{i}"
+        return [*lines, f"if {test}:", f"    value = ({lifted}), x0[1]", "else:", f"    raise misplaced(x0, kinds{i})"]
+    # A rule: each premise is a typing, and the term is the case's, built
+    # from the premises' terms in slot order.
+    case, row = next((case, row) for case, row in TYPING_RULES.items() if row.rule is rule)
+    names[f"build{i}"] = BUILDERS[case]
     slots = [slot for slot, _ in row.premises]
-    i, j, k = [1 + slots.index(s) for s in range(len(slots))] + [0] * (3 - len(slots))
-
-    def decode2(form) -> tuple:
-        _, x, y = form
-        if type(x) is type(y) is tuple and type(x[0]) in _LIFTS and type(y[0]) in _LIFTS:
-            return rule(x[0], y[0], x[1], y[1]), build(form[i][1], form[j][1])
-        raise _untyped(form[1:], _LIFTS)
-
-    def decode3(form) -> tuple:
-        _, x, y, z = form
-        if type(x) is type(y) is type(z) is tuple and {type(x[0]), type(y[0]), type(z[0])} <= _LIFTS:
-            return rule(x[0], y[0], z[0], x[1], y[1], z[1]), build(form[i][1], form[j][1], form[k][1])
-        raise _untyped(form[1:], _LIFTS)
-
-    return {0: _leaf_form, 2: decode2, 3: decode3}[len(slots)]
+    typed = " and ".join([f"type({x}) is tuple" for x in xs] + [f"type({x}[0]) in LIFTS" for x in xs])
+    built = ", ".join(f"x{slots.index(slot)}[1]" for slot in range(len(slots)))
+    value = f"value = rule{i}({', '.join([x + '[0]' for x in xs] + [x + '[1]' for x in xs])}), build{i}({built})"
+    return [*lines, f"if {typed}:", f"    {value}", "else:", "    raise untyped(form[1:], LIFTS)"]
 
 
-def _step(form) -> StepSkeleton:
-    # Any step rule may stand under any other: elaboration checks the names.
-    name, inner = form
-    if type(inner) is not StepSkeleton:
-        raise _misplaced(inner, _STEPS)
-    return StepSkeleton(name, inner)
+def _compile_parse() -> Callable:
+    # parse_derivation for the rules _NAMES names: one loop over the tokens
+    # with an explicit stack of open forms, each closed form decoded inline
+    # under a test of its rule name.  The openers of named rules, and the
+    # tokens that stand for a premise whole (a small literal's typing, a
+    # rule with no premises), are read from tables; _read takes the rest.
+    names = dict(
+        TOKEN=_TOKEN, LEAVES=_LEAVES, PREMISES={**_LITERALS, **_LEAVES},
+        OPENERS={"(" + name: name for name in _NAMES.values()},
+        SexprError=SexprError, StepSkeleton=StepSkeleton, Quoted=_Quoted, read=_read, literal=_literal,
+        natural=_NATURAL.fullmatch, misplaced=_misplaced, untyped=_untyped, LIFTS=_LIFTS, STEPS=_STEPS,
+        WT_NIL=WT_NIL, NIL_TYPED=_NIL_TYPED, parse=parse, ParseError=ParseError, view=view,
+    )
+    decode, test = [], "if"
+    for i, (rule, name) in enumerate(_NAMES.items()):
+        names[f"rule{i}"] = rule
+        decode += [f"{test} name == {name!r}:", *("    " + line for line in _decoder(rule, name, i, names))]
+        test = "elif"
+    quoted = "raise SexprError(f'a quoted term \"{name.text}\" where a rule name belongs')"
+    decode += ["elif type(name) is Quoted:", "    " + quoted]
+    decode += ["else:", "    raise SexprError(f'unknown constructor name {name!r}')", "if stack:"]
+    decode += ["    stack[-1].append(value)", "    continue", "return value[0] if type(value) is tuple else value"]
+    loop = [
+        "if token == ')':",
+        "    if not stack:",
+        "        raise SexprError(\"unexpected ')'\")",
+        "    form = stack.pop()",
+        "else:",
+        "    name = OPENERS.get(token)",
+        "    if name is not None:",
+        "        stack.append([name])",
+        "        continue",
+        "    premise = PREMISES.get(token)",
+        "    if premise is not None and stack:",
+        "        stack[-1].append(premise)",
+        "        continue",
+        "    form = read(token, tokens, stack)",
+        "    if form is None:",
+        "        continue",
+        # What follows the outermost form is an error before the form is.
+        "if not stack and next(tokens, None) is not None:",
+        "    raise SexprError('trailing input after derivation')",
+        "name = form[0]",
+        *decode,
+    ]
+    lines = [
+        "tokens = TOKEN.findall(text)",
+        "if len(tokens) == 1 and tokens[0] in LEAVES:",  # the whole text is one rule with no premises
+        "    leaf = LEAVES[tokens[0]]",
+        "    return leaf[0] if type(leaf) is tuple else leaf",
+        "stack = []",
+        "tokens = iter(tokens)",
+        "for token in tokens:",
+        *("    " + line for line in loop),
+        "raise SexprError(\"missing ')'\" if stack else 'unexpected end of derivation text')",
+    ]
+    return define("parse_derivation", "text", lines, names)
 
 
-def _leaf_form(form) -> NoReturn:
-    raise SexprError(f"malformed {form[0]} form")
+parse_derivation = _compile_parse()
+parse_derivation.__module__, parse_derivation.__doc__ = __name__, """Read a derivation back from its symbolic form.
 
+Typing derivations come back complete.  Step derivations come back as a
+StepSkeleton; apply elaborate_step with the source term to finish.
 
-# Each rule's decoder by its printed name, with the length of its form: the
-# rule name and one premise per field _RULES lists (one, the literal or the
-# quoted term, for the two rules rendered in place).
-_DECODERS = {
-    _NAMES[rule]: (1 + (len(_RULES[rule][1]) if rule in _RULES else 1), decode)
-    for rule, decode in {
-        LiftWtNat: _lift_wt_nat,
-        LiftWtOption: _lift_wt_option,
-        **{row.lift: _lifted(row.lift) for row in TYPING_RULES.values() if row.rule is not None},
-        **{row.rule: _ruled(case, row) for case, row in TYPING_RULES.items() if row.rule is not None},
-        **{rule: _step if _RULES[rule][1] else _leaf_form for rule in _STEPS},
-    }.items()
-}
+One pass over the tokens with an explicit stack of open forms, so nesting
+depth is bounded by memory, not by the recursion limit.  A form is decoded
+when it closes, from premises already decoded: a typing premise as
+(derivation, the term it types), a step premise as its skeleton, a quoted
+term as a _Quoted, a rule with no premises as itself, and any other literal
+or bare name as its text.  A canonical literal's typing is one token,
+decoded where it stands.  The body is generated from ``_RULES`` and the
+typing rows at import, with each rule's decoder inline.
+"""
 
 
 def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:

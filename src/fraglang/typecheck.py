@@ -3,9 +3,9 @@
 Fragment rules (sums, arrays) know nothing about the composed language;
 the lift constructors tie them to it.  The option rule is deliberately
 shallow: any option term is well-typed, with no demand on what it holds.
-Each rule is one row of ``RULES``, which ``validate_typing`` and the
-s-expression decoders run, and from which ``infer`` is generated: each in
-a loop over a stack.
+Each rule is one row of ``RULES``, from which ``infer`` and
+``validate_typing`` are generated, each a loop over a stack, and the
+s-expression decoders are written.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import fields
 from enum import Enum
-from operator import attrgetter
 from typing import Callable
 
 from .functor import Term, define, is_natural, record
@@ -123,28 +122,18 @@ RULES = {
 }
 
 # The rules with no premises, by the record each builds: its derivation of
-# a term t with payload p, and whether a derivation d under its lift holds
-# what t, with view v, does.  What an option holds goes unchecked; view
+# a term t with payload p, and the source of the check that a derivation d
+# under its lift holds what t, with view (tag, q), does, with {rule} for
+# the row's rule record.  What an option holds goes unchecked; view
 # shape-checks it.
 _AXIOMS = {
-    LiftWtNat: (lambda t, p: wt_nat(p.value), lambda d, v: is_natural(d.n) and d.n == v[1].value),
-    LiftWtOption: (lambda t, p: LiftWtOption(t), lambda d, v: isinstance(d.term, Term) and view(d.term) == v),
-    OkNil: (lambda t, p: WT_NIL, lambda d, v: isinstance(d.inner, OkNil)),
+    LiftWtNat: (lambda t, p: wt_nat(p.value), "is_natural(d.n) and d.n == q.value"),
+    LiftWtOption: (
+        lambda t, p: LiftWtOption(t),
+        "d.term is t or isinstance(d.term, Term) and view(d.term) == (tag, q)",
+    ),
+    OkNil: (lambda t, p: WT_NIL, "isinstance(d.inner, {rule})"),
 }
-
-
-def _run(paths: tuple[str, ...], row: TypingRule) -> tuple:
-    # The row as validate_typing reads it: its conclusion, its lift, each
-    # premise as (the reader of its slot's term, the type it needs, its
-    # place), then an axiom's check above, or a rule's record and the
-    # reader of its fields.
-    premises = tuple((attrgetter(paths[slot]), want, k) for k, (slot, want) in enumerate(row.premises))
-    if not premises:
-        return row.conclusion, row.lift, premises, None, _AXIOMS[row.rule or row.lift][1]
-    return row.conclusion, row.lift, premises, row.rule, attrgetter(*(f.name for f in fields(row.rule)))
-
-
-_RUN = {case: _run(SLOT_PATHS[case], row) for case, row in RULES.items()}
 
 
 def _premise(case: str, k: int, slot: int, need: LangType) -> list[str]:
@@ -183,38 +172,51 @@ def _compile_infer() -> Callable:
     return define("infer", "t", [*lines, *("    " + line for line in [*loop, *axioms, "return None"])], names)
 
 
-def validate_typing(d: ComposedTyping, t: Term, ty: LangType) -> bool:
-    """True iff d is well-formed throughout and claims exactly (t, ty).
+def _compile_validate() -> Callable:
+    # validate_typing for the rows of RULES: one loop over a stack of the
+    # (derivation, term, type) triples still to check, with each row's
+    # checks inline under a test of the term's case.  A rule's premises are
+    # checked against its term's slots; the first is checked next, the rest
+    # wait on the stack.
+    names, loop, test = {"Term": Term, "view": view, "is_natural": is_natural}, [], "if"
+    for i, (case, row) in enumerate(RULES.items()):
+        names.update({f"ty{i}": row.conclusion, f"lift{i}": row.lift, f"rule{i}": row.rule})
+        body = [f"if ty is not ty{i} or not isinstance(d, lift{i}):", "    return False"]
+        if not row.premises:
+            check = _AXIOMS[row.rule or row.lift][1].format(rule=f"rule{i}")
+            body += [f"if not ({check}):", "    return False"]
+        else:
+            held = [f.name for f in fields(row.rule)]  # the premises' derivations, then their terms
+            n, same, pending = len(row.premises), [], []
+            body += ["w = d.inner", f"if not isinstance(w, rule{i}):", "    return False"]
+            for k, (slot, need) in enumerate(row.premises):
+                names[f"need{i}_{k}"] = need
+                body.append(f"s{k} = q.{SLOT_PATHS[case][slot]}")
+                same.append(f"(w.{held[n + k]} is s{k} or w.{held[n + k]} == s{k})")
+                pending.append(f"w.{held[k]}, s{k}, need{i}_{k}")
+            body += [f"if not ({' and '.join(same)}):", "    return False"]
+            body += [f"todo.append(({x}))" for x in reversed(pending[1:])]
+            body += [f"d, t, ty = {pending[0]}", "continue"]
+        loop += [f"{test} tag == {case!r}:", *("    " + line for line in body)]
+        test = "elif"
+    loop += ["else:", "    return False", "if not todo:", "    return True", "d, t, ty = todo.pop()"]
+    lines = ["if not isinstance(t, Term):", "    return False", "todo = []", "while True:"]
+    lines += ["    " + line for line in [*read_view("t", "tag", "q"), *loop]]
+    return define("validate_typing", "d, t, ty", lines, names)
 
-    Each node is checked against its case's row and one ``view`` of its
-    term: literals against the view's payload, stored terms against the
-    view's slot terms, and an option's stored term by its own view.  So no
-    claimed term is rebuilt, and a term outside the language (a bool
-    literal, say) is rejected rather than compared equal.
-    """
-    todo = [(d, t, ty)]
-    while todo:
-        d, t, ty = todo.pop()
-        v = view(t) if isinstance(t, Term) else None
-        if v is None:
-            return False
-        want, lift, premises, make, check = _RUN[v[0]]
-        if ty is not want or not isinstance(d, lift):
-            return False
-        if premises:
-            w = d.inner
-            if not isinstance(w, make):
-                return False
-            held, n = check(w), len(premises)  # the premises' derivations, then their terms
-            for read, need, k in reversed(premises):  # so the first is popped first
-                sub = read(v[1])
-                if not (held[n + k] is sub or held[n + k] == sub):
-                    return False
-                todo.append((held[k], sub, need))
-        elif not check(d, v):
-            return False
-    return True
 
+validate_typing = _compile_validate()
+validate_typing.__module__ = __name__
+validate_typing.__doc__ = """True iff d is well-formed throughout and claims exactly (t, ty).
+
+Each node is checked against its case's row and one view of its term:
+literals against the view's payload, stored terms against the view's slot
+terms, and an option's stored term by its own view.  So no claimed term is
+rebuilt, and a term outside the language (a bool literal, say) is rejected
+rather than compared equal.  The body is generated from ``RULES`` at
+import, with each row's checks inline; a node's view is the one its lifter
+recorded, or ``view``'s.
+"""
 
 infer = _compile_infer()
 infer.__module__, infer.__doc__ = __name__, """The unique type and derivation for t, or None.

@@ -21,6 +21,7 @@ from fraglang.functor import (
     fold,
     valid_term,
     validate_payload,
+    validator,
 )
 from fraglang.generate import random_payload, random_term
 from fraglang.lang import ARRAY, FEXPR, NAT, OPTION, SUM, enat, nil, plus, some
@@ -269,3 +270,24 @@ def test_valid_term_accepts_constructor_output():
     for _ in range(200):
         assert valid_term(FEXPR, random_term(rng, 6))
     assert not valid_term(FEXPR, Term(Slot(enat(0))))
+
+
+def test_a_repeat_validator_call_hashes_no_descriptor(monkeypatch):
+    # The check is found by the descriptor's identity; hashing FEXPR walks all of it.
+    check = validator(FEXPR)
+    hashed = []
+    real_hash = Sum.__hash__
+    monkeypatch.setattr(Sum, "__hash__", lambda self: hashed.append(self) or real_hash(self))
+    assert validator(FEXPR) is check
+    assert valid_term(FEXPR, plus(enat(1), enat(2)))
+    assert valid_term(FEXPR, plus(enat(1), enat(2)))
+    hashed.clear()
+    assert validator(FEXPR) is check and valid_term(FEXPR, exp_term())
+    assert hashed == []
+
+
+def test_equal_descriptors_share_one_check():
+    twin = Sum(FEXPR.left, FEXPR.right)
+    assert twin == FEXPR and twin is not FEXPR
+    assert validator(twin) is validator(FEXPR)
+    assert validator(Sum(FEXPR.left, FEXPR.right)) is validator(FEXPR)

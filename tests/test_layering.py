@@ -26,8 +26,8 @@ from fraglang.lang import (
     nil,
 )
 from fraglang.preservation import PreservationHooks
-from fraglang.semantics import LITERAL, STEPS, ArrayStep, ComposedStep, SumStep, drive_step
-from fraglang.typecheck import RULES, ArrayTyping, ComposedTyping, SumTyping, infer
+from fraglang.semantics import LITERAL, STEPS, ArrayStep, ComposedStep, SumStep, drive_step, validate_step
+from fraglang.typecheck import RULES, ArrayTyping, ComposedTyping, SumTyping, infer, validate_typing
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fraglang.__path__))
 
@@ -197,8 +197,9 @@ def test_each_case_lifter_builds_its_spine():
 # names a case, alone or as a word of generated code.
 GENERATORS = {
     "lang": {"read_view"},
-    "semantics": {"layout", "_rebuilt", "_scanned", "_compile", "_compile_driver"},
-    "typecheck": {"_run", "_premise", "_compile_infer"},
+    "semantics": {"layout", "_rebuilt", "_axiom_args", "_scanned", "_compile", "_compile_driver", "_compile_validate"},
+    "sexpr": {"_compile_render", "_decoder", "_compile_parse"},
+    "typecheck": {"_premise", "_compile_infer", "_compile_validate"},
 }
 
 
@@ -223,5 +224,5 @@ def test_generated_bodies_test_the_rows_cases():
             case for fragment in FRAGMENTS.values() for case in fragment
         }
 
-    assert tested(drive_step) == set(STEPS) | {LITERAL}
-    assert tested(infer) == set(RULES)
+    assert tested(drive_step) == tested(validate_step) == set(STEPS) | {LITERAL}
+    assert tested(infer) == tested(validate_typing) == set(RULES)

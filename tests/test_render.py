@@ -23,7 +23,7 @@ from fraglang.semantics import (
     drive_step,
     trace,
 )
-from fraglang.sexpr import SexprError, render_derivation
+from fraglang.sexpr import SexprError, StepSkeleton, render_derivation
 from fraglang.surface import literal_text, parse, render
 from fraglang.typecheck import (
     LangType,
@@ -194,3 +194,19 @@ def test_not_a_derivation_deep_inside_is_rejected():
     d = ViaSum(StepL(ViaSum("stepv"), enat(1), enat(1), enat(1)))
     with pytest.raises(SexprError, match="not a derivation: 'stepv'"):
         render_derivation(d)
+
+
+def test_deep_non_derivations_are_named_by_their_class():
+    # Their reprs recurse past the limit, so the message names their class.
+    skeleton = StepSkeleton("stepv")
+    for _ in range(3_000):
+        skeleton = StepSkeleton("step⁺", skeleton)
+    with pytest.raises(SexprError, match="^not a derivation: StepSkeleton$"):
+        render_derivation(skeleton)
+    chain = enat(1)
+    for _ in range(2_000):
+        chain = plus(chain, enat(1))
+    with pytest.raises(SexprError, match="^not a derivation: Term$"):
+        render_derivation(ViaSum(StepL(ViaSum(chain), chain, chain, chain)))
+    with pytest.raises(SexprError, match="^not a derivation: Term$"):
+        render_derivation(LiftWtSum(OkSum(LiftWtNat(1), chain, enat(1), chain)))

@@ -324,7 +324,7 @@ def _walk_skeleton(skeleton):
 
 
 def test_reader_takes_deep_nesting():
-    depth = 5_000
+    depth = 100_000
     skeleton = parse_derivation("(step⁺ " * depth + "stepv" + ")" * depth)
     assert _walk_skeleton(skeleton) == ["step⁺"] * depth + ["stepv"]
 
@@ -342,7 +342,7 @@ def test_deep_typing_round_trip():
 
 
 def test_deep_skeleton_round_trip():
-    depth = 5_000
+    depth = 100_000
     names = [random.Random(depth).choice(["step⁺", "stepl", "stepr", "step[]", "stepi"]) for _ in range(depth)]
     text = "".join(f"({name} " for name in names) + "lookup" + ")" * depth
     assert _walk_skeleton(parse_derivation(text)) == names + ["lookup"]
