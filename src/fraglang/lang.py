@@ -175,8 +175,8 @@ def nil() -> Term:
 
 
 def nat_value(t: Term) -> int | None:
-    """The literal under a natural, or None."""
-    v = view(t)
+    """The literal under a natural, or None, for any other term or object."""
+    v = view(t) if isinstance(t, Term) else None
     return v[1].value if v is not None and v[0] == "nat" else None
 
 

@@ -2,20 +2,19 @@
 
 Each fragment supplies only its axiom case, and gets what it needs of the
 composed language (how to type a literal or an option) as explicit hooks.
-One congruence case, read off each case's step and typing rows, serves
-every fragment, and ``preserve`` runs it in one loop: the induction.
+The congruence cases are read off each case's step and typing rows: at
+import, ``preserve`` is generated from them as one loop, the induction,
+with every congruence case inline, so no fragment writes one.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import fields
-from operator import attrgetter
 from typing import Callable
 
-from .functor import Term, is_natural, record
+from .functor import Term, define, is_natural, record
 from .lang import array_lookup, nat_value
-from .semantics import STEPS, ComposedStep, Lookup, StepV, layout
+from .semantics import FIELD_CODE, STEPS, Lookup, StepV, layout
 from .typecheck import RULES, ComposedTyping, LiftWtOption, OkLookup, OkSum, wt_nat
 
 
@@ -25,7 +24,7 @@ class SubjectMismatchError(Exception):
 
 def _is_literal(t: Term, n: int) -> bool:
     # Read through nat_value: a non-natural n builds no literal and matches no term.
-    return is_natural(n) and isinstance(t, Term) and nat_value(t) == n
+    return is_natural(n) and nat_value(t) == n
 
 
 @record
@@ -56,73 +55,60 @@ def preservation_array(hooks: PreservationHooks, step: Lookup, wt: OkLookup) -> 
 # Each step row's axiom record, with the case of its fragment that rewrites it.
 AXIOMS = {StepV: preservation_sum, Lookup: preservation_array}
 
-# A congruence record's case: the typing row's lift and record, the reader of
-# that record's fields (premise derivations, then terms), where the stepped
-# slot's premise and term sit in them, the reader of the step field holding
-# that slot's target, and each premise term's place with the reader of the
-# step field holding its source and whether that field holds a literal.
-Congruence = namedtuple("Congruence", "lift rule held k at after sources")
-
-
-def _congruence(case: str, slot: int, step_record: type, text: str) -> Congruence:
-    row, named = RULES[case], layout(step_record, text)
-    slots = [s for s, _ in row.premises]
-    n, k = len(slots), slots.index(slot)
-    after = attrgetter(*(name for kind, name, j in named if (kind, j) == ("after", slot)))
-    sources = [(n + slots.index(j), attrgetter(name), kind == "nat") for kind, name, j in named if kind != "after"]
-    held = attrgetter(*(f.name for f in fields(row.rule)))
-    return Congruence(row.lift, row.rule, held, k, n + k, after, sources)
-
-
-# Each step record's level: its step lift, the typing lift its case pairs
-# with, and its congruence case, or None for an axiom record, whose
-# fragment's case AXIOMS holds.
-Level = namedtuple("Level", "via lift congruence")
-LEVELS = {
-    record: Level(row.lift, RULES[case].lift, None if slot is None else _congruence(case, slot, record, text))
-    for case, row in STEPS.items()
-    for slot, record, text in (*row.context, (None, *row.axiom[:2]))
-}
-
-
-def preserve(step: ComposedStep, wt: ComposedTyping) -> ComposedTyping:
-    """Rewrite a composed typing across a composed step.
-
-    The walk goes down the congruences, checking each level's subject, to
-    the axiom, which its fragment's case rewrites.  The typing is rebuilt
-    up the frames the walk stacked, each replacing the premise at its
-    stepped slot and keeping every other premise and term as it was.
-    """
-    frames = []
-    while True:
-        kind = type(getattr(step, "step", None))
-        level = LEVELS.get(kind)
-        if level is None or type(step) is not level.via or not isinstance(wt, level.lift):
-            via = type(step)
-            lift = next((other.lift for other in LEVELS.values() if other.via is via), None)
-            if lift is None or not isinstance(wt, lift):
-                raise SubjectMismatchError(f"step {via.__name__} cannot pair with typing {type(wt).__name__}")
-            raise SubjectMismatchError(f"not a {via.__name__} step: {kind.__name__}")
-        step, wt, c = step.step, wt.inner, level.congruence
-        if c is None:
-            break
-        if not isinstance(wt, c.rule):
-            raise SubjectMismatchError(f"{kind.__name__} against typing {type(wt).__name__}")
-        held = list(c.held(wt))
-        for at, read, nat in c.sources:
-            have, want = held[at], read(step)
-            if not (_is_literal(have, want) if nat else have is want or have == want):
-                raise SubjectMismatchError(f"{kind.__name__} subject mismatch")
-        held[c.at] = c.after(step)
-        frames.append((c, held))
-        step, wt = step.inner, held[c.k]
-    wt = AXIOMS[kind](COMPOSED_HOOKS, step, wt)
-    while frames:
-        c, held = frames.pop()
-        held[c.k] = wt
-        wt = c.lift(c.rule(*held))
-    return wt
-
-
 # Instantiated once: the composed language supplies its own constructors as its hooks.
 COMPOSED_HOOKS = PreservationHooks(wt_nat=wt_nat, wt_option=LiftWtOption)
+
+
+def _compile_preserve() -> Callable:
+    # preserve for the rows of STEPS and RULES: one loop down the step's
+    # records, with each row's records inline under a test of the step's
+    # lift and the typing's.  A congruence checks its subject against its
+    # case's typing rule, field by field, and stacks a frame; the axiom's
+    # case is looked up in AXIOMS at call time.  Each frame rebuilds the
+    # typing rule with the premise at its stepped slot replaced.
+    names = dict(AXIOMS=AXIOMS, COMPOSED_HOOKS=COMPOSED_HOOKS, Error=SubjectMismatchError, is_natural=is_natural)
+    names.update(nat_value=nat_value, PAIRS={row.lift: RULES[case].lift for case, row in STEPS.items()})
+    down, up = ["s = getattr(step, 'step', None)", "kind = type(s)"], []
+    for i, (case, row) in enumerate(STEPS.items()):
+        typing, body = RULES[case], []
+        names.update({f"via{i}": row.lift, f"lift{i}": typing.lift, f"typing{i}": typing.rule})
+        names[f"rule{i}"] = row.axiom[0]
+        held, slots = [f.name for f in fields(typing.rule)], [slot for slot, _ in typing.premises]
+        for slot, record, text in row.context:
+            names[f"rule{i}_{slot}"], k, n = record, slots.index(slot), len(slots)
+            # Each field that holds a source, on its own and against the
+            # typing's term of its slot; the premise and the term rebuilt at
+            # the stepped slot, from the field that holds its target.
+            checks, args = [], [f"w.{field}" for field in held]
+            for kind, name, j in layout(record, text):
+                if kind == "after":
+                    args[k], args[n + k] = "wt", f"s.{name}"
+                else:
+                    checks += [c.format(name, held[n + slots.index(j)], "w") for c in FIELD_CODE[kind][1:] if c]
+            level = ["w = wt.inner", f"if not isinstance(w, typing{i}):"]
+            level += ["    raise Error(f'{kind.__name__} against typing {type(w).__name__}')"]
+            level += [f"if not ({' and '.join(checks)}):", "    raise Error(f'{kind.__name__} subject mismatch')"]
+            level += ["frames = kind, s, w, frames", f"step, wt = s.inner, w.{held[k]}", "continue"]
+            body += [f"if kind is rule{i}_{slot}:", *("    " + line for line in level)]
+            up += [f"{'elif' if up else 'if'} kind is rule{i}_{slot}:"]
+            up += [f"    wt = lift{i}(typing{i}({', '.join(args)}))"]
+        body += [f"if kind is rule{i}:", f"    wt = AXIOMS[rule{i}](COMPOSED_HOOKS, s, wt.inner)", "    break"]
+        down += [f"if type(step) is via{i} and isinstance(wt, lift{i}):", *("    " + line for line in body)]
+    down += ["lift = PAIRS.get(type(step))", "if lift is None or not isinstance(wt, lift):"]
+    down += ["    raise Error(f'step {type(step).__name__} cannot pair with typing {type(wt).__name__}')"]
+    down += ["raise Error(f'not a {type(step).__name__} step: {kind.__name__}')"]
+    lines = ["frames = ()", "while True:", *("    " + line for line in down), "while frames:"]
+    lines += ["    kind, s, w, frames = frames", *("    " + line for line in up), "return wt"]
+    return define("preserve", "step, wt", lines, names)
+
+
+preserve = _compile_preserve()
+preserve.__module__, preserve.__doc__ = __name__, """Rewrite a composed typing across a composed step.
+
+The walk goes down the congruences, checking each level's subject, to
+the axiom, which its fragment's case in ``AXIOMS`` rewrites.  The typing is
+rebuilt up the frames the walk stacked, each replacing the premise at its
+stepped slot and keeping every other premise and term as it was.  The body
+is generated from ``STEPS`` and ``RULES`` at import, with each row's
+records inline.
+"""

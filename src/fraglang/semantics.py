@@ -117,21 +117,14 @@ def layout(record: type, text: str) -> list[tuple[str, str, int]]:
     return [(at[:-1], f.name, int(at[-1])) for at, f in zip(tokens, fields(record)[-len(tokens):])]
 
 
-# The rows as they run.  A Run holds a row's lift; scan(p), which gives the
-# view of payload p's first context slot that holds no literal, with its
-# Rule, or once all do None with the axiom's reduct and derivation, or
-# None; the axiom's Rule; and each Rule by its record.  A Rule holds its
-# record and a congruence's apply(p, after, d), which gives the target, p
-# with its slot holding after, and the derivation (the axiom's is None).
-Run = namedtuple("Run", "lift scan axiom rules")
-Rule = namedtuple("Rule", "record apply")
-# Each kind of field: its record's argument, as a congruence's apply reads
-# it from payload p, and its check against payload {2}, a stored term by
-# identity before ==.
-_CODE = {
-    "term": ("p.{1}", "(s.{0} is {2}.{1} or s.{0} == {2}.{1})"),
-    "after": ("after", "(s.{0} is q.{1} or s.{0} == q.{1})"),
-    "nat": ("view(p.{1})[1].value", "is_natural(s.{0}) and nat_value({2}.{1}) == s.{0}"),
+# Each kind of field a layout names: its record's argument, as a
+# congruence's apply reads it from payload p; what the field must be on its
+# own, checked once per record, or None; and its check against payload
+# {2}, a stored term by identity before ==.
+FIELD_CODE = {
+    "term": ("p.{1}", None, "(s.{0} is {2}.{1} or s.{0} == {2}.{1})"),
+    "after": ("after", None, "(s.{0} is q.{1} or s.{0} == q.{1})"),
+    "nat": ("view(p.{1})[1].value", "is_natural(s.{0})", "nat_value({2}.{1}) == s.{0}"),
 }
 
 
@@ -161,11 +154,15 @@ def _axiom_args(case: str, row: StepRule) -> list[tuple[str, str]]:
     return args
 
 
-def _scanned(case: str, row: StepRule, stepped: list[str]) -> list[str]:
-    # Lines over payload p: each context slot's view, in row order, and the
-    # lines stepped (formatted with the slot) on the first that holds no
-    # literal; past them, the axiom's arguments a, with the literals the
-    # scan read.
+def scanned(case: str, row: StepRule, stepped: list[str]) -> list[str]:
+    """Lines of code that scan payload ``p`` of a ``case`` node by its row.
+
+    Each context slot's view is read, in row order, and the lines
+    ``stepped`` (formatted with the slot) run on the first that holds no
+    literal; past them, ``a`` holds the axiom's arguments, with the literals
+    the scan read.  The driver, ``validate_step`` and ``elaborate_step`` run
+    these lines.
+    """
     paths, lines = SLOT_PATHS[case], []
     for slot, _, _ in row.context:
         lines += [f"x = p.{paths[slot]}", *read_view("x", f"tag{slot}", f"p{slot}"), f"if tag{slot} != {LITERAL!r}:"]
@@ -173,21 +170,17 @@ def _scanned(case: str, row: StepRule, stepped: list[str]) -> list[str]:
     return [*lines, f"a = {', '.join(arg for arg, _ in _axiom_args(case, row))},"]
 
 
-def _compile(case: str, row: StepRule) -> Run:
-    paths, rules = SLOT_PATHS[case], {}
-    names = dict(lift=LIFTERS[case], via=row.lift, reduce=row.axiom[2], Pair=Pair, Slot=Slot, view=view)
-    for slot, record, text in row.context:
-        args = ", ".join(_CODE[kind][0].format(name, paths[j]) for kind, name, j in layout(record, text))
-        line = f"return lift({_rebuilt(paths[slot])}), via(rule(d, {args}))"
-        apply = define("apply", "p, after, d", [line], dict(names, rule=record))
-        names[f"rule{slot}"] = rules[record] = Rule(record, apply)
-    rules[row.axiom[0]] = Rule(row.axiom[0], None)
-    scan = _scanned(case, row, ["return (tag{slot}, p{slot}), rule{slot}"])
-    scan += ["target = reduce(*a)", "return None, None if target is None else (target, via(rule(*a)))"]
-    return Run(row.lift, define("scan", "p", scan, dict(names, rule=row.axiom[0])), rules[row.axiom[0]], rules)
+def _compile_apply(case: str, slot: int, record: type, text: str) -> Callable:
+    # A congruence's apply(p, after, d): the target, payload p with the slot
+    # holding after, and the derivation of the step to it from d.
+    paths, row = SLOT_PATHS[case], STEPS[case]
+    args = ", ".join(FIELD_CODE[kind][0].format(name, paths[j]) for kind, name, j in layout(record, text))
+    names = dict(lift=LIFTERS[case], via=row.lift, rule=record, Pair=Pair, Slot=Slot, view=view)
+    return define("apply", "p, after, d", [f"return lift({_rebuilt(paths[slot])}), via(rule(d, {args}))"], names)
 
 
-RUNS = {case: _compile(case, row) for case, row in STEPS.items()}
+# Each congruence record's apply, which builds a step back up one level.
+APPLY = {rule[1]: _compile_apply(case, *rule) for case, row in STEPS.items() for rule in row.context}
 
 
 def _compile_driver() -> Callable:
@@ -196,11 +189,11 @@ def _compile_driver() -> Callable:
     names, lines = {"view": view}, [*read_view("t", "tag", "p"), "frames = ()", "while True:"]
     for i, (case, row) in enumerate(STEPS.items()):
         for slot, record, _ in row.context:  # each context slot that holds no literal is stepped
-            names[f"apply{i}_{slot}"] = RUNS[case].rules[record].apply
+            names[f"apply{i}_{slot}"] = APPLY[record]
         stepped = [f"frames = apply{i}_{{slot}}, p, frames", "tag, p = tag{slot}, p{slot}", "continue"]
         record, _, names[f"reduce{i}"] = row.axiom
         names[f"via{i}"], names[f"rule{i}"] = row.lift, record
-        body = [*_scanned(case, row, stepped), f"target = reduce{i}(*a)"]
+        body = [*scanned(case, row, stepped), f"target = reduce{i}(*a)"]
         body += ["if target is None:", "    return None", f"d = via{i}(rule{i}(*a))", "break"]
         lines += [f"    if tag == {case!r}:", *("        " + line for line in body)]
     lines += ["    return None", "while frames:", "    apply, p, frames = frames"]
@@ -220,9 +213,10 @@ def _compile_validate() -> Callable:
         names[f"via{i}"] = row.lift
         for slot, record, text in row.context:
             held = layout(record, text)
-            # Each field against the source, and one in a slot the congruence leaves alone against the target.
-            checks = [_CODE[kind][1].format(name, paths[j], "p") for kind, name, j in held]
-            checks += [_CODE[kind][1].format(name, paths[j], "q") for kind, name, j in held if j != slot]
+            # Each field on its own and against the source, and one in a slot
+            # the congruence leaves alone against the target.
+            checks = [c.format(name, paths[j], "p") for kind, name, j in held for c in FIELD_CODE[kind][1:] if c]
+            checks += [FIELD_CODE[kind][2].format(name, paths[j], "q") for kind, name, j in held if j != slot]
             names[f"rule{i}_{slot}"] = record
             body += [f"if type(s) is rule{i}_{slot}:", f"    if tag_t != tag or not ({' and '.join(checks)}):"]
             body += ["        return False", f"    d, source, target = s.inner, p.{paths[slot]}, q.{paths[slot]}"]
@@ -230,7 +224,7 @@ def _compile_validate() -> Callable:
         record, _, names[f"reduce{i}"] = row.axiom
         names[f"rule{i}"] = record
         checks = " and ".join(check for _, check in _axiom_args(case, row))
-        axiom = [*_scanned(case, row, ["return False"]), f"if not ({checks}):", "    return False"]
+        axiom = [*scanned(case, row, ["return False"]), f"if not ({checks}):", "    return False"]
         axiom += [f"reduct = reduce{i}(*a)", "return isinstance(reduct, Term) and reduct == target"]
         body += [f"if type(s) is rule{i}:", *("    " + line for line in axiom), "return False"]
         loop += [f"if tag == {case!r}:", *("    " + line for line in body)]
@@ -257,8 +251,8 @@ drive_step.__module__, drive_step.__doc__ = __name__, """One deterministic step 
 The walk goes down each row's first context slot that holds no literal to
 a node whose context slots all do; there the axiom fires on the literals
 the walk read, and the targets and derivations are built back up the
-frames it stacked, by each congruence's ``Rule.apply``.  The body is
-generated from ``STEPS`` at import, with each row's case test, scan and
+frames it stacked, by each congruence's ``apply`` in ``APPLY``.  The body
+is generated from ``STEPS`` at import, with each row's case test, scan and
 axiom inline; a node's view is the one its lifter recorded, or ``view``'s.
 """
 

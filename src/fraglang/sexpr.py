@@ -7,7 +7,9 @@ once, from the terms its premises returned, so they round-trip on their
 own.  Step derivations round-trip as a skeleton of rule names, which
 elaborate_step follows down a source term through the step rows of
 ``semantics.STEPS``, never running the driver: each name must be the one
-the row allows at its level, and the derivation is built back up the path.
+the row allows at its level, and the derivation is built back up the path
+by each congruence's ``apply`` in ``semantics.APPLY``.  The renderer, the
+reader and elaborate_step are generated from the rows at import.
 
 Terms appear in one place only (the term of an option's typing) and are
 embedded as a double-quoted surface-syntax string.
@@ -21,15 +23,8 @@ from dataclasses import fields
 from typing import Callable, get_args
 
 from .functor import Term, define, record
-from .lang import BUILDERS, SHARED_NATS, enat, nil, view
-from .semantics import (
-    ArrayStep,
-    ComposedStep,
-    RUNS,
-    SumStep,
-    ViaArray,
-    ViaSum,
-)
+from .lang import BUILDERS, SHARED_NATS, enat, nil, read_view, view
+from .semantics import APPLY, STEPS, ArrayStep, ComposedStep, SumStep, ViaArray, ViaSum, scanned
 from .surface import ParseError, literal_text, parse, render
 from .typecheck import (
     RULES as TYPING_RULES,
@@ -69,9 +64,9 @@ _RULES = {
     ViaSum: ("step⁺", ("step",)),
     ViaArray: ("step[]", ("step",)),
     **{
-        record: (record.__name__.lower(), ("inner",) if rule is not run.axiom else ())
-        for run in RUNS.values()
-        for record, rule in run.rules.items()
+        record: (record.__name__.lower(), () if record is row.axiom[0] else ("inner",))
+        for row in STEPS.values()
+        for record in (*(c[1] for c in row.context), row.axiom[0])
     },
 }
 _NAMES = {rule: name for rule, (name, _) in _RULES.items()}
@@ -375,32 +370,50 @@ typing rows at import, with each rule's decoder inline.
 """
 
 
-def elaborate_step(skeleton: StepSkeleton, source: Term) -> ComposedStep:
-    """The step derivation from ``source`` whose rules ``skeleton`` names.
+def _expected(name: str, at: StepSkeleton | None) -> SexprError:
+    return SexprError(f"expected {name}, got {'nothing' if at is None else at.name}")
 
-    The skeleton is followed down the source through ``semantics.STEPS``:
-    at each level the term's case picks its row and the row its rule, which
-    the skeleton must name after the row's lift.  The derivation is then
-    built back up the path.  SexprError names rules, never a term.
-    """
-    frames, v, at = (), view(source), skeleton  # frames as drive_step stacks them
-    while True:
-        run = RUNS.get(v[0]) if v is not None else None
-        if run is None:
-            raise SexprError("the skeleton names a step where no rule steps the term")
-        p, (v, found) = v[1], run.scan(v[1])  # the row's congruence here, or else its axiom fired
-        rule = run.axiom if v is None else found
-        for name in (_NAMES[run.lift], _NAMES[rule.record]):
-            if at is None or at.name != name:
-                raise SexprError(f"expected {name}, got {'nothing' if at is None else at.name}")
-            at = at.inner
-        if v is None:
-            if at is not None or found is None:
-                raise SexprError(f"the term does not step by {_NAMES[rule.record]} alone")
-            break
-        frames = rule.apply, p, frames
-    target, d = found
-    while frames:
-        apply, p, frames = frames
-        target, d = apply(p, target, d)
-    return d
+
+def _compile_elaborate() -> Callable:
+    # elaborate_step for the rows of STEPS: one loop down the source whose
+    # body is each row's scan inline, under a test of the node's case, as
+    # in drive_step.  Each level checks the skeleton's next names, the row's
+    # lift's and the rule's the scan picks, and the derivation is built
+    # back up the frames by each congruence's apply in APPLY.
+    names = dict(view=view, SexprError=SexprError, expected=_expected)
+
+    def named(name: str) -> list[str]:
+        # The skeleton at ``at`` names ``name``, the name of a global; ``at`` goes past it.
+        return [f"if at is None or at.name != {name}:", f"    raise expected({name}, at)", "at = at.inner"]
+
+    lines = [*read_view("source", "tag", "p"), "frames, at = (), skeleton", "while True:"]
+    for i, (case, row) in enumerate(STEPS.items()):
+        for slot, record, _ in row.context:
+            names[f"apply{i}_{slot}"], names[f"name{i}_{slot}"] = APPLY[record], _NAMES[record]
+        stepped = [*named(f"name{i}_{{slot}}"), f"frames = apply{i}_{{slot}}, p, frames"]
+        stepped += ["tag, p = tag{slot}, p{slot}", "continue"]
+        record, _, names[f"reduce{i}"] = row.axiom
+        names.update({f"via{i}": row.lift, f"rule{i}": record})
+        names.update({f"name{i}": _NAMES[record], f"vianame{i}": _NAMES[row.lift]})
+        alone = f"the term does not step by {_NAMES[record]} alone"
+        body = [*named(f"vianame{i}"), *scanned(case, row, stepped), f"target = reduce{i}(*a)", *named(f"name{i}")]
+        body += ["if at is not None or target is None:"]
+        body += [f"    raise SexprError({alone!r})", f"d = via{i}(rule{i}(*a))", "break"]
+        lines += [f"    if tag == {case!r}:", *("        " + line for line in body)]
+    lines += ["    raise SexprError('the skeleton names a step where no rule steps the term')"]
+    lines += ["while frames:", "    apply, p, frames = frames", "    target, d = apply(p, target, d)", "return d"]
+    return define("elaborate_step", "skeleton, source", lines, names)
+
+
+elaborate_step = _compile_elaborate()
+elaborate_step.__module__ = __name__
+elaborate_step.__doc__ = """The step derivation from ``source`` whose rules ``skeleton`` names.
+
+The skeleton is followed down the source through ``semantics.STEPS``: at
+each level the term's case picks its row and the row's scan its rule, and
+the skeleton must name the row's lift and then that rule.  The derivation
+is then built back up the path by each congruence's ``apply`` in
+``APPLY``.  The body is generated from ``STEPS`` at import, with each row's
+scan inline, as in ``drive_step``, which it never calls.  SexprError names
+rules, never a term.
+"""

@@ -27,6 +27,7 @@ from fraglang.lang import (
 )
 from fraglang.preservation import PreservationHooks
 from fraglang.semantics import LITERAL, STEPS, ArrayStep, ComposedStep, SumStep, drive_step, validate_step
+from fraglang.sexpr import elaborate_step
 from fraglang.typecheck import RULES, ArrayTyping, ComposedTyping, SumTyping, infer, validate_typing
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fraglang.__path__))
@@ -197,8 +198,9 @@ def test_each_case_lifter_builds_its_spine():
 # names a case, alone or as a word of generated code.
 GENERATORS = {
     "lang": {"read_view"},
-    "semantics": {"layout", "_rebuilt", "_axiom_args", "_scanned", "_compile", "_compile_driver", "_compile_validate"},
-    "sexpr": {"_compile_render", "_decoder", "_compile_parse"},
+    "preservation": {"_compile_preserve"},
+    "semantics": {"layout", "_rebuilt", "_axiom_args", "scanned", "_compile_apply", "_compile_driver", "_compile_validate"},
+    "sexpr": {"_compile_render", "_decoder", "_compile_parse", "_compile_elaborate"},
     "typecheck": {"_premise", "_compile_infer", "_compile_validate"},
 }
 
@@ -224,5 +226,5 @@ def test_generated_bodies_test_the_rows_cases():
             case for fragment in FRAGMENTS.values() for case in fragment
         }
 
-    assert tested(drive_step) == tested(validate_step) == set(STEPS) | {LITERAL}
+    assert tested(drive_step) == tested(validate_step) == tested(elaborate_step) == set(STEPS) | {LITERAL}
     assert tested(infer) == tested(validate_typing) == set(RULES)

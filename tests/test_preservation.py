@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from fraglang.lang import (
 from fraglang.preservation import (
     AXIOMS,
     COMPOSED_HOOKS,
-    LEVELS,
     SubjectMismatchError,
     preservation_array,
     preservation_sum,
@@ -335,9 +335,11 @@ def _names(tree):
 
 def test_every_congruence_comes_from_the_rows():
     # ROADMAP item 4's coverage check: each step row's context pairs with its
-    # case's typing row, each axiom has one fragment case, and each lift pairs.
+    # case's typing row, each axiom has one fragment case, each step record
+    # has one place in the rows, and each lift pairs.
     for case, row in STEPS.items():
         premises = [slot for slot, _ in RULES[case].premises]
+        typing = RULES[case].rule
         for slot, record, layout in row.context:
             assert slot in premises, (case, slot)
             tokens = layout.split()
@@ -345,16 +347,14 @@ def test_every_congruence_comes_from_the_rows():
             assert sorted(int(t[-1]) for t in sources) == sorted(premises), (case, layout)
             assert all(t[:-1] in ("term", "nat") for t in sources), (case, layout)
             assert [t for t in tokens if t.startswith("after")] == [f"after{slot}"], (case, layout)
-            congruence = LEVELS[record].congruence
-            assert congruence.lift is RULES[case].lift and congruence.rule is RULES[case].rule
-        for record in (*(c[1] for c in row.context), row.axiom[0]):
-            assert LEVELS[record][:2] == (row.lift, RULES[case].lift)
-        assert LEVELS[row.axiom[0]].congruence is None
+            # The typing rule a congruence rebuilds: a premise, then a term, per slot.
+            assert typing is not None and len(dataclasses.fields(typing)) == 2 * len(premises), case
     axioms = [row.axiom[0] for row in STEPS.values()]
     assert sorted(AXIOMS, key=str) == sorted(axioms, key=str) and len(set(axioms)) == len(axioms)
-    assert len(LEVELS) == sum(1 + len(row.context) for row in STEPS.values())
-    for via in {level.via for level in LEVELS.values()}:
-        assert len({level.lift for level in LEVELS.values() if level.via is via}) == 1, via
+    records = [record for row in STEPS.values() for record in (*(c[1] for c in row.context), row.axiom[0])]
+    assert len(set(records)) == len(records) == sum(1 + len(row.context) for row in STEPS.values())
+    for via in {row.lift for row in STEPS.values()}:
+        assert len({RULES[case].lift for case, row in STEPS.items() if row.lift is via}) == 1, via
     source = Path(preservation_module.__file__).read_text()
     named = set(_names(ast.parse(source)))
     assert not named & {"StepL", "StepR", "StepI", "ViaSum", "ViaArray", "LiftWtSum", "LiftWtArray"}
