@@ -40,6 +40,7 @@ FRAGMENTS = {
         "index": Prod(Rec(), Rec()),
     },
 }
+LITERAL = "nat"  # the case of a literal, which the step rules and the concrete syntax treat apart
 
 
 def _summand_paths(n: int) -> list[tuple[type[InL] | type[InR], ...]]:
@@ -145,21 +146,6 @@ def enat(n: int) -> Term:
     return lift_nat(AtomVal(BaseSet.NAT, n))
 
 
-def _built(case: str, doc: str, *params: str) -> Callable[..., Term]:
-    # The case's smart constructor, compiled with its payload inline.
-    build = builder(CASE_PATHS[case], case, *params)
-    build.__name__ = build.__qualname__ = case
-    build.__module__, build.__doc__ = __name__, doc
-    return build
-
-
-plus = _built("plus", "Addition of two expressions.", "e1", "e2")
-some = _built("some", "A present optional value.", "e")
-assign = _built("assign", "Array a extended with e written at index i.", "a", "i", "e")
-index = _built("index", "Array lookup of index i in a.", "a", "i")
-# Those constructors by case; each takes its payload's slot terms in order.
-BUILDERS = {build.__name__: build for build in (plus, some, assign, index)}
-
 _NONE = lift_none(AtomVal(BaseSet.UNIT, UNIT))
 _NIL = lift_nil(AtomVal(BaseSet.UNIT, UNIT))
 
@@ -172,6 +158,22 @@ def none() -> Term:
 def nil() -> Term:
     """The empty array, one shared object."""
     return _NIL
+
+
+def _built(case: str, doc: str, *params: str) -> Callable[..., Term]:
+    # The case's smart constructor, compiled with its payload inline.
+    build = builder(CASE_PATHS[case], case, *params)
+    build.__name__ = build.__qualname__ = case
+    build.__module__, build.__doc__ = __name__, doc
+    return build
+
+
+plus = _built("plus", "Addition of two expressions.", "e1", "e2")
+some = _built("some", "A present optional value.", "e")
+assign = _built("assign", "Array a extended with e written at index i.", "a", "i", "e")
+index = _built("index", "Array lookup of index i in a.", "a", "i")
+# Those constructors, and none and nil, by case; each takes its payload's slot terms in order.
+BUILDERS = {build.__name__: build for build in (plus, some, assign, index, none, nil)}
 
 
 def nat_value(t: Term) -> int | None:

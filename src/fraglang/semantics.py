@@ -12,7 +12,7 @@ from dataclasses import fields
 from typing import Callable
 
 from .functor import Pair, Slot, Term, define, is_natural, record
-from .lang import FRAGMENTS, LIFTERS, SLOT_PATHS, array_lookup, enat, nat_value, read_view, view
+from .lang import FRAGMENTS, LIFTERS, LITERAL, SLOT_PATHS, array_lookup, enat, nat_value, read_view, view
 
 
 class FuelExhaustedError(Exception):
@@ -93,7 +93,6 @@ ComposedStep = ViaSum | ViaArray
 # of a slot j: "termj" its term in the source, "afterj" its term in the
 # target, "natj" its literal.
 StepRule = namedtuple("StepRule", "lift context axiom")
-LITERAL = "nat"
 
 
 def _lookup(array: Term, n: int) -> Term | None:

@@ -370,8 +370,9 @@ typing rows at import, with each rule's decoder inline.
 """
 
 
-def _expected(name: str, at: StepSkeleton | None) -> SexprError:
-    return SexprError(f"expected {name}, got {'nothing' if at is None else at.name}")
+def _expected(name: str, at: object) -> SexprError:
+    got = "nothing" if at is None else at.name if type(at) is StepSkeleton else f"a {type(at).__name__}"
+    return SexprError(f"expected {name}, got {got}")
 
 
 def _compile_elaborate() -> Callable:
@@ -380,11 +381,11 @@ def _compile_elaborate() -> Callable:
     # in drive_step.  Each level checks the skeleton's next names, the row's
     # lift's and the rule's the scan picks, and the derivation is built
     # back up the frames by each congruence's apply in APPLY.
-    names = dict(view=view, SexprError=SexprError, expected=_expected)
+    names = dict(view=view, SexprError=SexprError, expected=_expected, Skeleton=StepSkeleton)
 
-    def named(name: str) -> list[str]:
-        # The skeleton at ``at`` names ``name``, the name of a global; ``at`` goes past it.
-        return [f"if at is None or at.name != {name}:", f"    raise expected({name}, at)", "at = at.inner"]
+    def named(var: str) -> list[str]:
+        # The skeleton at ``at`` names the rule the global ``var`` names; ``at`` goes past it.
+        return [f"if type(at) is not Skeleton or at.name != {var}:", f"    raise expected({var}, at)", "at = at.inner"]
 
     lines = [*read_view("source", "tag", "p"), "frames, at = (), skeleton", "while True:"]
     for i, (case, row) in enumerate(STEPS.items()):

@@ -11,6 +11,7 @@ from typing import get_args
 import pytest
 
 import fraglang
+from fraglang import lang, semantics, surface
 from fraglang.functor import UNIT, AtomVal, BaseSet, InL, InR, Pair, Slot
 from fraglang.lang import (
     CASE_PATHS,
@@ -28,6 +29,7 @@ from fraglang.lang import (
 from fraglang.preservation import PreservationHooks
 from fraglang.semantics import LITERAL, STEPS, ArrayStep, ComposedStep, SumStep, drive_step, validate_step
 from fraglang.sexpr import elaborate_step
+from fraglang.surface import SYNTAX, render
 from fraglang.typecheck import RULES, ArrayTyping, ComposedTyping, SumTyping, infer, validate_typing
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fraglang.__path__))
@@ -193,14 +195,16 @@ def test_each_case_lifter_builds_its_spine():
 
 
 # The functions that write code from the row tables.  Every case a generated
-# body tests comes from the rows (or, for the literal the driver's scan
-# tests for, from semantics.LITERAL beside them), so no string in these
-# names a case, alone or as a word of generated code.
+# body tests comes from the rows (or, for the literal the driver's scan and
+# the renderer test for, from lang.LITERAL, which semantics and surface
+# share), so no string in these names a case, alone or as a word of
+# generated code.
 GENERATORS = {
     "lang": {"read_view"},
     "preservation": {"_compile_preserve"},
     "semantics": {"layout", "_rebuilt", "_axiom_args", "scanned", "_compile_apply", "_compile_driver", "_compile_validate"},
     "sexpr": {"_compile_render", "_decoder", "_compile_parse", "_compile_elaborate"},
+    "surface": {"_compile_render"},
     "typecheck": {"_premise", "_compile_infer", "_compile_validate"},
 }
 
@@ -220,6 +224,12 @@ def test_generators_name_no_case(module):
     assert named == []
 
 
+def test_the_literal_case_is_written_once():
+    # semantics and surface both take the literal's case from lang.LITERAL.
+    assert semantics.LITERAL is surface.LITERAL is lang.LITERAL
+    assert lang.LITERAL not in {node.value for node in ast.walk(_tree("surface")) if isinstance(node, ast.Constant)}
+
+
 def test_generated_bodies_test_the_rows_cases():
     def tested(fn):
         return {c for c in fn.__code__.co_consts if isinstance(c, str)} & {
@@ -228,3 +238,4 @@ def test_generated_bodies_test_the_rows_cases():
 
     assert tested(drive_step) == tested(validate_step) == tested(elaborate_step) == set(STEPS) | {LITERAL}
     assert tested(infer) == tested(validate_typing) == set(RULES)
+    assert tested(render) == set(SYNTAX) | {LITERAL}

@@ -152,6 +152,19 @@ def test_premise_that_is_no_lifted_typing_rejected(text):
         parse_derivation(text)
 
 
+@pytest.mark.parametrize(
+    "skeleton, got",
+    [(parse_derivation("(lift-wt-nat 1)"), "a LiftWtNat"), ("(step⁺ stepv)", "a str"), (None, "nothing")],
+    ids=["typing", "str", "none"],
+)
+def test_elaboration_rejects_what_is_no_skeleton(skeleton, got):
+    with pytest.raises(SexprError, match=rf"^expected step⁺, got {got}$"):
+        elaborate_step(skeleton, plus(enat(1), enat(2)))
+    # under a skeleton too
+    with pytest.raises(SexprError, match=rf"^expected stepv, got {got}$"):
+        elaborate_step(StepSkeleton("step⁺", skeleton), plus(enat(1), enat(2)))
+
+
 def test_elaboration_never_renders_a_foreign_source():
     bad = Term(InL(InL(InL(AtomVal(BaseSet.NAT, True)))))  # a bool posing as 1
     with pytest.raises(SexprError):

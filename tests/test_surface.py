@@ -1,10 +1,13 @@
-"""Surface syntax, and the one-pass parser against the recursive one it replaced.
+"""Surface syntax, and the row-driven parser and renderer against the recursive ones they replaced.
 
 ``reference_parse`` is the recursive-descent parser kept as the reference:
 a character-at-a-time tokenizer and one method per grammar level.  The
 one-pass parser must give the same term, or a ParseError with the same
 message and offset, for every text, and must also parse text nested too
-deep to recurse on.
+deep to recurse on.  ``reference_render`` is the recursive renderer, one
+branch per case; the generated renderer must give the same text, or the
+same error, for every term, and must also render terms nested too deep to
+recurse on.
 """
 
 import random
@@ -16,9 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraglang.functor import InL, ShapeError, Slot, Term
-from fraglang.generate import random_term
-from fraglang.lang import assign, enat, index, nil, none, plus, some
-from fraglang.surface import LiteralLimitError, ParseError, parse, render
+from fraglang.generate import enumerate_terms, random_term
+from fraglang.lang import FRAGMENTS, LITERAL, assign, enat, index, nil, none, plus, some, view
+from fraglang.surface import SYNTAX, LiteralLimitError, ParseError, literal_text, parse, render
 from goldens import EXP_TEXT, exp_term, fragment_view
 
 # CPython's integer-string limit; 0 (or no such function) means none.
@@ -171,6 +174,47 @@ def outcome(parser, text):
         return str(err), err.offset
 
 
+# Binding levels, loosest first: a term renders bare at its own level or
+# any looser one, and in parentheses where a tighter level is required.
+_SUM, _POSTFIX, _PRIMARY = 0, 1, 2
+
+
+def _reference_render(t, level):
+    v = view(t)
+    if v is None:
+        raise ShapeError(f"not a term of the composed language: a Term over {type(t.node).__name__}")
+    case, q = v
+    if case == "nat":
+        return literal_text(q.value)
+    if case == "some":
+        return f"some({_reference_render(q.term, _SUM)})"
+    if case == "none":
+        return "none"
+    if case == "nil":
+        return "nil"
+    if case == "plus":
+        text = f"{_reference_render(q.fst.term, _SUM)} + {_reference_render(q.snd.term, _POSTFIX)}"
+        return text if level == _SUM else f"({text})"
+    if case == "index":
+        text = f"{_reference_render(q.fst.term, _POSTFIX)} ! {_reference_render(q.snd.term, _PRIMARY)}"
+    else:
+        a, i, e = q.fst.term, q.snd.fst.term, q.snd.snd.term
+        text = f"{_reference_render(a, _POSTFIX)}[{_reference_render(i, _SUM)}] := {_reference_render(e, _PRIMARY)}"
+    return text if level <= _POSTFIX else f"({text})"
+
+
+def reference_render(t):
+    return _reference_render(t, _SUM)
+
+
+def rendered(renderer, t):
+    """The text rendered, or the class and message of the error."""
+    try:
+        return renderer(t)
+    except (ShapeError, LiteralLimitError) as err:
+        return type(err), str(err)
+
+
 def assert_parses_as_reference(text):
     assert outcome(parse, text) == outcome(reference_parse, text)
 
@@ -204,6 +248,55 @@ def test_parse_agrees_with_the_reference_on_fixed_texts(text):
     # A regex word run also takes numeric characters that are no letters,
     # such as '²' and '½'; the reference stops its words before them.
     assert_parses_as_reference(text)
+
+
+def test_every_case_but_the_literal_has_a_syntax_row():
+    assert set(SYNTAX) | {LITERAL} == {case for fragment in FRAGMENTS.values() for case in fragment}
+    assert LITERAL not in SYNTAX
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32), st.integers(0, 12))
+def test_render_agrees_with_the_reference(seed, size):
+    t = random_term(random.Random(seed), size)
+    assert render(t) == reference_render(t)
+
+
+def test_render_agrees_with_the_reference_on_an_enumeration_prefix():
+    for n, t in enumerate(enumerate_terms(2, (0, 1))):
+        if n == 20_000:
+            break
+        assert render(t) == reference_render(t)
+
+
+def _foreign_terms():
+    # Terms outside the language: a bare slot, at the root and in each
+    # position a form can hold a term, and a literal past the limit.
+    bad = Term(Slot(enat(1)))
+    yield bad
+    yield Term(InL(Slot(enat(1))))
+    for wrap in (some, lambda t: plus(t, bad), lambda t: plus(enat(1), t), lambda t: index(t, nil())):
+        yield wrap(bad)
+    yield assign(nil(), bad, enat(1))
+    yield assign(nil(), enat(1), bad)
+    yield plus(bad, Term(InL(Slot(enat(1)))))
+    if LIMIT:
+        yield plus(enat(10**LIMIT), bad)
+        yield index(nil(), enat(10**LIMIT))
+
+
+@pytest.mark.parametrize("t", list(_foreign_terms()), ids=lambda t: type(t.node).__name__)
+def test_render_rejects_foreign_terms_as_the_reference_does(t):
+    assert isinstance(rendered(reference_render, t), tuple)
+    assert rendered(render, t) == rendered(reference_render, t)
+
+
+def test_render_takes_100000_nested_some():
+    n = 100_000
+    t = enat(7)
+    for _ in range(n):
+        t = some(t)
+    assert render(t) == "some(" * n + "7" + ")" * n
 
 
 def test_deep_parentheses_parse():
